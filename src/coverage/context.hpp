@@ -33,6 +33,12 @@ class Context {
     map_.set(base + static_cast<PointId>(offset));
   }
 
+  /// Marks `base + offset + i` hit for every set bit i of `mask`: a block
+  /// of sub-points (the six conditions of one mnemonic) as one OR.
+  void hit_mask(PointId base, std::size_t offset, std::uint64_t mask) noexcept {
+    map_.set_bits(base + static_cast<PointId>(offset), mask);
+  }
+
   [[nodiscard]] const Map& test_map() const noexcept { return map_; }
 
   /// Moves the per-test map into `dst` via an O(1) storage swap —

@@ -37,6 +37,27 @@ class Map {
     return (words_[id / 64] >> (id % 64)) & 1ULL;
   }
 
+  /// Sets point `base + i` for every set bit i of `mask`: observationally
+  /// one set() per bit (ids outside the universe are ignored), done as at
+  /// most two word ORs. Emits a block of related points, such as the six
+  /// condition sub-points of one mnemonic, in one step.
+  void set_bits(PointId base, std::uint64_t mask) noexcept {
+    if (base >= num_points_) {
+      return;
+    }
+    if (const std::size_t room = num_points_ - base; room < 64) {
+      mask &= (1ULL << room) - 1;
+    }
+    const std::size_t word = base / 64;
+    const unsigned shift = base % 64;
+    words_[word] |= mask << shift;
+    // Bits that spill into the next word lie inside the universe (the mask
+    // was clipped to it), so that word exists whenever they are non-zero.
+    if (shift != 0 && (mask >> (64 - shift)) != 0) {
+      words_[word + 1] |= mask >> (64 - shift);
+    }
+  }
+
   /// Population count.
   [[nodiscard]] std::size_t count() const noexcept;
 
@@ -44,6 +65,7 @@ class Map {
   void merge(const Map& other) noexcept;
 
   /// Number of bits set in `this` but not in `other` (|this \ other|).
+  /// Words of `this` beyond `other`'s storage count in full.
   [[nodiscard]] std::size_t count_new(const Map& other) const noexcept;
 
   /// Bits set in `this` but not in `other`, as a new map.

@@ -1,7 +1,7 @@
 #include "fuzz/oracle.hpp"
 
 #include <cstdio>
-#include <sstream>
+#include <string>
 
 #include "isa/disasm.hpp"
 #include "isa/platform.hpp"
@@ -69,25 +69,40 @@ std::optional<std::string> diff_commit(const isa::CommitRecord& dut,
 }  // namespace
 
 std::string describe_commit(const isa::CommitRecord& record) {
-  std::ostringstream ss;
-  ss << hex(record.pc) << ": " << isa::disassemble_word(record.word);
+  // Appended piece by piece rather than through a std::ostringstream,
+  // whose construction dominates this on the mismatch path.
+  std::string text = hex(record.pc);
+  text += ": ";
+  text += isa::disassemble_word(record.word);
   if (record.trapped) {
-    ss << " [trap "
-       << isa::trap_cause_name(static_cast<isa::TrapCause>(record.cause)) << "]";
+    text += " [trap ";
+    text += isa::trap_cause_name(static_cast<isa::TrapCause>(record.cause));
+    text += "]";
   }
   if (record.wrote_rd) {
-    ss << " x" << static_cast<int>(record.rd) << "=" << hex(record.rd_value);
+    text += " x";
+    text += std::to_string(static_cast<int>(record.rd));
+    text += "=";
+    text += hex(record.rd_value);
   }
   if (record.wrote_mem) {
-    ss << " mem[" << hex(record.mem_addr) << "]=" << hex(record.mem_value);
+    text += " mem[";
+    text += hex(record.mem_addr);
+    text += "]=";
+    text += hex(record.mem_value);
   }
-  return ss.str();
+  return text;
 }
 
 std::optional<Mismatch> compare(const isa::ArchResult& dut,
                                 const isa::ArchResult& golden) {
   const std::size_t n = std::min(dut.commits.size(), golden.commits.size());
   for (std::size_t i = 0; i < n; ++i) {
+    // Equal records cannot differ in any compared field; only unequal ones
+    // pay for diff_commit, which builds its description as a string.
+    if (dut.commits[i] == golden.commits[i]) {
+      continue;
+    }
     if (auto diff = diff_commit(dut.commits[i], golden.commits[i])) {
       Mismatch m;
       m.commit_index = i;

@@ -6,12 +6,6 @@ namespace {
 using isa::CsrAddr;
 namespace csr = isa::csr;
 
-constexpr std::uint64_t kMstatusMie = 1ULL << 3;
-constexpr std::uint64_t kMstatusMpie = 1ULL << 7;
-constexpr std::uint64_t kMstatusMppMachine = 0b11ULL << 11;
-// RV64IM: MXL=2 in bits [63:62], extensions I and M.
-constexpr std::uint64_t kMisaValue =
-    (2ULL << 62) | (1ULL << ('i' - 'a')) | (1ULL << ('m' - 'a'));
 constexpr std::uint64_t kMieMask = (1ULL << 3) | (1ULL << 7) | (1ULL << 11);
 constexpr std::uint64_t kMcounterenMask = 0b111;  // CY, TM, IR
 }  // namespace
@@ -30,50 +24,9 @@ void CsrFile::reset() noexcept {
   mtval_ = 0;
 }
 
-std::uint64_t CsrFile::mstatus() const noexcept {
-  std::uint64_t v = kMstatusMppMachine;  // MPP is hardwired to M.
-  if (mie_bit_) {
-    v |= kMstatusMie;
-  }
-  if (mpie_bit_) {
-    v |= kMstatusMpie;
-  }
-  return v;
-}
-
-std::optional<std::uint64_t> CsrFile::read(CsrAddr addr,
-                                           std::uint64_t instret) const noexcept {
-  switch (addr) {
-    case csr::kMstatus: return mstatus();
-    case csr::kMisa: return kMisaValue;
-    case csr::kMie: return mie_;
-    case csr::kMtvec: return mtvec_;
-    case csr::kMcounteren: return mcounteren_;
-    case csr::kMscratch: return mscratch_;
-    case csr::kMepc: return mepc_;
-    case csr::kMcause: return mcause_;
-    case csr::kMtval: return mtval_;
-    case csr::kMip: return 0;  // no interrupt sources in the model
-    case csr::kMcycle: return virtual_cycle(instret);
-    case csr::kMinstret: return instret;
-    case csr::kMvendorid: return identity_.vendorid;
-    case csr::kMarchid: return identity_.archid;
-    case csr::kMimpid: return identity_.impid;
-    case csr::kMhartid: return identity_.hartid;
-    case csr::kCycle: return virtual_cycle(instret);
-    case csr::kTime: return virtual_time(instret);
-    case csr::kInstret: return instret;
-    default: return std::nullopt;
-  }
-}
-
 CsrFile::WriteResult CsrFile::write(CsrAddr addr, std::uint64_t value) noexcept {
-  if (!isa::csr_implemented(addr)) {
-    return WriteResult::kIllegal;
-  }
-  if (isa::csr_read_only(addr)) {
-    return WriteResult::kIllegal;
-  }
+  // Only implemented CSRs outside the read-only ranges (CSR[11:10] ==
+  // 0b11) have a case: every other address falls to kIllegal.
   switch (addr) {
     case csr::kMstatus:
       mie_bit_ = (value & kMstatusMie) != 0;

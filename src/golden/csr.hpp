@@ -8,7 +8,6 @@
 // bit-identical across the differential pair and never need oracle masking.
 
 #include <cstdint>
-#include <optional>
 
 #include "isa/csr_defs.hpp"
 #include "isa/platform.hpp"
@@ -37,10 +36,38 @@ class CsrFile {
 
   void reset() noexcept;
 
-  /// CSR read; `instret` feeds the counter CSRs. nullopt => the access must
-  /// raise an illegal-instruction exception.
-  [[nodiscard]] std::optional<std::uint64_t> read(isa::CsrAddr addr,
-                                                  std::uint64_t instret) const noexcept;
+  /// CSR read into `value`; `instret` feeds the counter CSRs. False (with
+  /// `value` untouched) => the access must raise an illegal-instruction
+  /// exception. Inline, and a bool plus an out-parameter rather than a
+  /// std::optional: GCC builds the optional on the stack with a byte store
+  /// and copies it with a wider load, even inlined, which stalls every CSR
+  /// instruction of both simulators.
+  [[nodiscard]] bool read(isa::CsrAddr addr, std::uint64_t instret,
+                          std::uint64_t& value) const noexcept {
+    namespace csr = isa::csr;
+    switch (addr) {
+      case csr::kMstatus: value = mstatus(); return true;
+      case csr::kMisa: value = kMisaValue; return true;
+      case csr::kMie: value = mie_; return true;
+      case csr::kMtvec: value = mtvec_; return true;
+      case csr::kMcounteren: value = mcounteren_; return true;
+      case csr::kMscratch: value = mscratch_; return true;
+      case csr::kMepc: value = mepc_; return true;
+      case csr::kMcause: value = mcause_; return true;
+      case csr::kMtval: value = mtval_; return true;
+      case csr::kMip: value = 0; return true;  // no interrupt sources in the model
+      case csr::kMcycle: value = virtual_cycle(instret); return true;
+      case csr::kMinstret: value = instret; return true;
+      case csr::kMvendorid: value = identity_.vendorid; return true;
+      case csr::kMarchid: value = identity_.archid; return true;
+      case csr::kMimpid: value = identity_.impid; return true;
+      case csr::kMhartid: value = identity_.hartid; return true;
+      case csr::kCycle: value = virtual_cycle(instret); return true;
+      case csr::kTime: value = virtual_time(instret); return true;
+      case csr::kInstret: value = instret; return true;
+      default: return false;
+    }
+  }
 
   enum class WriteResult : std::uint8_t { kOk, kIllegal };
 
@@ -55,7 +82,16 @@ class CsrFile {
   /// MRET: unstacks MIE and returns the resume pc (mepc).
   std::uint64_t take_mret() noexcept;
 
-  [[nodiscard]] std::uint64_t mstatus() const noexcept;
+  [[nodiscard]] std::uint64_t mstatus() const noexcept {
+    std::uint64_t v = kMstatusMppMachine;  // MPP is hardwired to M.
+    if (mie_bit_) {
+      v |= kMstatusMie;
+    }
+    if (mpie_bit_) {
+      v |= kMstatusMpie;
+    }
+    return v;
+  }
   [[nodiscard]] std::uint64_t mepc() const noexcept { return mepc_; }
   [[nodiscard]] std::uint64_t mcause() const noexcept { return mcause_; }
   [[nodiscard]] std::uint64_t mtval() const noexcept { return mtval_; }
@@ -63,6 +99,13 @@ class CsrFile {
   [[nodiscard]] std::uint64_t mscratch() const noexcept { return mscratch_; }
 
  private:
+  static constexpr std::uint64_t kMstatusMie = 1ULL << 3;
+  static constexpr std::uint64_t kMstatusMpie = 1ULL << 7;
+  static constexpr std::uint64_t kMstatusMppMachine = 0b11ULL << 11;
+  // RV64IM: MXL=2 in bits [63:62], extensions I and M.
+  static constexpr std::uint64_t kMisaValue =
+      (2ULL << 62) | (1ULL << ('i' - 'a')) | (1ULL << ('m' - 'a'));
+
   CsrIdentity identity_;
   bool mie_bit_ = false;   // mstatus.MIE
   bool mpie_bit_ = true;   // mstatus.MPIE

@@ -162,14 +162,16 @@ void Iss::run_impl(const std::vector<Word>& program,
       pc_ = csrs_.mtvec();
       continue;
     }
-    const auto fetched = memory_.fetch(pc_);
-    if (!fetched) {
+    Word word = 0;
+    if (!memory_.fetch(pc_, word)) {
       result.halt = HaltReason::kFetchOutOfRange;
       break;
     }
-    const Word word = *fetched;
 
-    CommitRecord record;
+    // The record is built in place: a local copied in by push_back would
+    // be reloaded in 16-byte chunks over its byte-sized flag stores, a
+    // store-forwarding stall on every commit.
+    CommitRecord& record = result.commits.emplace_back();
     record.pc = pc_;
     record.word = word;
 
@@ -184,11 +186,12 @@ void Iss::run_impl(const std::vector<Word>& program,
         decoded_program != nullptr ? decoded_program->lookup(word)
                                    : (decoded_storage = isa::decode(word));
     StepOutcome outcome;
+    outcome.next_pc = pc_ + 4;
     if (!decoded.ok()) {
       outcome.has_trap = true;
       outcome.trap = Trap{TrapCause::kIllegalInstruction, word};
     } else {
-      outcome = execute(decoded.instr, word, record);
+      execute(decoded.instr, word, record, outcome);
     }
 
     if (outcome.has_trap) {
@@ -202,7 +205,6 @@ void Iss::run_impl(const std::vector<Word>& program,
     } else {
       pc_ = outcome.next_pc;
     }
-    result.commits.push_back(record);
   }
 
   result.regs = regs_;
@@ -215,10 +217,8 @@ void Iss::run_impl(const std::vector<Word>& program,
   result.mscratch = csrs_.mscratch();
 }
 
-Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord& record) {
-  StepOutcome out;
-  out.next_pc = pc_ + 4;
-
+void Iss::execute(const Instruction& instr, Word word, CommitRecord& record,
+                  StepOutcome& out) {
   const std::uint64_t a = reg(instr.rs1);
   const std::uint64_t b = reg(instr.rs2);
   const auto imm = static_cast<std::uint64_t>(instr.imm);
@@ -226,7 +226,6 @@ Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord&
   auto trap = [&](TrapCause cause, std::uint64_t tval) {
     out.has_trap = true;
     out.trap = Trap{cause, tval};
-    return out;
   };
 
   auto do_load = [&](unsigned bytes, bool is_unsigned) {
@@ -243,7 +242,6 @@ Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord&
                     : static_cast<std::uint64_t>(
                           common::sign_extend(*value, 8 * bytes));
     write_reg(instr.rd, extended, record);
-    return out;
   };
 
   auto do_store = [&](unsigned bytes) {
@@ -259,20 +257,15 @@ Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord&
     record.mem_addr = addr;
     record.mem_value = value;
     record.mem_bytes = bytes;
-    return out;
   };
 
   auto branch = [&](bool taken) {
     if (taken) {
       out.next_pc = pc_ + imm;
     }
-    return out;
   };
 
-  auto wr = [&](std::uint64_t value) {
-    write_reg(instr.rd, value, record);
-    return out;
-  };
+  auto wr = [&](std::uint64_t value) { write_reg(instr.rd, value, record); };
 
   switch (instr.mnemonic) {
     case Mnemonic::kLui: return wr(imm);
@@ -280,13 +273,13 @@ Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord&
     case Mnemonic::kJal: {
       write_reg(instr.rd, pc_ + 4, record);
       out.next_pc = pc_ + imm;
-      return out;
+      return;
     }
     case Mnemonic::kJalr: {
       const std::uint64_t target = (a + imm) & ~1ULL;
       write_reg(instr.rd, pc_ + 4, record);
       out.next_pc = target;
-      return out;
+      return;
     }
     case Mnemonic::kBeq: return branch(a == b);
     case Mnemonic::kBne: return branch(a != b);
@@ -378,15 +371,15 @@ Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord&
 
     case Mnemonic::kFence:
     case Mnemonic::kFenceI:
-      return out;  // coherent memory model: fences are architectural no-ops
+      return;  // coherent memory model: fences are architectural no-ops
 
     case Mnemonic::kEcall: return trap(TrapCause::kEcallFromM, 0);
     case Mnemonic::kEbreak: return trap(TrapCause::kBreakpoint, pc_);
     case Mnemonic::kMret:
       out.next_pc = csrs_.take_mret();
-      return out;
+      return;
     case Mnemonic::kWfi:
-      return out;  // no interrupt sources: WFI is a no-op
+      return;  // no interrupt sources: WFI is a no-op
 
     case Mnemonic::kCsrrw:
     case Mnemonic::kCsrrs:
@@ -394,7 +387,7 @@ Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord&
     case Mnemonic::kCsrrwi:
     case Mnemonic::kCsrrsi:
     case Mnemonic::kCsrrci:
-      return execute_csr(instr, word, record);
+      return execute_csr(instr, word, record, out);
 
     case Mnemonic::kCount:
       break;
@@ -402,15 +395,11 @@ Iss::StepOutcome Iss::execute(const Instruction& instr, Word word, CommitRecord&
   return trap(TrapCause::kIllegalInstruction, word);
 }
 
-Iss::StepOutcome Iss::execute_csr(const Instruction& instr, Word word,
-                                  CommitRecord& record) {
-  StepOutcome out;
-  out.next_pc = pc_ + 4;
-
+void Iss::execute_csr(const Instruction& instr, Word word, CommitRecord& record,
+                      StepOutcome& out) {
   auto illegal = [&] {
     out.has_trap = true;
     out.trap = Trap{TrapCause::kIllegalInstruction, word};
-    return out;
   };
 
   const bool is_imm_form = instr.mnemonic == Mnemonic::kCsrrwi ||
@@ -423,24 +412,23 @@ Iss::StepOutcome Iss::execute_csr(const Instruction& instr, Word word,
   // CSRRS/CSRRC with rs1=x0 (zimm=0) perform no write.
   const bool writes = is_write_form || instr.rs1 != 0;
 
-  const auto old = csrs_.read(instr.csr, instret_);
-  if (!old) {
+  std::uint64_t old = 0;
+  if (!csrs_.read(instr.csr, instret_, old)) {
     return illegal();
   }
   if (writes) {
     std::uint64_t new_value = operand;
     if (instr.mnemonic == Mnemonic::kCsrrs || instr.mnemonic == Mnemonic::kCsrrsi) {
-      new_value = *old | operand;
+      new_value = old | operand;
     } else if (instr.mnemonic == Mnemonic::kCsrrc ||
                instr.mnemonic == Mnemonic::kCsrrci) {
-      new_value = *old & ~operand;
+      new_value = old & ~operand;
     }
     if (csrs_.write(instr.csr, new_value) == CsrFile::WriteResult::kIllegal) {
       return illegal();
     }
   }
-  write_reg(instr.rd, *old, record);
-  return out;
+  write_reg(instr.rd, old, record);
 }
 
 }  // namespace mabfuzz::golden

@@ -59,12 +59,15 @@ class Iss {
                 isa::DecodedProgram* decoded, isa::ArchResult& out);
 
   /// Executes the decoded instruction at pc_, filling `record` with its
-  /// architectural effects (rd/memory writes).
-  StepOutcome execute(const isa::Instruction& instr, isa::Word word,
-                      isa::CommitRecord& record);
+  /// architectural effects (rd/memory writes) and `out` with the next pc or
+  /// the trap. `out` arrives as {pc_ + 4, no trap}. It is an out-parameter,
+  /// not a return value: a returned struct is copied in wide chunks over
+  /// its byte-sized flag store, which stalls every commit.
+  void execute(const isa::Instruction& instr, isa::Word word,
+               isa::CommitRecord& record, StepOutcome& out);
 
-  StepOutcome execute_csr(const isa::Instruction& instr, isa::Word word,
-                          isa::CommitRecord& record);
+  void execute_csr(const isa::Instruction& instr, isa::Word word,
+                   isa::CommitRecord& record, StepOutcome& out);
 
   void write_reg(isa::RegIndex rd, std::uint64_t value,
                  isa::CommitRecord& record) noexcept;

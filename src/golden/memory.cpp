@@ -44,6 +44,31 @@ bool Memory::write_words(std::uint64_t addr, const std::vector<isa::Word>& words
   return true;
 }
 
+void Memory::read_block(std::uint64_t addr, std::uint8_t* out,
+                        unsigned bytes) const noexcept {
+  if (contains(addr, bytes)) {
+    std::memcpy(out, bytes_.data() + ((addr & isa::kPhysAddrMask) - base_), bytes);
+    return;
+  }
+  for (unsigned i = 0; i < bytes; ++i) {
+    const auto byte = load(addr + i, 1);
+    out[i] = byte ? static_cast<std::uint8_t>(*byte) : 0;
+  }
+}
+
+void Memory::write_block(std::uint64_t addr, const std::uint8_t* in,
+                         unsigned bytes) noexcept {
+  if (bytes > 0 && contains(addr, bytes)) {
+    const std::uint64_t offset = (addr & isa::kPhysAddrMask) - base_;
+    std::memcpy(bytes_.data() + offset, in, bytes);
+    mark_dirty(offset, offset + bytes - 1);
+    return;
+  }
+  for (unsigned i = 0; i < bytes; ++i) {
+    store(addr + i, in[i], 1);
+  }
+}
+
 void Memory::clear() noexcept {
   std::fill(bytes_.begin(), bytes_.end(), 0);
   std::fill(dirty_.begin(), dirty_.end(), 0);

@@ -77,18 +77,32 @@ class Memory {
     return true;
   }
 
-  /// Instruction fetch (4-byte aligned load); nullopt when out of range.
-  [[nodiscard]] std::optional<isa::Word> fetch(std::uint64_t addr) const noexcept {
-    const auto value = load(addr, 4);
-    if (!value) {
-      return std::nullopt;
+  /// Instruction fetch: reads the little-endian word at `addr` into `word`;
+  /// false (with `word` untouched) when out of range. Both simulators fetch
+  /// once per commit, so this is one bounds check and one 4-byte read, and
+  /// it returns through an out-parameter: GCC builds a returned
+  /// std::optional on the stack and reloads it wider than it stored it,
+  /// which stalls every call.
+  [[nodiscard]] bool fetch(std::uint64_t addr, isa::Word& word) const noexcept {
+    if (!contains(addr, 4)) {
+      return false;
     }
-    return static_cast<isa::Word>(*value);
+    const std::uint8_t* bytes = bytes_.data() + ((addr & isa::kPhysAddrMask) - base_);
+    word = static_cast<isa::Word>(bytes[0]) | static_cast<isa::Word>(bytes[1]) << 8 |
+           static_cast<isa::Word>(bytes[2]) << 16 |
+           static_cast<isa::Word>(bytes[3]) << 24;
+    return true;
   }
 
   /// Writes a program image (consecutive words) starting at `addr`;
   /// false when it does not fit.
   bool write_words(std::uint64_t addr, const std::vector<isa::Word>& words) noexcept;
+
+  /// Cache-line transfers: observationally `bytes` one-byte loads (a byte
+  /// outside the RAM reads as 0) or one-byte stores (dropped outside the
+  /// RAM) at addr, addr + 1, ..., done as one copy when the block fits.
+  void read_block(std::uint64_t addr, std::uint8_t* out, unsigned bytes) const noexcept;
+  void write_block(std::uint64_t addr, const std::uint8_t* in, unsigned bytes) noexcept;
 
   /// Zero-fills the RAM unconditionally (and marks everything clean).
   void clear() noexcept;

@@ -13,24 +13,27 @@
 namespace mabfuzz::isa {
 
 /// One retired (or trapped) instruction's architectural effect.
+///
+/// Fields are ordered by size, not by meaning: grouped by meaning the
+/// record pads out to 72 bytes, ordered by size it packs into 56. Both
+/// simulators build one per commit and the oracle compares them pairwise,
+/// so every byte is written twice and read once per commit.
 struct CommitRecord {
   std::uint64_t pc = 0;
+  std::uint64_t cause = 0;      // valid when trapped
+  std::uint64_t rd_value = 0;   // valid when wrote_rd
+  std::uint64_t mem_addr = 0;   // valid when wrote_mem
+  std::uint64_t mem_value = 0;  // truncated to mem_bytes
   Word word = 0;  // fetched instruction bits; 0 for fetch-stage traps
-
+  unsigned mem_bytes = 0;
   bool trapped = false;
-  std::uint64_t cause = 0;  // valid when trapped
-
   bool wrote_rd = false;
   RegIndex rd = 0;
-  std::uint64_t rd_value = 0;
-
   bool wrote_mem = false;
-  std::uint64_t mem_addr = 0;
-  std::uint64_t mem_value = 0;  // truncated to mem_bytes
-  unsigned mem_bytes = 0;
 
   friend bool operator==(const CommitRecord&, const CommitRecord&) = default;
 };
+static_assert(sizeof(CommitRecord) == 56, "keep CommitRecord's fields ordered by size");
 
 /// Why a run ended.
 enum class HaltReason : std::uint8_t {

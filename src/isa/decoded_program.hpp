@@ -7,8 +7,8 @@
 // keyed by instruction *value*, not by address: a slot holding (word, result)
 // is correct forever, independent of self-modifying stores, trap-handler
 // detours or which test populated it. build() pre-decodes every word of the
-// current program image; any other fetched word (handler code, dirty-line
-// snoops, wild jumps into scratch memory) falls into the same direct-mapped
+// current program image; any other fetched word (handler code, D$ snoops,
+// wild jumps into scratch memory) falls into the same direct-mapped
 // table on first lookup. Collisions only cost a re-decode — never wrongness —
 // so the table needs no invalidation between tests and has zero effect on
 // architectural results (locked in by the equivalence suite in

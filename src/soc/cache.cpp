@@ -49,15 +49,18 @@ void InstructionCache::reset() noexcept {
   }
   touched_.clear();
   lru_clock_ = 0;
+  last_line_ = kNoLine;
 }
 
-bool InstructionCache::access(std::uint64_t addr, coverage::Context& ctx) {
+bool InstructionCache::probe(std::uint64_t addr, coverage::Context& ctx) {
   const std::uint64_t line_no = addr >> line_shift_;
   const unsigned set = static_cast<unsigned>(line_no & set_mask_);
   const std::uint64_t tag = line_no >> set_shift_;
   const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
 
   ++lru_clock_;
+  last_line_ = line_no;
+  last_set_ = set;
   for (unsigned w = 0; w < params_.ways; ++w) {
     if (valid_[base + w] && tags_[base + w] == tag) {
       lru_[base + w] = lru_clock_;
@@ -102,12 +105,14 @@ void InstructionCache::invalidate_all(coverage::Context& ctx) noexcept {
     valid_[index] = 0;
   }
   touched_.clear();
+  last_line_ = kNoLine;
   ctx.hit(cov_flush_);
 }
 
 // --- DataCache --------------------------------------------------------------
 
-DataCache::DataCache(const CacheParams& params, coverage::Context& ctx)
+DataCache::DataCache(const CacheParams& params, coverage::Context& ctx,
+                     std::uint64_t dram_size)
     : params_(params),
       line_shift_(log2_or_throw(params.line_bytes, "line_bytes")),
       set_shift_(log2_or_throw(params.sets, "sets")),
@@ -118,7 +123,10 @@ DataCache::DataCache(const CacheParams& params, coverage::Context& ctx)
       tags_(valid_.size(), 0),
       lru_(valid_.size(), 0),
       data_(static_cast<std::size_t>(params.sets) * params.ways * params.line_bytes,
-            0) {
+            0),
+      first_line_(isa::kDramBase >> line_shift_),
+      filter_lines_((dram_size + params.line_bytes - 1) >> line_shift_) {
+  present_.assign(static_cast<std::size_t>((filter_lines_ + 63) / 64), 0);
   touched_.reserve(valid_.size());
   auto& reg = ctx.registry();
   cov_read_hit_ = reg.add_array("dcache/read_hit_set", params_.sets);
@@ -135,13 +143,31 @@ void DataCache::reset() noexcept {
   // Invalid lines are unobservable (valid gates find/snoop; a fill
   // overwrites the whole line's data and flags before any byte is read),
   // so only lines filled since the last reset need their valid bit
-  // cleared.
+  // cleared. Every valid line is among them, so this also empties the
+  // presence filter.
   for (const std::uint32_t index : touched_) {
+    if (valid_[index]) {
+      mark_present(index, false);
+    }
     valid_[index] = 0;
   }
   touched_.clear();
   lru_clock_ = 0;
   wb_buffer_busy_ = 0;
+}
+
+void DataCache::mark_present(std::size_t line_index, bool present) noexcept {
+  const unsigned set = static_cast<unsigned>((line_index / params_.ways) & set_mask_);
+  const std::uint64_t slot = ((tags_[line_index] << set_shift_) + set) - first_line_;
+  if (slot >= filter_lines_) {
+    return;  // outside the filter: snoops of this line probe the ways
+  }
+  const std::uint64_t bit = 1ULL << (slot % 64);
+  if (present) {
+    present_[slot / 64] |= bit;
+  } else {
+    present_[slot / 64] &= ~bit;
+  }
 }
 
 unsigned DataCache::set_index(std::uint64_t addr) const noexcept {
@@ -185,10 +211,7 @@ void DataCache::write_line_back(std::size_t line_index, unsigned set,
     wb_buffer_busy_ = 3;
     return;
   }
-  const std::uint8_t* data = line_data(line_index);
-  for (unsigned i = 0; i < params_.line_bytes; ++i) {
-    memory.store(addr + i, data[i], 1);
-  }
+  memory.write_block(addr, line_data(line_index), params_.line_bytes);
   wb_buffer_busy_ = 3;
 }
 
@@ -219,21 +242,19 @@ std::size_t DataCache::evict_and_fill(std::uint64_t addr, golden::Memory& memory
     write_line_back(line_index, set, memory, ctx, drop_writeback_when_busy,
                     outcome);
   }
-  if (!valid_[line_index]) {
+  if (valid_[line_index]) {
+    mark_present(line_index, false);  // the victim's line leaves the cache
+  } else {
     touched_.push_back(static_cast<std::uint32_t>(line_index));
   }
 
   // Fill from DRAM.
-  const std::uint64_t fill_addr = line_addr(addr);
-  std::uint8_t* data = line_data(line_index);
-  for (unsigned i = 0; i < params_.line_bytes; ++i) {
-    const auto byte = memory.load(fill_addr + i, 1);
-    data[i] = byte ? static_cast<std::uint8_t>(*byte) : 0;
-  }
+  memory.read_block(line_addr(addr), line_data(line_index), params_.line_bytes);
   valid_[line_index] = 1;
   dirty_[line_index] = 0;
   tags_[line_index] = tag;
   lru_[line_index] = lru_clock_;
+  mark_present(line_index, true);
   ctx.hit(cov_fill_, line_index);
   return line_index;
 }
@@ -311,23 +332,22 @@ DataCache::AccessOutcome DataCache::store(std::uint64_t addr, std::uint64_t valu
   return outcome;
 }
 
-std::optional<std::uint64_t> DataCache::snoop(std::uint64_t addr,
-                                              unsigned bytes) const noexcept {
-  addr &= isa::kPhysAddrMask;
+bool DataCache::snoop_ways(std::uint64_t addr, unsigned bytes,
+                           std::uint64_t& value) const noexcept {
   const std::size_t line_index = find_index(addr);
   if (line_index == kNoLine) {
-    return std::nullopt;
+    return false;
   }
   const unsigned offset = static_cast<unsigned>(addr & offset_mask_);
   if (offset + bytes > params_.line_bytes) {
-    return std::nullopt;  // crosses the line; let DRAM serve it
+    return false;  // crosses the line; let DRAM serve it
   }
   const std::uint8_t* data = line_data(line_index);
-  std::uint64_t value = 0;
+  value = 0;
   for (unsigned i = 0; i < bytes; ++i) {
     value |= static_cast<std::uint64_t>(data[offset + i]) << (8 * i);
   }
-  return value;
+  return true;
 }
 
 void DataCache::flush_all(golden::Memory& memory, coverage::Context& ctx) {
@@ -339,10 +359,7 @@ void DataCache::flush_all(golden::Memory& memory, coverage::Context& ctx) {
           static_cast<unsigned>((index / params_.ways) & set_mask_);
       const std::uint64_t addr =
           ((tags_[index] << set_shift_) + set) << line_shift_;
-      const std::uint8_t* data = line_data(index);
-      for (unsigned i = 0; i < params_.line_bytes; ++i) {
-        memory.store(addr + i, data[i], 1);
-      }
+      memory.write_block(addr, line_data(index), params_.line_bytes);
       dirty_[index] = 0;
       ctx.hit(cov_flush_dirty_);
     }

@@ -7,7 +7,23 @@
 //  - DataCache: a true write-back, write-allocate cache with line storage.
 //    Dirty lines live in the cache until eviction; evictions write the line
 //    back to DRAM through a single-entry writeback buffer. Bug V4 drops a
-//    writeback when the buffer is busy, leaving DRAM stale.
+//    writeback when the buffer is busy, leaving DRAM stale. Instruction
+//    fetch snoops it: any line it holds, clean or dirty, serves the fetch.
+//
+// Per-fetch shortcuts (both bit-exact; docs/ARCHITECTURE.md, "Per-commit
+// hot path"):
+//  - The I$ remembers the line of its last access. Every access leaves its
+//    line valid (a hit finds it, a miss fills it) and nothing but another
+//    access, invalidate_all() or reset() changes the I$, so a fetch from
+//    the same line is a hit without probing the ways. That line is already
+//    the most recently used of its set, so the hit changes no LRU order
+//    and stamps nothing. Sequential code stays in one 32-byte line for
+//    eight fetches.
+//  - The D$ keeps a presence filter: one bit per DRAM line, set on fill,
+//    cleared when that line is evicted or the cache reset. A bit is set
+//    exactly while some way holds a valid copy of the line, so the snoop
+//    probes the ways only for lines the filter holds. Almost no fetch
+//    finds its line in the D$.
 //
 // Coverage: each set registers hit/miss/eviction points; each (set, way)
 // registers a fill point — the replicated-structure mass that dominates
@@ -33,11 +49,11 @@
 // valid first, so reset/invalidate may leave tag/lru/dirty stale).
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "coverage/context.hpp"
 #include "golden/memory.hpp"
+#include "isa/platform.hpp"
 
 namespace mabfuzz::soc {
 
@@ -55,7 +71,15 @@ class InstructionCache {
   void reset() noexcept;
 
   /// Looks up `addr`, allocating on miss. Returns true on hit.
-  bool access(std::uint64_t addr, coverage::Context& ctx);
+  bool access(std::uint64_t addr, coverage::Context& ctx) {
+    if ((addr >> line_shift_) == last_line_) {
+      // Same line as the last access: still valid, and already the most
+      // recently used line of its set, so only the hit is recorded.
+      ctx.hit(cov_hit_, last_set_);
+      return true;
+    }
+    return probe(addr, ctx);
+  }
 
   /// FENCE.I: invalidate everything.
   void invalidate_all(coverage::Context& ctx) noexcept;
@@ -63,6 +87,13 @@ class InstructionCache {
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
 
  private:
+  // Line numbers stay below 2^61 with line_bytes >= 8, so none equals it.
+  static constexpr std::uint64_t kNoLine = ~0ULL;
+
+  /// access() past the last-line shortcut: walks the set's ways, fills
+  /// on a miss, and remembers the line.
+  bool probe(std::uint64_t addr, coverage::Context& ctx);
+
   CacheParams params_;
   unsigned line_shift_ = 0;   // log2(line_bytes)
   unsigned set_shift_ = 0;    // log2(sets)
@@ -74,6 +105,11 @@ class InstructionCache {
   std::vector<std::uint32_t> touched_;  // line indices filled since reset
   std::uint32_t lru_clock_ = 0;
 
+  // The last accessed line: its number (addr >> line_shift_, kNoLine after
+  // reset or invalidation) and set.
+  std::uint64_t last_line_ = kNoLine;
+  unsigned last_set_ = 0;
+
   coverage::PointId cov_hit_ = 0;        // per set
   coverage::PointId cov_miss_ = 0;       // per set
   coverage::PointId cov_evict_ = 0;      // per set
@@ -84,7 +120,10 @@ class InstructionCache {
 /// Write-back, write-allocate D-cache with real line storage.
 class DataCache {
  public:
-  DataCache(const CacheParams& params, coverage::Context& ctx);
+  /// `dram_size` sizes the presence filter over [kDramBase, kDramBase +
+  /// dram_size). Lines outside it stay correct: their snoops probe the ways.
+  DataCache(const CacheParams& params, coverage::Context& ctx,
+            std::uint64_t dram_size);
 
   void reset() noexcept;
 
@@ -106,10 +145,18 @@ class DataCache {
                       golden::Memory& memory, coverage::Context& ctx,
                       bool drop_writeback_when_busy);
 
-  /// Coherent read for instruction fetch: returns the line-held bytes when
-  /// the line is cached (possibly dirty), nullopt to fall through to DRAM.
-  [[nodiscard]] std::optional<std::uint64_t> snoop(std::uint64_t addr,
-                                                   unsigned bytes) const noexcept;
+  /// Coherent read for instruction fetch: true, with the bytes in `value`,
+  /// when a valid line holds [addr, addr + bytes), clean or dirty; false to
+  /// fall through to DRAM. Only lines in the presence filter are probed.
+  [[nodiscard]] bool snoop(std::uint64_t addr, unsigned bytes,
+                           std::uint64_t& value) const noexcept {
+    addr &= isa::kPhysAddrMask;
+    const std::uint64_t slot = (addr >> line_shift_) - first_line_;
+    if (slot < filter_lines_ && ((present_[slot / 64] >> (slot % 64)) & 1) == 0) {
+      return false;
+    }
+    return snoop_ways(addr, bytes, value);
+  }
 
   /// FENCE / end-of-test: write back all dirty lines (never dropped).
   void flush_all(golden::Memory& memory, coverage::Context& ctx);
@@ -122,6 +169,13 @@ class DataCache {
   [[nodiscard]] unsigned set_index(std::uint64_t addr) const noexcept;
   [[nodiscard]] std::uint64_t line_addr(std::uint64_t addr) const noexcept;
   [[nodiscard]] std::size_t find_index(std::uint64_t addr) const noexcept;
+
+  /// snoop() for a physical address the filter may hold: probes the ways.
+  [[nodiscard]] bool snoop_ways(std::uint64_t addr, unsigned bytes,
+                                std::uint64_t& value) const noexcept;
+
+  /// Sets or clears the presence bit of the line held at `line_index`.
+  void mark_present(std::size_t line_index, bool present) noexcept;
 
   [[nodiscard]] std::uint8_t* line_data(std::size_t line_index) noexcept {
     return data_.data() + line_index * params_.line_bytes;
@@ -155,6 +209,12 @@ class DataCache {
   std::vector<std::uint32_t> touched_;  // line indices filled since reset
   std::uint32_t lru_clock_ = 0;
   unsigned wb_buffer_busy_ = 0;  // accesses until the writeback buffer drains
+
+  // Presence filter: bit (addr >> line_shift_) - first_line_ is set while a
+  // valid line holds that address; it covers filter_lines_ DRAM lines.
+  std::vector<std::uint64_t> present_;
+  std::uint64_t first_line_ = 0;
+  std::uint64_t filter_lines_ = 0;
 
   coverage::PointId cov_read_hit_ = 0;    // per set
   coverage::PointId cov_read_miss_ = 0;   // per set

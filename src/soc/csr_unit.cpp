@@ -7,17 +7,6 @@ namespace mabfuzz::soc {
 
 namespace {
 
-/// Index of `addr` in implemented_csrs(), or -1.
-int implemented_index(isa::CsrAddr addr) noexcept {
-  const auto list = isa::implemented_csrs();
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i] == addr) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 std::uint64_t mix64(std::uint64_t x) noexcept {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -30,8 +19,13 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 CsrUnit::CsrUnit(const golden::CsrIdentity& identity, BugSet bugs,
                  coverage::Context& ctx)
     : file_(identity), bugs_(bugs) {
+  const auto implemented = isa::implemented_csrs();
+  index_of_.fill(-1);
+  for (std::size_t i = 0; i < implemented.size(); ++i) {
+    index_of_[implemented[i] & 0xfff] = static_cast<std::int8_t>(i);
+  }
   auto& reg = ctx.registry();
-  const std::size_t n = isa::implemented_csrs().size();
+  const std::size_t n = implemented.size();
   cov_read_ = reg.add_array("csr/read", n);
   cov_write_ = reg.add_array("csr/write", n);
   cov_value_toggle_ = reg.add_array("csr/value_toggle", n * 8);
@@ -57,7 +51,7 @@ CsrUnit::AccessOutcome CsrUnit::access(const isa::Instruction& instr,
                                        coverage::Context& ctx) {
   AccessOutcome outcome;
   const isa::CsrAddr addr = instr.csr & 0xfff;
-  const int index = implemented_index(addr);
+  const int index = index_of_[addr];
 
   if (index < 0) {
     if (in_v6_window(addr)) {
@@ -76,22 +70,22 @@ CsrUnit::AccessOutcome CsrUnit::access(const isa::Instruction& instr,
     return outcome;
   }
 
-  const auto old = file_.read(addr, instret);
-  if (!old) {
+  std::uint64_t old = 0;
+  if (!file_.read(addr, instret, old)) {
     outcome.illegal = true;  // unreachable for implemented CSRs; keep safe
     return outcome;
   }
   ctx.hit(cov_read_, static_cast<std::size_t>(index));
-  outcome.old_value = *old;
+  outcome.old_value = old;
 
   if (performs_write) {
     std::uint64_t new_value = operand;
     if (instr.mnemonic == isa::Mnemonic::kCsrrs ||
         instr.mnemonic == isa::Mnemonic::kCsrrsi) {
-      new_value = *old | operand;
+      new_value = old | operand;
     } else if (instr.mnemonic == isa::Mnemonic::kCsrrc ||
                instr.mnemonic == isa::Mnemonic::kCsrrci) {
-      new_value = *old & ~operand;
+      new_value = old & ~operand;
     } else if (!write_form) {
       new_value = operand;
     }

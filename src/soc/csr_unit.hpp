@@ -6,6 +6,7 @@
 // written-value toggle coverage, trap-entry coverage, and the V6 bug gate
 // (unimplemented custom-range CSRs return X-values instead of trapping).
 
+#include <array>
 #include <cstdint>
 
 #include "coverage/context.hpp"
@@ -58,6 +59,9 @@ class CsrUnit {
  private:
   golden::CsrFile file_;
   BugSet bugs_;
+  // Index of each 12-bit CSR address in isa::implemented_csrs() (a handful
+  // of entries), or -1: one load instead of a scan per CSR instruction.
+  std::array<std::int8_t, 4096> index_of_{};
 
   coverage::PointId cov_read_ = 0;        // per implemented CSR
   coverage::PointId cov_write_ = 0;       // per implemented CSR

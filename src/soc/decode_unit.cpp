@@ -33,6 +33,15 @@ unsigned illegal_class_index(isa::DecodeStatus status) noexcept {
   return 1;
 }
 
+/// The six decode-condition sub-points of a legal instruction, bit i for
+/// sub-point i.
+std::uint64_t condition_mask(const isa::Instruction& instr) noexcept {
+  return (instr.rd == 0 ? 1u : 0u) | (instr.rs1 == 0 ? 2u : 0u) |
+         (instr.rs1 == instr.rs2 ? 4u : 0u) | (instr.imm < 0 ? 8u : 0u) |
+         (instr.imm == 0 ? 16u : 0u) |
+         (instr.rd == instr.rs1 && instr.rd != 0 ? 32u : 0u);
+}
+
 }  // namespace
 
 DecodeUnit::DecodeUnit(const DecodeUnitParams& params, BugSet bugs,
@@ -52,6 +61,9 @@ DecodeUnit::DecodeUnit(const DecodeUnitParams& params, BugSet bugs,
   if (params_.fpu_predecode_points > 0) {
     cov_fpu_ = reg.add_array("decode/fpu_predecode", params_.fpu_predecode_points);
   }
+  // Every slot starts as word 0's plan, so the tag check alone decides a
+  // hit (the same trick as isa::DecodedProgram).
+  plans_.assign(kPlanSlots, make_plan(0, isa::decode(0)));
 }
 
 bool DecodeUnit::v2_candidate(isa::Word word) noexcept {
@@ -71,75 +83,39 @@ bool DecodeUnit::v2_candidate(isa::Word word) noexcept {
   return strict.status == isa::DecodeStatus::kUnknownFunct7;
 }
 
-void DecodeUnit::hit_condition_points(const isa::Instruction& instr,
-                                      isa::Word word, unsigned lane,
-                                      coverage::Context& ctx) {
-  const auto m = static_cast<std::size_t>(instr.mnemonic);
-  const std::size_t cond_base =
-      (static_cast<std::size_t>(lane) * isa::kNumMnemonics + m) *
-      kConditionsPerMnemonic;
-  if (instr.rd == 0) {
-    ctx.hit(cov_condition_, cond_base + 0);
+unsigned DecodeUnit::lane_of(unsigned lane) const noexcept {
+  if (params_.lanes <= 1) {
+    return 0;
   }
-  if (instr.rs1 == 0) {
-    ctx.hit(cov_condition_, cond_base + 1);
-  }
-  if (instr.rs1 == instr.rs2) {
-    ctx.hit(cov_condition_, cond_base + 2);
-  }
-  if (instr.imm < 0) {
-    ctx.hit(cov_condition_, cond_base + 3);
-  }
-  if (instr.imm == 0) {
-    ctx.hit(cov_condition_, cond_base + 4);
-  }
-  if (instr.rd == instr.rs1 && instr.rd != 0) {
-    ctx.hit(cov_condition_, cond_base + 5);
-  }
+  return lane < params_.lanes ? lane : lane % params_.lanes;  // defensive
+}
 
+std::size_t DecodeUnit::toggle_bucket(isa::Word word) const noexcept {
   // Operand-field toggle mass: which decode-datapath bit pattern this
   // encoding exercises (funct fields + low immediate bits).
-  const std::uint64_t pattern =
-      bits(word, 7, 25);  // everything above the major opcode
-  const std::size_t bucket = static_cast<std::size_t>(
+  const std::uint64_t pattern = bits(word, 7, 25);  // above the major opcode
+  return static_cast<std::size_t>(
       toggle_mod_(pattern ^ (pattern >> 7) ^ (pattern >> 14)));
-  ctx.hit(cov_toggle_,
-          (static_cast<std::size_t>(lane) * isa::kNumMnemonics + m) *
-                  params_.toggle_buckets +
-              bucket);
 }
 
-DecodeUnit::Outcome DecodeUnit::decode(isa::Word word, unsigned lane,
-                                       coverage::Context& ctx) {
-  return decode(word, isa::decode(word), lane, ctx);
-}
-
-DecodeUnit::Outcome DecodeUnit::decode(isa::Word word,
-                                       const isa::DecodeResult& strict,
-                                       unsigned lane, coverage::Context& ctx) {
-  if (params_.lanes <= 1) {
-    lane = 0;
-  } else if (lane >= params_.lanes) {
-    lane %= params_.lanes;  // defensive; callers already pass lane < lanes
+coverage::PointId DecodeUnit::fpu_point(isa::Word word) const noexcept {
+  // The FP/SIMD pre-decode stub fires on the raw word, legal or not.
+  if (params_.fpu_predecode_points == 0 || !is_fp_opcode(isa::opcode_field(word))) {
+    return kNoPoint;
   }
+  return cov_fpu_ + static_cast<coverage::PointId>(fpu_mod_(
+                        bits(word, 25, 7) * 41 + bits(word, 20, 5) * 5 +
+                        bits(word, 12, 3)));
+}
+
+DecodeUnit::Outcome DecodeUnit::resolve(isa::Word word,
+                                        const isa::DecodeResult& strict) const {
   Outcome outcome;
-
-  // FP/SIMD pre-decode stub fires on the raw word before legality checks.
-  if (params_.fpu_predecode_points > 0 && is_fp_opcode(isa::opcode_field(word))) {
-    const std::size_t index = static_cast<std::size_t>(fpu_mod_(
-        bits(word, 25, 7) * 41 + bits(word, 20, 5) * 5 + bits(word, 12, 3)));
-    ctx.hit(cov_fpu_, index);
-  }
-
   outcome.status = strict.status;
 
   if (strict.ok()) {
     outcome.legal = true;
     outcome.instr = strict.instr;
-    const auto m = static_cast<std::size_t>(strict.instr.mnemonic);
-    ctx.hit(cov_mnemonic_, static_cast<std::size_t>(lane) * isa::kNumMnemonics + m);
-    hit_condition_points(strict.instr, word, lane, ctx);
-
     // Bug V1: FENCE.I's unused rd field is routed to the register write
     // port; an encoding with rd != 0 spuriously writes imm_i(word) to rd.
     if (bugs_.enabled(BugId::kV1FenceIDecode) &&
@@ -148,12 +124,9 @@ DecodeUnit::Outcome DecodeUnit::decode(isa::Word word,
       outcome.v1_spurious_rd_write = true;
       outcome.v1_rd = isa::rd_field(word);
     }
-    return outcome;
-  }
-
-  // Bug V2: the OP/OP-32 decoder ignores the reserved funct7 bits instead
-  // of trapping, executing the nearest legal encoding.
-  if (bugs_.enabled(BugId::kV2IllegalOpExec) && v2_candidate(word)) {
+  } else if (bugs_.enabled(BugId::kV2IllegalOpExec) && v2_candidate(word)) {
+    // Bug V2: the OP/OP-32 decoder ignores the reserved funct7 bits instead
+    // of trapping, executing the nearest legal encoding.
     const isa::Word f7 = isa::funct7_field(word);
     isa::Word masked_f7 = 0;
     if ((f7 & 0b0000001) != 0) {
@@ -168,17 +141,80 @@ DecodeUnit::Outcome DecodeUnit::decode(isa::Word word,
       outcome.legal = true;
       outcome.instr = relaxed.instr;
       outcome.v2_illegal_executed = true;
-      const auto m = static_cast<std::size_t>(relaxed.instr.mnemonic);
-      ctx.hit(cov_mnemonic_,
-              static_cast<std::size_t>(lane) * isa::kNumMnemonics + m);
-      hit_condition_points(relaxed.instr, word, lane, ctx);
-      return outcome;
     }
   }
-
-  ctx.hit(cov_illegal_, static_cast<std::size_t>(lane) * kIllegalClasses +
-                            illegal_class_index(strict.status));
   return outcome;
+}
+
+DecodeUnit::Plan DecodeUnit::make_plan(isa::Word word,
+                                       const isa::DecodeResult& strict) const {
+  Plan plan;
+  plan.word = word;
+  plan.fpu = fpu_point(word);
+  plan.outcome = resolve(word, strict);
+  const Outcome& outcome = plan.outcome;
+  if (outcome.legal) {
+    // Conditions read the executed instruction; the toggle bucket reads the
+    // fetched word (they differ when V2 fired).
+    const auto m = static_cast<coverage::PointId>(outcome.instr.mnemonic);
+    plan.mnemonic = cov_mnemonic_ + m;
+    plan.condition = cov_condition_ + m * kConditionsPerMnemonic;
+    plan.condition_mask = static_cast<std::uint8_t>(condition_mask(outcome.instr));
+    plan.toggle = cov_toggle_ + m * params_.toggle_buckets +
+                  static_cast<coverage::PointId>(toggle_bucket(word));
+  } else {
+    plan.illegal = cov_illegal_ + illegal_class_index(strict.status);
+  }
+  return plan;
+}
+
+DecodeUnit::Outcome DecodeUnit::decode(isa::Word word, unsigned lane,
+                                       coverage::Context& ctx) {
+  lane = lane_of(lane);
+  const Outcome outcome = resolve(word, isa::decode(word));
+
+  if (const coverage::PointId fpu = fpu_point(word); fpu != kNoPoint) {
+    ctx.hit(fpu);
+  }
+  if (!outcome.legal) {
+    ctx.hit(cov_illegal_, static_cast<std::size_t>(lane) * kIllegalClasses +
+                              illegal_class_index(outcome.status));
+    return outcome;
+  }
+  const std::size_t lane_mnemonic =
+      static_cast<std::size_t>(lane) * isa::kNumMnemonics +
+      static_cast<std::size_t>(outcome.instr.mnemonic);
+  ctx.hit(cov_mnemonic_, lane_mnemonic);
+  ctx.hit_mask(cov_condition_, lane_mnemonic * kConditionsPerMnemonic,
+               condition_mask(outcome.instr));
+  ctx.hit(cov_toggle_, lane_mnemonic * params_.toggle_buckets + toggle_bucket(word));
+  return outcome;
+}
+
+const DecodeUnit::Outcome& DecodeUnit::decode(isa::Word word,
+                                              const isa::DecodeResult& strict,
+                                              unsigned lane,
+                                              coverage::Context& ctx) {
+  const auto l = static_cast<coverage::PointId>(lane_of(lane));
+  Plan& plan = plans_[static_cast<std::size_t>(
+      (static_cast<std::uint32_t>(word) * 2654435769u) >> kPlanShift)];
+  if (plan.word != word) {
+    plan = make_plan(word, strict);
+  }
+
+  if (plan.fpu != kNoPoint) {
+    ctx.hit(plan.fpu);
+  }
+  const auto mnems = static_cast<coverage::PointId>(isa::kNumMnemonics);
+  if (plan.outcome.legal) {
+    ctx.hit(plan.mnemonic + l * mnems);
+    ctx.hit_mask(plan.condition, l * mnems * kConditionsPerMnemonic,
+                 plan.condition_mask);
+    ctx.hit(plan.toggle + l * mnems * params_.toggle_buckets);
+  } else {
+    ctx.hit(plan.illegal + l * kIllegalClasses);
+  }
+  return plan.outcome;
 }
 
 }  // namespace mabfuzz::soc

@@ -74,24 +74,12 @@ void ExecUnit::hit_result_points(const isa::Instruction& instr, std::uint64_t a,
   const auto m = static_cast<std::size_t>(instr.mnemonic);
   const std::size_t base =
       (static_cast<std::size_t>(lane) * isa::kNumMnemonics + m) * kConditions;
-  if (result == 0) {
-    ctx.hit(cov_condition_, base + 0);
-  }
-  if ((result >> 63) != 0) {
-    ctx.hit(cov_condition_, base + 1);
-  }
-  if (a == b) {
-    ctx.hit(cov_condition_, base + 2);
-  }
-  if (b == 0) {
-    ctx.hit(cov_condition_, base + 3);
-  }
-  if (a == 0) {
-    ctx.hit(cov_condition_, base + 4);
-  }
-  if (result == a) {
-    ctx.hit(cov_condition_, base + 5);
-  }
+  // The six result conditions, sub-point i in bit i, emitted as one OR.
+  const std::uint64_t conditions =
+      (result == 0 ? 1u : 0u) | ((result >> 63) != 0 ? 2u : 0u) |
+      (a == b ? 4u : 0u) | (b == 0 ? 8u : 0u) | (a == 0 ? 16u : 0u) |
+      (result == a ? 32u : 0u);
+  ctx.hit_mask(cov_condition_, base, conditions);
   const std::size_t bucket =
       static_cast<std::size_t>(toggle_mod_(mix_result(result)));
   ctx.hit(cov_toggle_,

@@ -23,7 +23,7 @@ Pipeline::Pipeline(PipelineParams params)
     : params_(std::move(params)),
       memory_(isa::kDramBase, params_.dram_size),
       icache_(params_.icache, ctx_),
-      dcache_(params_.dcache, ctx_),
+      dcache_(params_.dcache, ctx_, params_.dram_size),
       predictor_(params_.predictor, ctx_),
       scoreboard_(ctx_),
       rob_(params_.rob_slots, ctx_),
@@ -38,6 +38,10 @@ Pipeline::Pipeline(PipelineParams params)
   }
   fetch_region_pow2_ = std::has_single_bit(fetch_regions_);
   fetch_region_mask_ = fetch_regions_ - 1;
+  // Decided once here: without -mpopcnt, std::has_single_bit is a libgcc
+  // call, far too slow for the per-commit lane choice.
+  lanes_pow2_ = params_.lanes <= 1 || std::has_single_bit(params_.lanes);
+  lane_mask_ = params_.lanes <= 1 ? 0 : params_.lanes - 1;
   cov_fetch_region_ = reg.add_array("pipeline/fetch_region", fetch_regions_);
   cov_fetch_handler_ = reg.add("pipeline/fetch_in_handler");
   cov_fetch_selfmod_ = reg.add("pipeline/fetch_from_dirty_line");
@@ -83,10 +87,9 @@ void Pipeline::cold_reset(const std::vector<Word>& program) {
   have_prev_mnemonic_ = false;
 }
 
-std::optional<Word> Pipeline::fetch_word(std::uint64_t addr,
-                                         coverage::Context& ctx) {
-  if (!memory_.contains(addr, 4)) {
-    return std::nullopt;
+bool Pipeline::fetch_word(std::uint64_t addr, coverage::Context& ctx, Word& word) {
+  if (!memory_.fetch(addr, word)) {
+    return false;
   }
   if (addr >= isa::kDramBase) {
     const std::uint64_t region = (addr - isa::kDramBase) >> 12;
@@ -98,28 +101,26 @@ std::optional<Word> Pipeline::fetch_word(std::uint64_t addr,
   if (addr >= isa::kHandlerBase && addr < isa::kProgramBase) {
     ctx.hit(cov_fetch_handler_);
   }
-  // Coherent fetch: dirty D$ lines win over DRAM (unified-L2 behaviour),
-  // so self-modifying code matches the golden model.
-  if (const auto snooped = dcache_.snoop(addr, 4)) {
+  // Coherent fetch: a D$ line holding the address, clean or dirty, wins
+  // over DRAM (unified-L2 behaviour), so self-modifying code matches the
+  // golden model.
+  if (std::uint64_t snooped = 0; dcache_.snoop(addr, 4, snooped)) {
     ctx.hit(cov_fetch_selfmod_);
-    return static_cast<Word>(*snooped);
+    word = static_cast<Word>(snooped);
   }
-  const auto value = memory_.load(addr, 4);
-  return value ? std::optional<Word>(static_cast<Word>(*value)) : std::nullopt;
+  return true;
 }
 
 bool Pipeline::queued_illegal_ahead(std::uint64_t pc) {
   for (unsigned depth = 1; depth <= 3; ++depth) {
     const std::uint64_t addr = pc + 4 * depth;
-    if (!memory_.contains(addr, 4)) {
+    Word word = 0;
+    if (!memory_.fetch(addr, word)) {
       break;
     }
-    const auto snooped = dcache_.snoop(addr, 4);
-    const auto raw = snooped ? snooped : memory_.load(addr, 4);
-    if (!raw) {
-      break;
+    if (std::uint64_t snooped = 0; dcache_.snoop(addr, 4, snooped)) {
+      word = static_cast<Word>(snooped);
     }
-    const Word word = static_cast<Word>(*raw);
     // All-zero words are frontend bubbles (uninitialised DRAM past the
     // program image), squashed before pre-decode — they carry no exception.
     if (word == 0) {
@@ -218,40 +219,35 @@ void Pipeline::run_impl(const std::vector<Word>& program,
     const bool icache_hit = icache_.access(pc_, ctx_);
     cycle_ += icache_hit ? 1 : 3;
 
-    const auto fetched = fetch_word(pc_, ctx_);
-    if (!fetched) {
+    Word word = 0;
+    if (!fetch_word(pc_, ctx_, word)) {
       out.arch.halt = HaltReason::kFetchOutOfRange;
       ctx_.hit(cov_halt_, 1);
       break;
     }
-    const Word word = *fetched;
     // Round-robin lane assignment; mask when the width is a power of two
     // (it always is in practice) so the per-instruction path has no divide.
-    const unsigned lane =
-        params_.lanes <= 1
-            ? 0
-            : (std::has_single_bit(params_.lanes)
-                   ? static_cast<unsigned>(out.arch.commits.size() &
-                                           (params_.lanes - 1))
-                   : static_cast<unsigned>(out.arch.commits.size() %
-                                           params_.lanes));
+    const std::size_t index = out.arch.commits.size();
+    const unsigned lane = lanes_pow2_
+                              ? static_cast<unsigned>(index & lane_mask_)
+                              : static_cast<unsigned>(index % params_.lanes);
 
-    StepState step;
+    StepState step{.record = out.arch.commits.emplace_back(), .index = index};
     step.record.pc = pc_;
     step.record.word = word;
     step.next_pc = pc_ + 4;
 
-    const DecodeUnit::Outcome decoded =
+    const DecodeUnit::Outcome& decoded =
         decoded_program != nullptr
             ? decode_.decode(word, decoded_program->lookup(word), lane, ctx_)
-            : decode_.decode(word, lane, ctx_);
+            : (reference_outcome_ = decode_.decode(word, lane, ctx_));
 
     // Retirement counting convention shared with the ISS; bug V7 skips the
     // increment for EBREAK.
     if (params_.bugs.enabled(BugId::kV7EbreakInstret) && decoded.legal &&
         decoded.instr.mnemonic == Mnemonic::kEbreak) {
       out.firings.push_back(BugFiring{BugId::kV7EbreakInstret,
-                                      out.arch.commits.size()});
+                                      step.index});
     } else {
       ++instret_;
     }
@@ -263,7 +259,7 @@ void Pipeline::run_impl(const std::vector<Word>& program,
     } else {
       if (decoded.v2_illegal_executed) {
         out.firings.push_back(BugFiring{BugId::kV2IllegalOpExec,
-                                        out.arch.commits.size()});
+                                        step.index});
       }
       execute_instruction(decoded, word, lane, step, out);
     }
@@ -289,7 +285,7 @@ void Pipeline::run_impl(const std::vector<Word>& program,
           queued_illegal_ahead(pc_)) {
         cause = static_cast<std::uint64_t>(TrapCause::kIllegalInstruction);
         out.firings.push_back(BugFiring{BugId::kV3ExcQueueCause,
-                                        out.arch.commits.size()});
+                                        step.index});
       }
       step.record.wrote_rd = false;
       step.record.wrote_mem = false;
@@ -307,7 +303,6 @@ void Pipeline::run_impl(const std::vector<Word>& program,
       pc_ = step.next_pc;
       cycle_ += step.latency;
     }
-    out.arch.commits.push_back(step.record);
   }
   if (out.arch.halt == HaltReason::kBudget) {
     ctx_.hit(cov_halt_, 2);
@@ -398,11 +393,11 @@ void Pipeline::execute_instruction(const DecodeUnit::Outcome& decoded, Word word
       const Lsu::Outcome r = lsu_.load(spec, a + imm, dcache_, memory_, ctx_);
       if (r.v5_fired) {
         out.firings.push_back(BugFiring{BugId::kV5SilentLoadFault,
-                                        out.arch.commits.size()});
+                                        step.index});
       }
       if (r.v4_fired) {
         out.firings.push_back(BugFiring{BugId::kV4LostWriteback,
-                                        out.arch.commits.size()});
+                                        step.index});
       }
       if (r.trap) {
         step.has_trap = true;
@@ -419,7 +414,7 @@ void Pipeline::execute_instruction(const DecodeUnit::Outcome& decoded, Word word
       const Lsu::Outcome r = lsu_.store(spec, a + imm, b, dcache_, memory_, ctx_);
       if (r.v4_fired) {
         out.firings.push_back(BugFiring{BugId::kV4LostWriteback,
-                                        out.arch.commits.size()});
+                                        step.index});
       }
       if (r.trap) {
         step.has_trap = true;
@@ -443,7 +438,7 @@ void Pipeline::execute_instruction(const DecodeUnit::Outcome& decoded, Word word
         // port with the decoded I-immediate.
         if (decoded.v1_spurious_rd_write) {
           out.firings.push_back(BugFiring{BugId::kV1FenceIDecode,
-                                          out.arch.commits.size()});
+                                          step.index});
           write_reg(decoded.v1_rd, static_cast<std::uint64_t>(isa::imm_i(word)),
                     1, step);
         }
@@ -489,7 +484,7 @@ void Pipeline::execute_instruction(const DecodeUnit::Outcome& decoded, Word word
           csrs_.access(instr, operand, write_form, performs_write, instret_, ctx_);
       if (r.v6_fired) {
         out.firings.push_back(BugFiring{BugId::kV6CsrXValue,
-                                        out.arch.commits.size()});
+                                        step.index});
       }
       if (r.illegal) {
         step.has_trap = true;

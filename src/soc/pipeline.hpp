@@ -86,22 +86,28 @@ class Pipeline {
   }
 
  private:
+  // Per-commit scratch. The record is built in place at the back of the
+  // trace (position `index`): a local record copied in by push_back would
+  // be reloaded in 16-byte chunks over its byte-sized flag stores, a
+  // store-forwarding stall on every commit.
   struct StepState {
-    isa::CommitRecord record;
+    isa::CommitRecord& record;
+    std::size_t index;
     std::uint64_t next_pc = 0;
-    bool has_trap = false;
-    isa::TrapCause cause = isa::TrapCause::kIllegalInstruction;
     std::uint64_t tval = 0;
+    isa::TrapCause cause = isa::TrapCause::kIllegalInstruction;
     unsigned latency = 1;
+    bool has_trap = false;
   };
 
   void cold_reset(const std::vector<isa::Word>& program);
   void run_impl(const std::vector<isa::Word>& program,
                 isa::DecodedProgram* decoded, RunOutput& out);
 
-  /// Coherent instruction fetch (D$ snoop, then DRAM).
-  [[nodiscard]] std::optional<isa::Word> fetch_word(std::uint64_t addr,
-                                                    coverage::Context& ctx);
+  /// Coherent instruction fetch into `word`: any D$ line holding `addr`,
+  /// clean or dirty, wins over DRAM. False when `addr` is outside DRAM.
+  [[nodiscard]] bool fetch_word(std::uint64_t addr, coverage::Context& ctx,
+                                isa::Word& word);
 
   /// Bug V3 helper: does the 3-deep prefetch queue beyond `pc` hold a word
   /// that fails pre-decode?
@@ -150,10 +156,20 @@ class Pipeline {
   bool have_prev_mnemonic_ = false;
   isa::Mnemonic prev_mnemonic_{};
 
+  // Lane assignment, fixed at construction: commit index & lane_mask_ when
+  // the width is a power of two (always, in practice), % lanes otherwise.
+  bool lanes_pow2_ = true;
+  unsigned lane_mask_ = 0;
+
+  // The per-word decode outcome on the uncached reference path.
+  DecodeUnit::Outcome reference_outcome_;
+
   // Pipeline-level coverage points.
   coverage::PointId cov_fetch_region_ = 0;   // per 4 KiB DRAM region
   coverage::PointId cov_fetch_handler_ = 0;
-  coverage::PointId cov_fetch_selfmod_ = 0;  // fetch served by dirty D$ line
+  // Fetch served by a D$ line, clean or dirty (the point's name says
+  // "dirty_line" for history; it fires for both).
+  coverage::PointId cov_fetch_selfmod_ = 0;
   coverage::PointId cov_fetch_misaligned_ = 0;
   coverage::PointId cov_pair_ = 0;           // lanes>=2: class x class issue pairs
   coverage::PointId cov_dual_ = 0;           // lanes>=2: 4 dual-issue outcomes

@@ -46,22 +46,6 @@ void ReorderBuffer::retire(coverage::Context& ctx) noexcept {
   --occupancy_;
 }
 
-void ReorderBuffer::dispatch_retire(coverage::Context& ctx) noexcept {
-  if (slots_ == 0) {
-    return;
-  }
-  if (occupancy_ == slots_) {
-    // Full: the oldest retires this cycle to make room (back-pressure).
-    ctx.hit(cov_full_);
-    retire(ctx);
-  }
-  ctx.hit(cov_alloc_, tail_);
-  tail_ = tail_ + 1 == slots_ ? 0 : tail_ + 1;
-  // Occupancy is >= 1 after the allocation, so the retire is unconditional.
-  ctx.hit(cov_retire_, head_);
-  head_ = head_ + 1 == slots_ ? 0 : head_ + 1;
-}
-
 void ReorderBuffer::flush(coverage::Context& ctx) noexcept {
   if (slots_ == 0) {
     return;

@@ -26,7 +26,22 @@ class ReorderBuffer {
   /// dispatches and retires one instruction per step. Hits the exact same
   /// coverage points in the exact same order as `allocate(ctx); retire(ctx)`
   /// but with one call and no re-checks of the enable/occupancy guards.
-  void dispatch_retire(coverage::Context& ctx) noexcept;
+  /// Inline: it runs on every commit that does not trap.
+  void dispatch_retire(coverage::Context& ctx) noexcept {
+    if (slots_ == 0) {
+      return;
+    }
+    if (occupancy_ == slots_) {
+      // Full: the oldest retires this cycle to make room (back-pressure).
+      ctx.hit(cov_full_);
+      retire(ctx);
+    }
+    ctx.hit(cov_alloc_, tail_);
+    tail_ = tail_ + 1 == slots_ ? 0 : tail_ + 1;
+    // Occupancy is >= 1 after the allocation, so the retire is unconditional.
+    ctx.hit(cov_retire_, head_);
+    head_ = head_ + 1 == slots_ ? 0 : head_ + 1;
+  }
 
   /// Trap: every occupied slot is flushed.
   void flush(coverage::Context& ctx) noexcept;

@@ -12,38 +12,6 @@ Scoreboard::Scoreboard(coverage::Context& ctx) {
 
 void Scoreboard::reset() noexcept { busy_ = 0; }
 
-void Scoreboard::mark_write(isa::RegIndex rd, std::uint64_t ready_cycle,
-                            coverage::Context& ctx) {
-  rd &= 0x1f;
-  if (rd == 0) {
-    return;
-  }
-  busy_ |= 1u << rd;
-  ready_cycle_[rd] = ready_cycle;
-  ctx.hit(cov_write_, rd);
-}
-
-std::uint64_t Scoreboard::check_read(isa::RegIndex rs, std::uint64_t now,
-                                     coverage::Context& ctx) {
-  rs &= 0x1f;
-  ctx.hit(cov_read_, rs);
-  if (((busy_ >> rs) & 1u) == 0) {
-    return 0;  // covers rs == 0: x0's busy bit is never set
-  }
-  const std::uint64_t ready = ready_cycle_[rs];
-  if (ready <= now) {
-    busy_ &= ~(1u << rs);  // writer completed; retire the entry
-    return 0;
-  }
-  if (ready == now + 1) {
-    // One-cycle-away result: the bypass network forwards it.
-    ctx.hit(cov_bypass_, rs);
-    return 0;
-  }
-  ctx.hit(cov_raw_stall_, rs);
-  return ready - now;
-}
-
 void Scoreboard::flush() noexcept { busy_ = 0; }
 
 }  // namespace mabfuzz::soc

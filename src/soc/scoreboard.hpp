@@ -24,14 +24,42 @@ class Scoreboard {
 
   void reset() noexcept;
 
+  // mark_write/check_read run on every commit, so they are defined inline.
+
   /// Marks `rd` busy until `ready_cycle` (result latency of its producer).
   void mark_write(isa::RegIndex rd, std::uint64_t ready_cycle,
-                  coverage::Context& ctx);
+                  coverage::Context& ctx) {
+    rd &= 0x1f;
+    if (rd == 0) {
+      return;
+    }
+    busy_ |= 1u << rd;
+    ready_cycle_[rd] = ready_cycle;
+    ctx.hit(cov_write_, rd);
+  }
 
   /// Checks a source read at cycle `now`. Returns the stall (0 when the
   /// value is ready or forwarded); marks RAW/bypass coverage.
   std::uint64_t check_read(isa::RegIndex rs, std::uint64_t now,
-                           coverage::Context& ctx);
+                           coverage::Context& ctx) {
+    rs &= 0x1f;
+    ctx.hit(cov_read_, rs);
+    if (((busy_ >> rs) & 1u) == 0) {
+      return 0;  // covers rs == 0: x0's busy bit is never set
+    }
+    const std::uint64_t ready = ready_cycle_[rs];
+    if (ready <= now) {
+      busy_ &= ~(1u << rs);  // writer completed; retire the entry
+      return 0;
+    }
+    if (ready == now + 1) {
+      // One-cycle-away result: the bypass network forwards it.
+      ctx.hit(cov_bypass_, rs);
+      return 0;
+    }
+    ctx.hit(cov_raw_stall_, rs);
+    return ready - now;
+  }
 
   /// Flushes all pending writers (trap / pipeline flush).
   void flush() noexcept;

@@ -219,6 +219,129 @@ TEST_P(MapProperty, UnionCountsAreConsistent) {
 INSTANTIATE_TEST_SUITE_P(Universes, MapProperty,
                          ::testing::Values(1, 63, 64, 65, 1000, 4096, 23456));
 
+// --- Map::set_bits: a block of points as one OR -----------------------------------
+
+/// The per-bit meaning set_bits must keep: set(base + i) for each set bit i.
+Map set_bits_reference(std::size_t universe, PointId base, std::uint64_t mask) {
+  Map m(universe);
+  for (unsigned i = 0; i < 64; ++i) {
+    if ((mask >> i) & 1ULL) {
+      m.set(base + i);
+    }
+  }
+  return m;
+}
+
+TEST(MapSetBits, MatchesBitByBitSet) {
+  common::Xoshiro256StarStar rng(77);
+  for (const std::size_t universe : {1, 6, 63, 64, 65, 130, 1000}) {
+    // Every base from 0 to past the universe's end, so blocks straddle
+    // each word boundary and run over the last point.
+    for (std::size_t base = 0; base < universe + 70; ++base) {
+      for (const std::uint64_t mask :
+           {std::uint64_t{0}, std::uint64_t{0x3f}, std::uint64_t{0x21}, ~std::uint64_t{0},
+            std::uint64_t{1} << 63, rng.next()}) {
+        Map got(universe);
+        got.set_bits(static_cast<PointId>(base), mask);
+        ASSERT_EQ(got, set_bits_reference(universe, static_cast<PointId>(base), mask))
+            << "universe " << universe << " base " << base << " mask " << mask;
+      }
+    }
+  }
+}
+
+TEST(MapSetBits, StraddlesWordsAndEndsOnTheLastPoint) {
+  Map m(130);
+  m.set_bits(61, 0x3f);  // points 61..66: three in word 0, three in word 1
+  EXPECT_EQ(m.count(), 6u);
+  EXPECT_TRUE(m.test(63));
+  EXPECT_TRUE(m.test(64));
+  EXPECT_TRUE(m.test(66));
+  EXPECT_FALSE(m.test(67));
+
+  Map last(130);
+  last.set_bits(124, 0x3f);  // points 124..129: ends on the last point
+  EXPECT_EQ(last.count(), 6u);
+  EXPECT_TRUE(last.test(129));
+  last.set_bits(126, 0xff);  // 126..133: only 126..129 exist
+  EXPECT_EQ(last.count(), 6u);
+  EXPECT_EQ(last.words().back() >> 2, 0u);  // nothing beyond the universe
+
+  Map zero(130);
+  zero.set_bits(64, 0);
+  EXPECT_TRUE(zero.empty());
+}
+
+TEST(ContextHitMask, OffsetsTheBlock) {
+  Context ctx;
+  const PointId block = ctx.registry().add_array("block", 12);
+  ctx.freeze();
+  ctx.begin_test();
+  ctx.hit_mask(block, 6, 0b100101);
+  EXPECT_EQ(ctx.test_map().count(), 3u);
+  EXPECT_TRUE(ctx.test_map().test(block + 6));
+  EXPECT_TRUE(ctx.test_map().test(block + 8));
+  EXPECT_TRUE(ctx.test_map().test(block + 11));
+}
+
+// --- Sparse count_new / absorb against a per-bit reference --------------------------
+
+std::size_t count_new_reference(const Map& mine, const Map& theirs) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < mine.universe(); ++i) {
+    const auto id = static_cast<PointId>(i);
+    total += mine.test(id) && !theirs.test(id) ? 1 : 0;
+  }
+  return total;
+}
+
+Map random_map(std::size_t universe, double density, common::Xoshiro256StarStar& rng) {
+  Map m(universe);
+  for (std::size_t i = 0; i < universe; ++i) {
+    if (rng.next_bool(density)) {
+      m.set(static_cast<PointId>(i));
+    }
+  }
+  return m;
+}
+
+TEST(MapSparseFold, CountNewMatchesPerBitReference) {
+  common::Xoshiro256StarStar rng(4321);
+  for (const std::size_t universe : {1, 64, 65, 511, 512, 513, 1000, 16080}) {
+    for (const double density : {0.0, 0.001, 0.02, 0.5, 1.0}) {
+      const Map mine = random_map(universe, density, rng);
+      const Map theirs = random_map(universe, 0.5, rng);
+      EXPECT_EQ(mine.count_new(theirs), count_new_reference(mine, theirs))
+          << "universe " << universe << " density " << density;
+      // A superset of `mine` leaves nothing new.
+      Map cover = theirs;
+      cover.merge(mine);
+      EXPECT_EQ(mine.count_new(cover), 0u);
+      // `other` with fewer words: its missing words count as empty.
+      const Map shorter = random_map(universe / 3, 0.5, rng);
+      EXPECT_EQ(mine.count_new(shorter), count_new_reference(mine, shorter))
+          << "universe " << universe << " against " << universe / 3;
+    }
+  }
+}
+
+TEST(MapSparseFold, AbsorbMatchesPerBitReference) {
+  common::Xoshiro256StarStar rng(8765);
+  for (const std::size_t universe : {65, 1000, 16080}) {
+    Accumulator acc(universe);
+    Map expected(universe);
+    for (int t = 0; t < 200; ++t) {
+      // Mostly sparse tests, as in a campaign, with the odd dense one.
+      const Map test = random_map(universe, t % 50 == 0 ? 0.3 : 0.002, rng);
+      const std::size_t fresh = count_new_reference(test, expected);
+      expected.merge(test);
+      ASSERT_EQ(acc.absorb(test), fresh) << "universe " << universe << " test " << t;
+      ASSERT_EQ(acc.global(), expected);
+    }
+    EXPECT_EQ(acc.covered(), expected.count());
+  }
+}
+
 // --- Accumulator -----------------------------------------------------------------
 
 TEST(Accumulator, AbsorbReturnsFreshCount) {

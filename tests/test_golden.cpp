@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hpp"
 #include "golden/csr.hpp"
 #include "golden/iss.hpp"
@@ -54,7 +56,18 @@ TEST(Memory, PhysicalAddressIs32Bit) {
 TEST(Memory, WriteWordsAndFetch) {
   Memory mem(kDramBase, 4096);
   EXPECT_TRUE(mem.write_words(kDramBase, {0x11111111, 0x22222222}));
-  EXPECT_EQ(mem.fetch(kDramBase + 4), 0x22222222u);
+  isa::Word word = 0;
+  ASSERT_TRUE(mem.fetch(kDramBase + 4, word));
+  EXPECT_EQ(word, 0x22222222u);
+  // A sign-extended alias fetches the same word; the last word fits, the
+  // one straddling the end does not and leaves `word` untouched.
+  ASSERT_TRUE(mem.fetch(0xFFFFFFFF00000000ULL | kDramBase, word));
+  EXPECT_EQ(word, 0x11111111u);
+  EXPECT_TRUE(mem.fetch(kDramBase + 4092, word));
+  word = 7;
+  EXPECT_FALSE(mem.fetch(kDramBase + 4094, word));
+  EXPECT_FALSE(mem.fetch(kDramBase - 4, word));
+  EXPECT_EQ(word, 7u);
   EXPECT_FALSE(mem.write_words(kDramBase + 4092, {1, 2}));  // does not fit
 }
 
@@ -128,6 +141,16 @@ TEST(Memory, PartialTrailingPageResetsFully) {
 
 // --- CsrFile ------------------------------------------------------------------
 
+/// CsrFile::read as an optional, for compact expectations.
+std::optional<std::uint64_t> read_csr(const CsrFile& csrs, isa::CsrAddr addr,
+                                      std::uint64_t instret) {
+  std::uint64_t value = 0;
+  if (!csrs.read(addr, instret, value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 TEST(CsrFile, ResetState) {
   CsrFile csrs;
   EXPECT_EQ(csrs.mtvec(), kHandlerBase);
@@ -138,7 +161,7 @@ TEST(CsrFile, ResetState) {
 TEST(CsrFile, MstatusWarlBits) {
   CsrFile csrs;
   EXPECT_EQ(csrs.write(csr::kMstatus, ~0ULL), CsrFile::WriteResult::kOk);
-  const auto v = csrs.read(csr::kMstatus, 0);
+  const auto v = read_csr(csrs, csr::kMstatus, 0);
   ASSERT_TRUE(v.has_value());
   // Only MIE/MPIE writable; MPP reads back as machine (0b11 << 11).
   EXPECT_EQ(*v, (1ULL << 3) | (1ULL << 7) | (0b11ULL << 11));
@@ -146,16 +169,16 @@ TEST(CsrFile, MstatusWarlBits) {
 
 TEST(CsrFile, MisaIsReadOnlyConstant) {
   CsrFile csrs;
-  const auto before = csrs.read(csr::kMisa, 0);
+  const auto before = read_csr(csrs, csr::kMisa, 0);
   EXPECT_EQ(csrs.write(csr::kMisa, 0), CsrFile::WriteResult::kOk);
-  EXPECT_EQ(csrs.read(csr::kMisa, 0), before);
+  EXPECT_EQ(read_csr(csrs, csr::kMisa, 0), before);
   // RV64IM: MXL=2, I and M bits.
   EXPECT_EQ(*before, (2ULL << 62) | (1ULL << 8) | (1ULL << 12));
 }
 
 TEST(CsrFile, UnimplementedCsrIsIllegal) {
   CsrFile csrs;
-  EXPECT_FALSE(csrs.read(0x7C0, 0).has_value());
+  EXPECT_FALSE(read_csr(csrs, 0x7C0, 0).has_value());
   EXPECT_EQ(csrs.write(0x7C0, 1), CsrFile::WriteResult::kIllegal);
 }
 
@@ -168,8 +191,8 @@ TEST(CsrFile, ReadOnlyRangeWriteIsIllegal) {
 TEST(CsrFile, CounterWritesIgnored) {
   CsrFile csrs;
   EXPECT_EQ(csrs.write(csr::kMinstret, 999), CsrFile::WriteResult::kOk);
-  EXPECT_EQ(csrs.read(csr::kMinstret, 5), 5ULL);  // still instret-driven
-  EXPECT_EQ(csrs.read(csr::kMcycle, 5), virtual_cycle(5));
+  EXPECT_EQ(read_csr(csrs, csr::kMinstret, 5), 5ULL);  // still instret-driven
+  EXPECT_EQ(read_csr(csrs, csr::kMcycle, 5), virtual_cycle(5));
 }
 
 TEST(CsrFile, TrapEntryAndMret) {
@@ -180,10 +203,10 @@ TEST(CsrFile, TrapEntryAndMret) {
   EXPECT_EQ(csrs.mcause(), 3u);
   EXPECT_EQ(csrs.mtval(), 0x80000444u);
   // MIE stacked into MPIE and cleared.
-  EXPECT_EQ(*csrs.read(csr::kMstatus, 0) & (1ULL << 3), 0u);
-  EXPECT_NE(*csrs.read(csr::kMstatus, 0) & (1ULL << 7), 0u);
+  EXPECT_EQ(*read_csr(csrs, csr::kMstatus, 0) & (1ULL << 3), 0u);
+  EXPECT_NE(*read_csr(csrs, csr::kMstatus, 0) & (1ULL << 7), 0u);
   EXPECT_EQ(csrs.take_mret(), 0x80000444u);
-  EXPECT_NE(*csrs.read(csr::kMstatus, 0) & (1ULL << 3), 0u);  // MIE restored
+  EXPECT_NE(*read_csr(csrs, csr::kMstatus, 0) & (1ULL << 3), 0u);  // MIE restored
 }
 
 TEST(CsrFile, MtvecAlignment) {
@@ -194,10 +217,10 @@ TEST(CsrFile, MtvecAlignment) {
 
 TEST(CsrFile, IdentityCsrs) {
   CsrFile csrs(CsrIdentity{7, 3, 2, 1});
-  EXPECT_EQ(csrs.read(csr::kMvendorid, 0), 7ULL);
-  EXPECT_EQ(csrs.read(csr::kMarchid, 0), 3ULL);
-  EXPECT_EQ(csrs.read(csr::kMimpid, 0), 2ULL);
-  EXPECT_EQ(csrs.read(csr::kMhartid, 0), 1ULL);
+  EXPECT_EQ(read_csr(csrs, csr::kMvendorid, 0), 7ULL);
+  EXPECT_EQ(read_csr(csrs, csr::kMarchid, 0), 3ULL);
+  EXPECT_EQ(read_csr(csrs, csr::kMimpid, 0), 2ULL);
+  EXPECT_EQ(read_csr(csrs, csr::kMhartid, 0), 1ULL);
 }
 
 // --- ISS execution -------------------------------------------------------------
@@ -490,10 +513,10 @@ TEST_P(CsrWarl, WritesAreIdempotentUnderReadback) {
   common::Xoshiro256StarStar rng(addr * 2654435761u);
   for (int i = 0; i < 20; ++i) {
     (void)csrs.write(addr, rng.next());
-    const auto a = csrs.read(addr, 7);
+    const auto a = read_csr(csrs, addr, 7);
     ASSERT_TRUE(a.has_value());
     EXPECT_EQ(csrs.write(addr, *a), CsrFile::WriteResult::kOk);
-    const auto b = csrs.read(addr, 7);
+    const auto b = read_csr(csrs, addr, 7);
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(*a, *b) << "CSR 0x" << std::hex << addr;
   }
@@ -502,7 +525,7 @@ TEST_P(CsrWarl, WritesAreIdempotentUnderReadback) {
 TEST_P(CsrWarl, ReadOnlyCsrsRejectWrites) {
   const isa::CsrAddr addr = GetParam();
   CsrFile csrs;
-  EXPECT_TRUE(csrs.read(addr, 0).has_value());
+  EXPECT_TRUE(read_csr(csrs, addr, 0).has_value());
   if (isa::csr_read_only(addr)) {
     EXPECT_EQ(csrs.write(addr, 1), CsrFile::WriteResult::kIllegal);
   }

@@ -1,16 +1,25 @@
-// Substrate unit tests: caches (including write-back data behaviour and
-// the V4 dropped-writeback gate), branch predictor, scoreboard, ROB,
-// CSR unit and decode unit.
+// Substrate unit tests: caches (including write-back data behaviour, the
+// V4 dropped-writeback gate, the D$ presence filter and the I$ last-line
+// shortcut), branch predictor, scoreboard, ROB, CSR unit and decode unit
+// (including the decode-plan cache).
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "coverage/context.hpp"
 #include "golden/memory.hpp"
 #include "isa/builder.hpp"
+#include "isa/decoder.hpp"
 #include "isa/encoder.hpp"
 #include "isa/platform.hpp"
 #include "soc/cache.hpp"
+#include "soc/cores.hpp"
 #include "soc/csr_unit.hpp"
 #include "soc/decode_unit.hpp"
 #include "soc/predictor.hpp"
@@ -57,12 +66,74 @@ TEST_F(ICacheTest, InvalidateAllFlushes) {
   EXPECT_FALSE(icache_.access(kDramBase, ctx_));
 }
 
+// The last-line shortcut: a fetch from the line of the previous access is
+// a hit without a way probe. It must not outlive the line.
+TEST_F(ICacheTest, SameLineMissesAfterConflictingFill) {
+  ctx_.begin_test();
+  const std::uint64_t set_stride = 4 * 32;
+  EXPECT_FALSE(icache_.access(kDramBase, ctx_));
+  EXPECT_TRUE(icache_.access(kDramBase + 4, ctx_));                // shortcut
+  EXPECT_FALSE(icache_.access(kDramBase + set_stride, ctx_));      // way 1
+  EXPECT_FALSE(icache_.access(kDramBase + 2 * set_stride, ctx_));  // evicts line 0
+  EXPECT_FALSE(icache_.access(kDramBase + 8, ctx_));
+  EXPECT_TRUE(icache_.access(kDramBase + 12, ctx_));
+}
+
+TEST_F(ICacheTest, SameLineMissesAfterInvalidateAllAndReset) {
+  ctx_.begin_test();
+  EXPECT_FALSE(icache_.access(kDramBase, ctx_));
+  EXPECT_TRUE(icache_.access(kDramBase + 4, ctx_));
+  icache_.invalidate_all(ctx_);
+  EXPECT_FALSE(icache_.access(kDramBase + 8, ctx_));
+  EXPECT_TRUE(icache_.access(kDramBase + 12, ctx_));
+  icache_.reset();
+  EXPECT_FALSE(icache_.access(kDramBase + 16, ctx_));
+  EXPECT_TRUE(icache_.access(kDramBase + 20, ctx_));
+}
+
+TEST_F(ICacheTest, ShortcutHitsKeepLruOrder) {
+  ctx_.begin_test();
+  const std::uint64_t set_stride = 4 * 32;
+  icache_.access(kDramBase, ctx_);               // way 0
+  icache_.access(kDramBase + 4, ctx_);           // shortcut hit on way 0
+  icache_.access(kDramBase + set_stride, ctx_);  // way 1
+  EXPECT_TRUE(icache_.access(kDramBase + 8, ctx_));   // probe hit on way 0
+  EXPECT_TRUE(icache_.access(kDramBase + 12, ctx_));  // shortcut hit on way 0
+  // Way 1 is least recently used, so it is the victim.
+  EXPECT_FALSE(icache_.access(kDramBase + 2 * set_stride, ctx_));
+  EXPECT_TRUE(icache_.access(kDramBase + 16, ctx_));
+  EXPECT_FALSE(icache_.access(kDramBase + set_stride, ctx_));
+}
+
+// The shortcut also hits the same coverage points as a probe.
+TEST(ICacheShortcut, CoverageMatchesAFreshProbe) {
+  coverage::Context warm_ctx;
+  coverage::Context cold_ctx;
+  InstructionCache warm(CacheParams{4, 2, 32}, warm_ctx);
+  InstructionCache cold(CacheParams{4, 2, 32}, cold_ctx);
+  warm_ctx.freeze();
+  cold_ctx.freeze();
+  warm_ctx.begin_test();
+  cold_ctx.begin_test();
+  warm.access(kDramBase, warm_ctx);
+  cold.access(kDramBase, cold_ctx);
+  cold.access(kDramBase + 128, cold_ctx);  // same set: the next access probes
+  cold.access(kDramBase + 128, cold_ctx);
+  warm_ctx.begin_test();
+  cold_ctx.begin_test();
+  EXPECT_TRUE(warm.access(kDramBase + 4, warm_ctx));  // shortcut
+  EXPECT_TRUE(cold.access(kDramBase + 4, cold_ctx));  // probe
+  EXPECT_EQ(warm_ctx.test_map(), cold_ctx.test_map());
+  EXPECT_EQ(warm_ctx.test_map().count(), 1u);
+}
+
 // --- DataCache ------------------------------------------------------------------
 
 class DCacheTest : public ::testing::Test {
  protected:
   DCacheTest()
-      : memory_(kDramBase, 64 * 1024), dcache_(CacheParams{2, 2, 32}, ctx_) {
+      : memory_(kDramBase, 64 * 1024),
+        dcache_(CacheParams{2, 2, 32}, ctx_, memory_.size()) {
     ctx_.freeze();
     ctx_.begin_test();
   }
@@ -146,10 +217,98 @@ TEST_F(DCacheTest, UnmappedAddressReported) {
 
 TEST_F(DCacheTest, SnoopSeesDirtyData) {
   dcache_.store(kDramBase + 4, 0xdeadbeef, 4, memory_, ctx_, false);
-  const auto s = dcache_.snoop(kDramBase + 4, 4);
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(*s, 0xdeadbeefULL);
-  EXPECT_FALSE(dcache_.snoop(kDramBase + 4096, 4).has_value());
+  std::uint64_t value = 0;
+  ASSERT_TRUE(dcache_.snoop(kDramBase + 4, 4, value));
+  EXPECT_EQ(value, 0xdeadbeefULL);
+  EXPECT_FALSE(dcache_.snoop(kDramBase + 4096, 4, value));
+}
+
+// The presence filter (one bit per DRAM line) must track exactly the lines
+// the ways hold: a stale set bit only costs a probe, but a stale clear bit
+// would serve a fetch from DRAM while the D$ holds newer bytes.
+TEST_F(DCacheTest, SnoopFollowsFillsAndConflictingEvictions) {
+  const std::uint64_t set_stride = 2 * 32;
+  const std::uint64_t line = kDramBase + set_stride;  // set 0
+  memory_.store(line, 0x1234, 4);
+  std::uint64_t value = 0;
+  EXPECT_FALSE(dcache_.snoop(line, 4, value));
+
+  dcache_.load(line, 4, memory_, ctx_, false);  // clean fill
+  ASSERT_TRUE(dcache_.snoop(line, 4, value));   // clean lines serve fetches too
+  EXPECT_EQ(value, 0x1234u);
+  dcache_.store(line, 0xabcd, 4, memory_, ctx_, false);
+  ASSERT_TRUE(dcache_.snoop(line, 4, value));
+  EXPECT_EQ(value, 0xabcdu);
+
+  // Two more set-0 lines: the second evicts `line` (LRU) with a writeback.
+  dcache_.load(line + set_stride, 4, memory_, ctx_, false);
+  const auto evict = dcache_.load(line + 2 * set_stride, 4, memory_, ctx_, false);
+  EXPECT_TRUE(evict.dirty_eviction);
+  EXPECT_FALSE(dcache_.snoop(line, 4, value));
+  EXPECT_EQ(memory_.load(line, 4), 0xabcdULL);
+  EXPECT_TRUE(dcache_.snoop(line + set_stride, 4, value));
+  EXPECT_TRUE(dcache_.snoop(line + 2 * set_stride, 4, value));
+
+  // The evicted line comes back on a refill.
+  dcache_.load(line, 4, memory_, ctx_, false);
+  ASSERT_TRUE(dcache_.snoop(line, 4, value));
+  EXPECT_EQ(value, 0xabcdu);
+  EXPECT_FALSE(dcache_.snoop(line + set_stride, 4, value));  // its victim
+}
+
+TEST_F(DCacheTest, SnoopAfterV4DroppedWriteback) {
+  // Same eviction sequence as V4DropsWritebackOfAliasedLines.
+  dcache_.store(kDramBase + 448, 0x22, 1, memory_, ctx_, true);  // aliased line
+  dcache_.store(kDramBase, 0x11, 1, memory_, ctx_, true);
+  std::uint64_t value = 0;
+  ASSERT_TRUE(dcache_.snoop(kDramBase + 448, 1, value));
+  EXPECT_EQ(value, 0x22u);
+  const auto r1 = dcache_.load(kDramBase + 64, 1, memory_, ctx_, true);
+  ASSERT_TRUE(r1.writeback_dropped);
+  // The dropped line left the cache: the fetch sees stale DRAM.
+  EXPECT_FALSE(dcache_.snoop(kDramBase + 448, 1, value));
+  EXPECT_EQ(memory_.load(kDramBase + 448, 1), 0x00ULL);
+  ASSERT_TRUE(dcache_.snoop(kDramBase, 1, value));
+  EXPECT_EQ(value, 0x11u);
+  dcache_.load(kDramBase + 128, 1, memory_, ctx_, true);  // evicts kDramBase
+  EXPECT_FALSE(dcache_.snoop(kDramBase, 1, value));
+  EXPECT_TRUE(dcache_.snoop(kDramBase + 64, 1, value));
+  EXPECT_TRUE(dcache_.snoop(kDramBase + 128, 1, value));
+}
+
+TEST_F(DCacheTest, SnoopAfterFlushAllAndReset) {
+  dcache_.store(kDramBase + 8, 0x5a5a, 2, memory_, ctx_, false);
+  dcache_.flush_all(memory_, ctx_);  // writes back, keeps the line (clean)
+  std::uint64_t value = 0;
+  ASSERT_TRUE(dcache_.snoop(kDramBase + 8, 2, value));
+  EXPECT_EQ(value, 0x5a5au);
+
+  dcache_.reset();
+  EXPECT_FALSE(dcache_.snoop(kDramBase + 8, 2, value));
+  // A refill after the reset is seen again.
+  dcache_.store(kDramBase + 8, 0x6b6b, 2, memory_, ctx_, false);
+  ASSERT_TRUE(dcache_.snoop(kDramBase + 8, 2, value));
+  EXPECT_EQ(value, 0x6b6bu);
+}
+
+TEST(DCachePresence, LinesOutsideTheFilterAreStillSnooped) {
+  // The filter covers only the first 1 KiB of DRAM; the memory is larger.
+  coverage::Context ctx;
+  golden::Memory memory(kDramBase, 64 * 1024);
+  DataCache dcache(CacheParams{2, 2, 32}, ctx, /*dram_size=*/1024);
+  ctx.freeze();
+  ctx.begin_test();
+  dcache.store(kDramBase + 4096, 0x77, 1, memory, ctx, false);
+  dcache.store(kDramBase + 64, 0x66, 1, memory, ctx, false);
+  std::uint64_t value = 0;
+  ASSERT_TRUE(dcache.snoop(kDramBase + 4096, 1, value));
+  EXPECT_EQ(value, 0x77u);
+  ASSERT_TRUE(dcache.snoop(kDramBase + 64, 1, value));
+  EXPECT_EQ(value, 0x66u);
+  EXPECT_FALSE(dcache.snoop(kDramBase + 8192, 1, value));
+  dcache.reset();
+  EXPECT_FALSE(dcache.snoop(kDramBase + 4096, 1, value));
+  EXPECT_FALSE(dcache.snoop(kDramBase + 64, 1, value));
 }
 
 TEST_F(DCacheTest, PhysicalAliasesShareLines) {
@@ -401,6 +560,90 @@ TEST(DecodeUnitBug, V2ExecutesReservedFunct7) {
   EXPECT_TRUE(out.legal);
   EXPECT_TRUE(out.v2_illegal_executed);
   EXPECT_EQ(out.instr.mnemonic, isa::Mnemonic::kAddw);
+}
+
+// --- Decode plans ------------------------------------------------------------------------
+//
+// The pre-decoded overload replays a cached per-word plan with the lane's
+// point offsets. It must agree with the uncached per-word reference on the
+// outcome and on every coverage bit, for every core, bug set and lane,
+// including after a slot was refilled by a colliding word.
+
+/// Words that reach every decode path: random bits, each major opcode
+/// (FP/SIMD ones included) with random fields, FENCE.I with rd set (V1)
+/// and reserved OP-32 funct7 encodings (V2). Four times as many distinct
+/// words as the plan table has slots, so slots are refilled many times.
+std::vector<isa::Word> plan_stream() {
+  constexpr isa::Word kMajors[] = {0b0000011, 0b0001111, 0b0010011, 0b0010111,
+                                   0b0011011, 0b0100011, 0b0110011, 0b0110111,
+                                   0b0111011, 0b1100011, 0b1100111, 0b1101111,
+                                   0b1110011, 0b1010011, 0b0000111, 0b0100111,
+                                   0b1000011};
+  common::Xoshiro256StarStar rng(2024);
+  std::vector<isa::Word> words = {0, isa::encode_or_die(isa::fence_i())};
+  while (words.size() < 4 * DecodeUnit::kPlanSlots) {
+    auto word = static_cast<isa::Word>(rng.next());
+    switch (rng.next_below(4)) {
+      case 0:
+        break;
+      case 1:
+      case 2:
+        word = (word & ~0x7fu) | kMajors[rng.next_index(std::size(kMajors))];
+        break;
+      default:
+        if (rng.next_bool(0.5)) {
+          word = isa::set_rd(isa::encode_or_die(isa::fence_i()),
+                             static_cast<isa::RegIndex>(rng.next_below(32)));
+        } else {
+          word = static_cast<isa::Word>(common::insert_bits(
+              isa::encode_or_die(isa::addw(static_cast<isa::RegIndex>(rng.next_below(32)),
+                                           static_cast<isa::RegIndex>(rng.next_below(32)),
+                                           static_cast<isa::RegIndex>(rng.next_below(32)))),
+              25, 7, rng.next_below(128)));
+        }
+        break;
+    }
+    words.push_back(word);
+  }
+  // Replay the stream backwards: early words were evicted by later
+  // colliders, late ones still hit.
+  words.insert(words.end(), words.rbegin(), words.rend());
+  return words;
+}
+
+TEST(DecodePlan, CachedPlanMatchesUncachedReference) {
+  const std::vector<isa::Word> words = plan_stream();
+  for (const CoreKind kind : kAllCores) {
+    const std::pair<const char*, BugSet> bug_sets[] = {
+        {"none", BugSet::none()}, {"default", default_bugs(kind)}, {"all", BugSet::all()}};
+    for (const auto& [label, bugs] : bug_sets) {
+      SCOPED_TRACE(std::string(core_name(kind)) + ", bugs " + label);
+      const DecodeUnitParams params = core_params(kind, bugs).decode;
+      coverage::Context ref_ctx;
+      coverage::Context plan_ctx;
+      DecodeUnit reference(params, bugs, ref_ctx);
+      DecodeUnit planned(params, bugs, plan_ctx);
+      ref_ctx.freeze();
+      plan_ctx.freeze();
+      std::size_t legal = 0;
+      for (const isa::Word word : words) {
+        const isa::DecodeResult strict = isa::decode(word);
+        for (unsigned lane = 0; lane < params.lanes; ++lane) {
+          ref_ctx.begin_test();
+          plan_ctx.begin_test();
+          const DecodeUnit::Outcome expected = reference.decode(word, lane, ref_ctx);
+          const DecodeUnit::Outcome& got = planned.decode(word, strict, lane, plan_ctx);
+          ASSERT_EQ(got, expected) << "word " << word << " lane " << lane;
+          ASSERT_EQ(plan_ctx.test_map(), ref_ctx.test_map())
+              << "coverage of word " << word << " lane " << lane;
+          legal += expected.legal ? 1 : 0;
+        }
+      }
+      // The stream exercises both outcomes.
+      EXPECT_GT(legal, words.size() / 8);
+      EXPECT_LT(legal, words.size() * params.lanes);
+    }
+  }
 }
 
 }  // namespace
