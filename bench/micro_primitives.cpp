@@ -78,45 +78,6 @@ void BM_BackendRunTestReused(benchmark::State& state) {
 }
 BENCHMARK(BM_BackendRunTestReused)->Arg(0)->Arg(1)->Arg(2);
 
-// Batched form of the hot path: one run_batch over a block of tests,
-// outcome vector reused across batches (the spec_block.hpp usage). Every
-// test in the battery carries the seed's program under a distinct id, so
-// per-test work is identical to BM_BackendRunTestReused and time/test is
-// directly comparable with it — the BENCH gate for this PR is batched
-// time/test ≥2x faster than the PR 4 BENCH_baseline.json run_test numbers
-// at batch = 64. (A mutant-chain battery would not be comparable: deep
-// mutants here run ~5x more cycles than the seed.)
-void BM_BackendRunBatch(benchmark::State& state) {
-  const auto kind = static_cast<soc::CoreKind>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  fuzz::BackendConfig config;
-  config.core = kind;
-  config.bugs = soc::default_bugs(kind);
-  fuzz::Backend backend(config);
-  const fuzz::TestCase seed = backend.make_seed();
-  std::vector<fuzz::TestCase> tests;
-  tests.reserve(batch);
-  while (tests.size() < batch) {
-    fuzz::TestCase test = seed;
-    test.id = seed.id + tests.size();
-    tests.push_back(std::move(test));
-  }
-  std::vector<fuzz::TestOutcome> outcomes;
-  for (auto _ : state) {
-    backend.run_batch(tests, outcomes);
-    benchmark::DoNotOptimize(outcomes.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-  state.SetLabel(std::string(soc::core_name(kind)) + "/batch=" +
-                 std::to_string(batch));
-}
-BENCHMARK(BM_BackendRunBatch)
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({2, 64})
-    ->Args({1, 256});
-
 // DRAM reset cost, full memset vs dirty-region. The store pattern mirrors a
 // typical test: program image + handler at the bottom, a handful of scattered
 // scratch-region stores.

@@ -58,6 +58,8 @@
 //     resume-checkpoint PATH
 //     pause NAME | resume NAME | cancel NAME
 //     status | drain | shutdown
+//   A line longer than 64 KiB gets one error reply; socket mode then
+//   closes the connection, stdin mode skips input through the next '\n'.
 //   SIGTERM/SIGINT trigger a graceful stop: every unfinished job is
 //   parked in a final checkpoint (when --checkpoint-dir is set), exit 0.
 
@@ -66,6 +68,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -291,8 +294,19 @@ std::string handle_serve_command(harness::CampaignService& service,
   }
 }
 
+/// Longest unterminated command line a serve connection may buffer. A full
+/// `submit` line is well under 2 KiB; without the cap, a client that never
+/// sends '\n' would grow the daemon's memory without limit.
+constexpr std::size_t kMaxCommandLine = 64 * 1024;
+
+std::string line_too_long_reply() {
+  return "error: command line longer than " +
+         std::to_string(kMaxCommandLine) + " bytes";
+}
+
 /// Pulls complete lines out of a connection buffer, handling each.
-/// Returns the replies, one per completed line.
+/// Returns the replies, one per completed line. Whatever remains in
+/// `buffer` is the unterminated tail; callers enforce kMaxCommandLine on it.
 std::vector<std::string> drain_command_buffer(
     harness::CampaignService& service, std::string& buffer, bool& shutdown) {
   std::vector<std::string> replies;
@@ -382,6 +396,12 @@ int serve_socket_loop(harness::CampaignService& service,
             // Best-effort reply; a vanished client is dropped next round.
             (void)!::write(clients[i].fd, line.data(), line.size());
           }
+          if (clients[i].buffer.size() > kMaxCommandLine) {
+            // One error reply, then drop the connection.
+            const std::string line = line_too_long_reply() + "\n";
+            (void)!::write(clients[i].fd, line.data(), line.size());
+            closed = true;
+          }
         }
       }
       if (closed) {
@@ -403,6 +423,7 @@ int serve_socket_loop(harness::CampaignService& service,
 int serve_stdin_loop(harness::CampaignService& service) {
   std::string buffer;
   bool shutdown = false;
+  bool discarding = false;  // dropping an over-long line through its '\n'
   while (g_serve_stop == 0 && !shutdown) {
     pollfd fd{STDIN_FILENO, POLLIN, 0};
     if (::poll(&fd, 1, 100) < 0) {
@@ -416,12 +437,26 @@ int serve_stdin_loop(harness::CampaignService& service) {
     if (n <= 0) {
       break;  // EOF: run what was accepted, then stop below
     }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    std::string_view data(chunk, static_cast<std::size_t>(n));
+    if (discarding) {
+      const std::size_t nl = data.find('\n');
+      if (nl == std::string_view::npos) {
+        continue;
+      }
+      data.remove_prefix(nl + 1);
+      discarding = false;
+    }
+    buffer.append(data);
     for (const std::string& reply :
          drain_command_buffer(service, buffer, shutdown)) {
       // stdout carries the JSON event stream; replies go to stderr so the
       // event log stays machine-parseable.
       std::cerr << reply << "\n";
+    }
+    if (buffer.size() > kMaxCommandLine) {
+      std::cerr << line_too_long_reply() << "\n";
+      buffer.clear();
+      discarding = true;
     }
   }
   if (!shutdown && g_serve_stop == 0) {

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include <time.h>
-
 namespace mabfuzz::common {
 
 namespace {
@@ -38,15 +36,6 @@ void release_threads(unsigned count) noexcept {
   }
 }
 
-std::uint64_t thread_cpu_now_ns() noexcept {
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) {
-    return 0;
-  }
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
 }  // namespace
 
 unsigned hardware_parallelism() noexcept {
@@ -69,7 +58,6 @@ unsigned threads_in_use() noexcept {
 ThreadTeam::ThreadTeam(unsigned requested) {
   const unsigned wanted = requested <= 1 ? 0 : requested - 1;
   reserved_ = reserve_threads(wanted);
-  lane_cpu_ns_.assign(reserved_ + 1, 0);
   errors_.assign(reserved_ + 1, nullptr);
   workers_.reserve(reserved_);
   for (unsigned lane = 1; lane <= reserved_; ++lane) {
@@ -90,13 +78,11 @@ ThreadTeam::~ThreadTeam() {
 }
 
 void ThreadTeam::run_lane(unsigned lane) {
-  const std::uint64_t begin = thread_cpu_now_ns();
   try {
     (*job_)(lane);
   } catch (...) {
     errors_[lane] = std::current_exception();
   }
-  lane_cpu_ns_[lane] = thread_cpu_now_ns() - begin;
 }
 
 void ThreadTeam::worker_loop(unsigned lane) {

@@ -2,10 +2,10 @@
 // Reusable intra-process thread team + the process-wide execution-thread
 // budget. This is the one primitive every parallel layer shares:
 // harness::run_indexed runs trial workers on a team, and
-// fuzz::Backend::run_batch shards a batch's slots across one (so nesting
-// trial workers x exec workers composes through a single accounting).
+// harness::CampaignService runs its lanes on one (so nested teams compose
+// through a single accounting).
 //
-// Design rules (docs/ARCHITECTURE.md, "Batched execution"):
+// Design rules (docs/ARCHITECTURE.md, "Parallelism"):
 //  - A team is *reusable*: its threads are spawned once, parked on a
 //    condition variable between run() calls, and joined at destruction —
 //    never thread-per-batch.
@@ -23,7 +23,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -70,16 +69,6 @@ class ThreadTeam {
   /// run() at a time per team (nested parallelism uses nested teams).
   void run(const std::function<void(unsigned)>& fn);
 
-  /// Per-lane CPU time (CLOCK_THREAD_CPUTIME_ID) consumed by the last
-  /// run(), lane-indexed, concurrency() entries. The max element is the
-  /// job's critical path independent of how many physical cores the host
-  /// time-sliced the lanes onto — the load-balance / scaling diagnostic
-  /// bench_parallel_exec records. Nondeterministic; never feeds
-  /// artifacts beyond the BENCH timing files.
-  [[nodiscard]] std::span<const std::uint64_t> lane_cpu_ns() const noexcept {
-    return lane_cpu_ns_;
-  }
-
  private:
   void worker_loop(unsigned lane);
   void run_lane(unsigned lane);
@@ -93,7 +82,6 @@ class ThreadTeam {
   bool stop_ = false;
 
   std::vector<std::thread> workers_;
-  std::vector<std::uint64_t> lane_cpu_ns_;
   std::vector<std::exception_ptr> errors_;
   unsigned reserved_ = 0;  // budget slots held until destruction
 };

@@ -39,7 +39,6 @@ class Arm {
   }
   [[nodiscard]] std::uint64_t pulls() const noexcept { return pulls_; }
   [[nodiscard]] std::uint64_t resets() const noexcept { return resets_; }
-  [[nodiscard]] const fuzz::TestPool& pool() const noexcept { return pool_; }
 
  private:
   fuzz::TestCase seed_;

@@ -21,7 +21,6 @@ MabFuzzConfig scheduler_config_of(const fuzz::PolicyConfig& policy) {
   config.feed_operator_rewards = policy.feed_operator_rewards;
   config.length_policy = policy.length_policy;
   config.corpus = policy.corpus;
-  config.exec_batch = policy.exec_batch;
   return config;
 }
 

@@ -1,7 +1,7 @@
 #include "core/scheduler.hpp"
 
-#include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "fuzz/corpus.hpp"
 
@@ -16,7 +16,6 @@ MabScheduler::MabScheduler(fuzz::Backend& backend,
     std::abort();  // mis-wired construction is a programming error
   }
   arms_.reserve(config_.num_arms);
-  spec_.resize(config_.num_arms);
   pending_seed_length_.assign(config_.num_arms, 0);
   for (std::size_t a = 0; a < config_.num_arms; ++a) {
     arms_.emplace_back(make_fresh_seed(a), backend_.coverage_universe(),
@@ -48,25 +47,7 @@ fuzz::StepResult MabScheduler::step() {
   const fuzz::TestCase test = arm.next();
 
   // 2. Simulate on DUT + golden model (reusing the step-outcome buffers).
-  // With exec_batch > 1 the arm's next queued tests ride along in one
-  // speculative run_batch; later pulls of this arm consume the cached
-  // outcomes (byte-identical either way — fuzz/spec_block.hpp).
-  if (config_.exec_batch > 1) {
-    fuzz::SpecBlock& spec = spec_[selected];
-    if (!spec.take(test.id, outcome_)) {
-      std::vector<fuzz::TestCase>& staged = spec.begin_refill();
-      staged.push_back(test);
-      const std::size_t lookahead =
-          std::min(config_.exec_batch - 1, arm.pool().size());
-      for (std::size_t i = 0; i < lookahead; ++i) {
-        staged.push_back(arm.pool().peek(i));
-      }
-      spec.run(backend_);
-      spec.take(test.id, outcome_);  // always hits: test is member 0
-    }
-  } else {
-    backend_.run_test(test, outcome_);
-  }
+  backend_.run_test(test, outcome_);
 
   // 3. Reward from coverage feedback (computed against the pre-update maps).
   const RewardBreakdown reward = compute_reward(
@@ -118,7 +99,6 @@ fuzz::StepResult MabScheduler::step() {
   // the arm with a fresh seed and reset the bandit's statistics for it.
   if (arm.record_gain(reward.cov_local)) {
     arm.reset(make_fresh_seed(selected));
-    spec_[selected].clear();  // cached outcomes belong to the old lineage
     bandit_->reset_arm(selected);
     ++total_resets_;
   }

@@ -23,7 +23,6 @@
 #include "core/reward.hpp"
 #include "fuzz/backend.hpp"
 #include "fuzz/fuzzer.hpp"
-#include "fuzz/spec_block.hpp"
 #include "mab/bandit.hpp"
 
 namespace mabfuzz::fuzz {
@@ -51,12 +50,6 @@ struct MabFuzzConfig {
   /// is offered to it; the corpus's novelty gate decides admission. Null =
   /// no persistence.
   std::shared_ptr<fuzz::Corpus> corpus;
-  /// Execution block size: >1 speculatively runs the selected arm's next
-  /// queued tests through Backend::run_batch, serving cached outcomes on
-  /// later pulls of the same arm. Byte-identical to 1 (fuzz/spec_block.hpp),
-  /// and — like every scheduler — blind to the backend's exec_workers:
-  /// parallel sharding happens entirely inside run_batch.
-  std::size_t exec_batch = 1;
 };
 
 class MabScheduler final : public fuzz::Fuzzer {
@@ -89,7 +82,6 @@ class MabScheduler final : public fuzz::Fuzzer {
   fuzz::TestCase make_fresh_seed(std::size_t arm_index);
 
   std::vector<Arm> arms_;
-  std::vector<fuzz::SpecBlock> spec_;  // per arm; used when exec_batch > 1
   std::vector<unsigned> pending_seed_length_;  // per arm; 0 = no feedback due
   coverage::Accumulator global_;
   fuzz::TestOutcome outcome_;  // reused across steps (backend scratch swap)

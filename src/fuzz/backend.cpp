@@ -1,7 +1,6 @@
 #include "fuzz/backend.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <vector>
 
 namespace mabfuzz::fuzz {
 
@@ -15,146 +14,34 @@ Backend::Backend(const BackendConfig& config)
                 common::make_stream(config.rng_seed, config.rng_run, "mutation"),
                 config.operator_policy) {}
 
-Backend::~Backend() = default;
-
-Backend::ExecLane::ExecLane(const BackendConfig& config)
-    : dut(soc::core_params(config.core, config.bugs)),
-      golden(soc::golden_config_for(config.core)) {}
-
 TestOutcome Backend::run_test(const TestCase& test) {
   TestOutcome outcome;
   run_test(test, outcome);
   return outcome;
 }
 
-void Backend::execute_on(soc::Pipeline& dut, golden::Iss& golden,
-                         ExecutionContext& cx, const TestCase& test) {
+void Backend::run_test(const TestCase& test, TestOutcome& out) {
+  ++tests_executed_;
   // One shared decode cache serves both simulators: the pipeline's fetches
   // warm entries the ISS reuses (and vice versa on trap-handler detours).
-  cx.decoded.build(test.words);
-  dut.run(test.words, cx.decoded, cx.dut_out);
-  golden.run(test.words, cx.decoded, cx.golden_out);
-}
+  scratch_.decoded.build(test.words);
+  dut_.run(test.words, scratch_.decoded, scratch_.dut_out);
+  golden_.run(test.words, scratch_.decoded, scratch_.golden_out);
 
-void Backend::finalize_outcome(ExecutionContext& cx, TestOutcome& out) {
   // Swap, don't copy: the outcome takes this test's buffers; the scratch
   // takes the caller's previous ones, recycled on the next run.
-  out.coverage.swap(cx.dut_out.test_coverage);
-  out.firings.swap(cx.dut_out.firings);
-  out.dut_cycles = cx.dut_out.cycles;
-  out.commits = cx.dut_out.arch.commits.size();
+  out.coverage.swap(scratch_.dut_out.test_coverage);
+  out.firings.swap(scratch_.dut_out.firings);
+  out.dut_cycles = scratch_.dut_out.cycles;
+  out.commits = scratch_.dut_out.arch.commits.size();
   out.mismatch = false;
   out.mismatch_description.clear();
   out.mismatch_commit = 0;
-  if (const auto mismatch = compare(cx.dut_out.arch, cx.golden_out)) {
+  if (const auto mismatch =
+          compare(scratch_.dut_out.arch, scratch_.golden_out)) {
     out.mismatch = true;
     out.mismatch_description = mismatch->description;
     out.mismatch_commit = mismatch->commit_index;
-  }
-}
-
-void Backend::run_test(const TestCase& test, TestOutcome& out) {
-  ++tests_executed_;
-  execute_on(dut_, golden_, scratch_, test);
-  finalize_outcome(scratch_, out);
-}
-
-void Backend::ensure_exec_team() {
-  if (team_ != nullptr || config_.exec_workers <= 1) {
-    return;
-  }
-  // One-time grant: the team reserves extra threads from the process
-  // budget (common/thread_team.hpp); exhaustion shrinks concurrency() and
-  // the batch loop degrades toward sequential — results are unaffected.
-  team_ = std::make_unique<common::ThreadTeam>(config_.exec_workers);
-  const unsigned replicas = team_->concurrency() - 1;
-  lanes_.reserve(replicas);
-  for (unsigned i = 0; i < replicas; ++i) {
-    lanes_.push_back(std::make_unique<ExecLane>(config_));
-  }
-}
-
-void Backend::run_batch(std::span<const TestCase> tests,
-                        std::vector<TestOutcome>& out) {
-  out.resize(tests.size());
-  if (tests.empty()) {
-    return;
-  }
-  tests_executed_ += tests.size();
-
-  ensure_exec_team();
-  const std::size_t lanes =
-      team_ == nullptr
-          ? 1
-          : std::min<std::size_t>(team_->concurrency(), tests.size());
-  if (lanes <= 1) {
-    // Sequential path: the exact run_test body per slot — no staging, no
-    // second copy, so the batched per-test cost is never above the
-    // sequential one (BENCH_run_batch.json gates this).
-    for (std::size_t i = 0; i < tests.size(); ++i) {
-      execute_on(dut_, golden_, scratch_, tests[i]);
-      finalize_outcome(scratch_, out[i]);
-    }
-    return;
-  }
-
-  // Parallel path: contiguous slot shards, one per lane. Lane L owns
-  // slots [L*n/lanes, (L+1)*n/lanes): every slot's outcome is a pure
-  // function of its test words (the RunBatchEquivalence and
-  // ParallelExecEquivalence suites lock this in), so the shard->lane
-  // assignment can never reach an artifact byte.
-  staged_.assign(tests.size(), Staged{});
-  team_->run([&](unsigned lane) {
-    if (lane >= lanes) {
-      return;  // more lanes than batch slots
-    }
-    const std::size_t begin = tests.size() * lane / lanes;
-    const std::size_t end = tests.size() * (lane + 1) / lanes;
-    soc::Pipeline& dut = lane == 0 ? dut_ : lanes_[lane - 1]->dut;
-    golden::Iss& golden = lane == 0 ? golden_ : lanes_[lane - 1]->golden;
-    ExecutionContext& cx = lane == 0 ? scratch_ : lanes_[lane - 1]->scratch;
-    // Shard-lifetime staging: rewinding also rebinds the arena's thread
-    // ownership to this lane (common/arena.hpp ownership rules).
-    cx.batch_arena.reset();
-    for (std::size_t i = begin; i < end; ++i) {
-      execute_on(dut, golden, cx, tests[i]);
-      // Coverage maps are universe-sized bitmaps: swap member-locally with
-      // the slot's recycled buffer (slots are lane-disjoint, so only this
-      // thread touches out[i]).
-      out[i].coverage.swap(cx.dut_out.test_coverage);
-      Staged& s = staged_[i];
-      const std::span<soc::BugFiring> firings =
-          cx.batch_arena.alloc_span<soc::BugFiring>(cx.dut_out.firings.size());
-      std::copy(cx.dut_out.firings.begin(), cx.dut_out.firings.end(),
-                firings.begin());
-      s.firings = firings;
-      s.dut_cycles = cx.dut_out.cycles;
-      s.commits = cx.dut_out.arch.commits.size();
-      if (const auto mismatch = compare(cx.dut_out.arch, cx.golden_out)) {
-        s.mismatch = true;
-        s.mismatch_commit = mismatch->commit_index;
-        const std::span<char> description =
-            cx.batch_arena.alloc_span<char>(mismatch->description.size());
-        std::copy(mismatch->description.begin(), mismatch->description.end(),
-                  description.begin());
-        s.description = description;
-      }
-    }
-  });
-
-  // Post-barrier fold, slot order, calling thread only: the caller-owned
-  // heap buffers (firing vectors, description strings) are never touched
-  // by a worker, so their (re)allocation pattern is byte-for-byte the
-  // same for exec-workers 1/2/8.
-  for (std::size_t i = 0; i < tests.size(); ++i) {
-    TestOutcome& o = out[i];
-    const Staged& s = staged_[i];
-    o.firings.assign(s.firings.begin(), s.firings.end());
-    o.dut_cycles = s.dut_cycles;
-    o.commits = s.commits;
-    o.mismatch = s.mismatch;
-    o.mismatch_description.assign(s.description.begin(), s.description.end());
-    o.mismatch_commit = s.mismatch_commit;
   }
 }
 

@@ -9,13 +9,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "common/arena.hpp"
 #include "common/rng.hpp"
-#include "common/thread_team.hpp"
 #include "coverage/map.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/seedgen.hpp"
@@ -37,13 +33,6 @@ struct BackendConfig {
   std::shared_ptr<mutation::OperatorPolicy> operator_policy;
   std::uint64_t rng_seed = 1;
   std::uint64_t rng_run = 0;  // repetition index (decorrelates repetitions)
-  /// Intra-trial execution lanes for run_batch (campaign key
-  /// `exec-workers`). 1 = strictly sequential (the default). >1 shards
-  /// every batch across a reusable thread team of private execution
-  /// lanes; artifacts stay byte-identical for any value — execution is a
-  /// pure function of the test words, outcomes land in slot-indexed
-  /// buffers and the fold runs post-barrier in slot order.
-  unsigned exec_workers = 1;
 };
 
 /// Everything one executed test tells the scheduler.
@@ -57,34 +46,20 @@ struct TestOutcome {
   std::size_t commits = 0;
 };
 
-/// Per-lane execution scratch, reused across runs: the decode cache shared
-/// by the DUT pipeline and the golden ISS, both simulators' output buffers
-/// (commit vectors, firing log, coverage map), and the batch staging
-/// arena. Exactly one execution thread owns one ExecutionContext at a
-/// time (the arena enforces this at runtime; the detlint
-/// `context-per-thread` rule enforces it statically): the backend's
-/// primary context belongs to the calling thread, and every extra
-/// exec-worker lane owns a private replica. Steady-state execution
+/// Execution scratch, reused across runs: the decode cache shared by the
+/// DUT pipeline and the golden ISS, and both simulators' output buffers
+/// (commit vectors, firing log, coverage map). Steady-state execution
 /// performs no heap allocation through these (the equivalence suite in
 /// tests/test_differential.cpp locks in that reuse changes no result).
 struct ExecutionContext {
   isa::DecodedProgram decoded;
   soc::RunOutput dut_out;
   isa::ArchResult golden_out;
-  /// Batch-lifetime staging store for the *parallel* run_batch path:
-  /// worker lanes stage their shard's firing records and mismatch
-  /// descriptions here (rewound at shard start, storage retained) so the
-  /// caller-owned TestOutcome heap buffers are only ever touched by the
-  /// calling thread's post-barrier fold. The sequential path writes
-  /// outcomes directly and never stages. See common/arena.hpp for the
-  /// ownership rules.
-  common::Arena batch_arena;
 };
 
 class Backend {
  public:
   explicit Backend(const BackendConfig& config);
-  ~Backend();
 
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
@@ -97,22 +72,6 @@ class Backend {
   /// backend scratch, so a caller that reuses one TestOutcome across steps
   /// allocates nothing per test.
   void run_test(const TestCase& test, TestOutcome& out);
-
-  /// Batched execution: runs every test in `tests` and fills `out` (resized
-  /// to match, one TestOutcome per test, index-aligned). Outcomes are
-  /// bit-identical to sequential run_test calls in the same order — the
-  /// RunBatchEquivalence suite locks this in — for *any* exec_workers
-  /// value. With exec_workers == 1 the batch body is the run_test body
-  /// (per-test cost <= the sequential path; BENCH_run_batch.json gates
-  /// it). With exec_workers > 1 the slots are sharded contiguously across
-  /// a reusable thread team: each lane executes its shard on a private
-  /// ExecutionContext (decode cache, simulator buffers, firing arena),
-  /// writes coverage into its slot-indexed outcome, stages variable-length
-  /// payloads in its lane arena, and the calling thread folds the staged
-  /// ledger into the outcome buffers post-barrier in slot order — thread
-  /// scheduling can never reorder, drop, or reallocate a caller-visible
-  /// byte.
-  void run_batch(std::span<const TestCase> tests, std::vector<TestOutcome>& out);
 
   /// Fresh random seed test (ids assigned by this backend).
   [[nodiscard]] TestCase make_seed();
@@ -139,67 +98,21 @@ class Backend {
   [[nodiscard]] std::uint64_t tests_executed() const noexcept {
     return tests_executed_;
   }
-  /// The primary reusable scratch. The decode-cache counters and the raw
+  /// The reusable scratch. The decode-cache counters and the raw
   /// architectural traces (dut_out.arch / cycles, golden_out) are from the
   /// last run_test; the scratch's coverage map and firing log are NOT — they
   /// were swapped into the caller's TestOutcome.
   [[nodiscard]] const ExecutionContext& execution_context() const noexcept {
     return scratch_;
   }
-  /// The exec-worker thread team, created lazily on the first parallel
-  /// batch; nullptr while exec_workers <= 1 or before that batch. Bench /
-  /// test introspection (per-lane CPU times, effective concurrency).
-  [[nodiscard]] const common::ThreadTeam* exec_team() const noexcept {
-    return team_.get();
-  }
 
  private:
-  /// One parallel execution lane beyond the primary: a full DUT + golden
-  /// replica (Pipeline is stateful and non-copyable, so each lane is
-  /// constructed from the same BackendConfig — coverage registries are
-  /// deterministic functions of the core params, so every lane shares one
-  /// point universe) plus its private ExecutionContext.
-  struct ExecLane {
-    soc::Pipeline dut;
-    golden::Iss golden;
-    ExecutionContext scratch;
-
-    explicit ExecLane(const BackendConfig& config);
-  };
-
-  /// Slot-indexed parallel-batch ledger entry: spans point into the
-  /// executing lane's arena; the post-barrier fold materialises them.
-  struct Staged {
-    std::span<const soc::BugFiring> firings;
-    std::span<const char> description;
-    std::uint64_t dut_cycles = 0;
-    std::size_t commits = 0;
-    std::size_t mismatch_commit = 0;
-    bool mismatch = false;
-  };
-
-  /// Shared execution body: simulate `test` on both models into `cx`.
-  /// Touches nothing outside its three operands, so any lane may run it.
-  static void execute_on(soc::Pipeline& dut, golden::Iss& golden,
-                         ExecutionContext& cx, const TestCase& test);
-
-  /// Direct-write finalisation (run_test and the sequential batch path):
-  /// swap/assign `cx`'s results straight into `out`, no staging.
-  static void finalize_outcome(ExecutionContext& cx, TestOutcome& out);
-
-  /// Lazily builds the exec-worker team + replica lanes on the first
-  /// parallel batch (thread-budget degradation may grant fewer lanes).
-  void ensure_exec_team();
-
   BackendConfig config_;
   soc::Pipeline dut_;
   golden::Iss golden_;
   SeedGenerator seedgen_;
   mutation::Engine mutation_;
   ExecutionContext scratch_;
-  std::unique_ptr<common::ThreadTeam> team_;       // exec_workers > 1 only
-  std::vector<std::unique_ptr<ExecLane>> lanes_;   // team lanes 1..N-1
-  std::vector<Staged> staged_;                     // slot-indexed, recycled
   std::uint64_t next_test_id_ = 1;
   std::uint64_t tests_executed_ = 0;
 };

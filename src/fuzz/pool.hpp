@@ -29,13 +29,6 @@ class TestPool {
   /// Pops the oldest test (FIFO); nullopt when empty.
   [[nodiscard]] std::optional<TestCase> pop();
 
-  /// Read-only view of the index-th queued test (0 = the next pop()),
-  /// without disturbing the queue — the lookahead window batched execution
-  /// speculates over (fuzz/spec_block.hpp). Precondition: index < size().
-  [[nodiscard]] const TestCase& peek(std::size_t index) const {
-    return queue_[index];
-  }
-
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
   [[nodiscard]] std::size_t max_size() const noexcept { return max_size_; }

@@ -29,7 +29,6 @@ const FuzzerRegistration kTheHuzzRegistration{
       TheHuzzConfig thehuzz = config.thehuzz;
       thehuzz.mutants_per_interesting = config.mutants_per_interesting;
       thehuzz.corpus = config.corpus;
-      thehuzz.exec_batch = config.exec_batch;
       return std::make_unique<TheHuzz>(backend, thehuzz);
     }};
 
@@ -52,7 +51,6 @@ const FuzzerRegistration kReuseRegistration{
       }
       ReuseConfig reuse;
       reuse.gamma = config.gamma;
-      reuse.exec_batch = config.exec_batch;
       auto bandit =
           mab::BanditRegistry::instance().create(config.reuse_bandit,
                                                  config.bandit);

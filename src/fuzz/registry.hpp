@@ -47,17 +47,6 @@ struct PolicyConfig {
   std::size_t arm_pool_cap = 1024;
   bool feed_operator_rewards = true;
 
-  /// Execution block size shared by every batching-aware policy: >1 routes
-  /// execution through Backend::run_batch (speculating over the FIFO pool
-  /// lookahead; see fuzz/spec_block.hpp), byte-identical to the default 1.
-  std::size_t exec_batch = 1;
-
-  /// Intra-trial execution threads for Backend::run_batch (campaign key
-  /// `exec-workers`). Plumbed into BackendConfig::exec_workers by
-  /// harness::Campaign; schedulers never see it — parallel sharding is
-  /// invisible below the run_batch call, byte-identical to the default 1.
-  std::size_t exec_workers = 1;
-
   /// Baseline parameters (mutants_per_interesting above wins, keeping the
   /// mutant burst identical across policies — the paper's control).
   TheHuzzConfig thehuzz{};

@@ -48,29 +48,6 @@ ReuseFuzzer::ReuseFuzzer(Backend& backend, std::shared_ptr<Corpus> corpus,
   name_ = "Reuse:" + std::string(bandit_->name());
 }
 
-void ReuseFuzzer::prefetch_replays() {
-  replay_prefetched_ = true;
-  std::vector<TestCase> staged;
-  std::vector<std::size_t> arm_of;  // batch index -> arm index
-  for (std::size_t a = 0; a < arms_.size(); ++a) {
-    if (!arms_[a].executed) {
-      staged.push_back(arms_[a].parent);
-      arm_of.push_back(a);
-    }
-  }
-  if (staged.empty()) {
-    return;
-  }
-  std::vector<TestOutcome> outcomes;
-  backend_.run_batch(staged, outcomes);
-  replay_outcomes_.resize(arms_.size());
-  replay_ready_.assign(arms_.size(), 0);
-  for (std::size_t i = 0; i < arm_of.size(); ++i) {
-    replay_outcomes_[arm_of[i]] = std::move(outcomes[i]);
-    replay_ready_[arm_of[i]] = 1;
-  }
-}
-
 TestCase ReuseFuzzer::next_replacement() {
   if (reserve_cursor_ < reserve_.size()) {
     return reserve_[reserve_cursor_++];
@@ -79,14 +56,6 @@ TestCase ReuseFuzzer::next_replacement() {
 }
 
 StepResult ReuseFuzzer::step() {
-  // Batched execution: the unexecuted arm parents replay in one run_batch
-  // up front (outcome-caching only — arm state, corpus offers and bandit
-  // updates still happen at each arm's own first pull, so campaigns are
-  // byte-identical to exec_batch = 1).
-  if (config_.exec_batch > 1 && !replay_prefetched_) {
-    prefetch_replays();
-  }
-
   // 1. The agent picks a corpus arm.
   const std::size_t selected = bandit_->select();
   ArmState& arm = arms_[selected];
@@ -101,13 +70,7 @@ StepResult ReuseFuzzer::step() {
   } else {
     test = backend_.make_mutant(arm.parent);
   }
-  if (is_replay && selected < replay_ready_.size() &&
-      replay_ready_[selected]) {
-    std::swap(outcome_, replay_outcomes_[selected]);
-    replay_ready_[selected] = 0;
-  } else {
-    backend_.run_test(test, outcome_);
-  }
+  backend_.run_test(test, outcome_);
 
   StepResult result;
   result.test_index = ++steps_;
@@ -139,9 +102,6 @@ StepResult ReuseFuzzer::step() {
   if (arm.monitor.record(result.new_global_points)) {
     arm.parent = next_replacement();
     arm.executed = false;
-    if (selected < replay_ready_.size()) {
-      replay_ready_[selected] = 0;  // re-seeded parent has no cached replay
-    }
     arm.monitor.reset();
     bandit_->reset_arm(selected);
     ++total_resets_;

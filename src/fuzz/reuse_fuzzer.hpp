@@ -38,14 +38,6 @@ struct ReuseConfig {
   /// Depletion threshold for the per-arm γ-window monitor; 0 disables
   /// arm replacement (paper Sec. III-C semantics).
   std::size_t gamma = 3;
-  /// Execution block size: >1 prefetches every arm's parent replay through
-  /// one Backend::run_batch at the first step, serving cached outcomes as
-  /// the bandit reaches each arm. Only the replays batch — mutant pulls
-  /// consume mutation RNG at selection time in bandit-dependent order, so
-  /// they cannot be speculated without diverging. Byte-identical to 1, and
-  /// byte-identical for any backend exec_workers (sharding is run_batch's
-  /// internal affair).
-  std::size_t exec_batch = 1;
 };
 
 class ReuseFuzzer final : public Fuzzer {
@@ -94,10 +86,6 @@ class ReuseFuzzer final : public Fuzzer {
   /// random seeds.
   [[nodiscard]] TestCase next_replacement();
 
-  /// exec_batch > 1: one run_batch over every not-yet-executed arm parent,
-  /// caching the replay outcomes the first pulls will consume.
-  void prefetch_replays();
-
   Backend& backend_;
   std::shared_ptr<Corpus> corpus_;
   std::unique_ptr<mab::Bandit> bandit_;
@@ -108,9 +96,6 @@ class ReuseFuzzer final : public Fuzzer {
   std::size_t arms_from_corpus_ = 0;
   coverage::Accumulator global_;
   TestOutcome outcome_;  // reused across steps (backend scratch swap)
-  std::vector<TestOutcome> replay_outcomes_;  // per arm; valid iff ready
-  std::vector<char> replay_ready_;            // per arm
-  bool replay_prefetched_ = false;
   std::string name_;
   std::uint64_t steps_ = 0;
   std::uint64_t total_resets_ = 0;

@@ -35,25 +35,7 @@ StepResult TheHuzz::step() {
     refill_from_database();
   }
   const TestCase test = *pool_.pop();
-  if (config_.exec_batch > 1) {
-    // Speculative block: the popped test plus the next queued tests run in
-    // one run_batch; later steps consume the cached outcomes. A take() miss
-    // means the block went stale (all consumed, or the queue moved past
-    // it) — restage from the current front.
-    if (!spec_.take(test.id, outcome_)) {
-      std::vector<TestCase>& staged = spec_.begin_refill();
-      staged.push_back(test);
-      const std::size_t lookahead =
-          std::min(config_.exec_batch - 1, pool_.size());
-      for (std::size_t i = 0; i < lookahead; ++i) {
-        staged.push_back(pool_.peek(i));
-      }
-      spec_.run(backend_);
-      spec_.take(test.id, outcome_);  // always hits: test is member 0
-    }
-  } else {
-    backend_.run_test(test, outcome_);
-  }
+  backend_.run_test(test, outcome_);
 
   StepResult result;
   result.test_index = ++steps_;

@@ -15,7 +15,6 @@
 #include "fuzz/backend.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/pool.hpp"
-#include "fuzz/spec_block.hpp"
 
 namespace mabfuzz::fuzz {
 
@@ -26,13 +25,6 @@ struct TheHuzzConfig {
   unsigned mutants_per_interesting = 5;
   std::size_t pool_cap = 4096;
   std::size_t database_cap = 2048;
-  /// Execution block size: >1 speculatively runs the next queued tests
-  /// through Backend::run_batch and serves cached outcomes as they are
-  /// popped. Byte-identical to 1 (see fuzz/spec_block.hpp); 1 = the
-  /// original one-run_test-per-step behaviour. When the backend also has
-  /// exec_workers > 1 the block is the unit run_batch shards across its
-  /// thread team — equally invisible here.
-  std::size_t exec_batch = 1;
   /// Optional cross-campaign store: every executed test is offered to it
   /// (the corpus's novelty gate decides admission). Null = no persistence,
   /// the original TheHuzz behaviour.
@@ -49,7 +41,6 @@ class TheHuzz final : public Fuzzer {
   }
   [[nodiscard]] std::string_view name() const override { return "TheHuzz"; }
 
-  [[nodiscard]] const TestPool& pool() const noexcept { return pool_; }
   [[nodiscard]] std::size_t database_size() const noexcept {
     return database_.size();
   }
@@ -64,7 +55,6 @@ class TheHuzz final : public Fuzzer {
   std::size_t db_cursor_ = 0;      // static FIFO replay position
   coverage::Accumulator accumulated_;
   TestOutcome outcome_;  // reused across steps (backend scratch swap)
-  SpecBlock spec_;       // cached run_batch outcomes when exec_batch > 1
   std::uint64_t steps_ = 0;
 };
 

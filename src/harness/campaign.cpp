@@ -232,19 +232,6 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.arm_pool_cap = parse_u64("pool-cap", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.arm_pool_cap); }},
-    {"exec-batch", "execution block size for Backend::run_batch; 1 = unbatched",
-     [](CampaignConfig& c, std::string_view v) {
-       const std::uint64_t n = parse_u64("exec-batch", v);
-       c.policy.exec_batch = n == 0 ? 1 : n;
-     },
-     [](const CampaignConfig& c) { return std::to_string(c.policy.exec_batch); }},
-    {"exec-workers", "intra-trial execution threads for Backend::run_batch; "
-                     "1 = sequential (results are identical for any value)",
-     [](CampaignConfig& c, std::string_view v) {
-       const std::uint64_t n = parse_u64("exec-workers", v);
-       c.policy.exec_workers = n == 0 ? 1 : n;
-     },
-     [](const CampaignConfig& c) { return std::to_string(c.policy.exec_workers); }},
     {"initial-seeds", "TheHuzz initial seed count",
      [](CampaignConfig& c, std::string_view v) {
        c.policy.thehuzz.initial_seeds =
@@ -488,8 +475,6 @@ Campaign::Campaign(const CampaignConfig& config) : config_(config) {
   backend_config.bugs = config_.bugs;
   backend_config.rng_seed = config_.rng_seed;
   backend_config.rng_run = config_.run_index;
-  backend_config.exec_workers =
-      static_cast<unsigned>(config_.policy.exec_workers);
   if (config_.policy.adaptive_operators) {
     mab::BanditConfig op_bandit;
     op_bandit.num_arms = mutation::kNumOps;

@@ -1,5 +1,5 @@
 #pragma once
-// Crash-safe campaign checkpointing: the "mabfuzz-checkpoint-v1" binary
+// Crash-safe campaign checkpointing: the "mabfuzz-checkpoint-v2" binary
 // format plus capture / save / load / resume.
 //
 // Design: a checkpoint is a *verified replay cursor*, not a restored
@@ -17,7 +17,7 @@
 // original computation, continued.
 //
 // File layout (all integers little-endian):
-//   magic "MABFUZZK" | u32 version=1 | u64 payload_len | payload
+//   magic "MABFUZZK" | u32 version=2 | u64 payload_len | payload
 //   | u64 fnv1a64(payload)
 // The checksum is validated before any payload field is parsed, so a
 // bit flip or truncation anywhere is rejected up front, never surfaced
@@ -37,7 +37,7 @@ namespace mabfuzz::harness {
 /// Produced by capture() / load(); consumed by save() / resume_campaign().
 struct Checkpoint {
   /// Format version this code reads and writes.
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   // --- service metadata (empty for bare in-process checkpoints) ---
   std::string job_name;

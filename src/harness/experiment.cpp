@@ -179,8 +179,6 @@ TrialResult Experiment::run_trial(const TrialSpec& spec) const {
   // artifacts.
   result.corpus_in = spec.config.corpus_in;
   result.corpus_out = spec.config.corpus_out;
-  result.exec_workers =
-      static_cast<unsigned>(std::max<std::size_t>(1, spec.config.policy.exec_workers));
   try {
     Campaign campaign(spec.config);
     result.corpus_entries = campaign.corpus_loaded_entries();
@@ -403,9 +401,6 @@ void write_trials_csv(std::ostream& os, const ExperimentResult& result,
       "detection_tests", "corpus_in", "corpus_entries", "corpus_out",
       "corpus_out_entries"};
   if (options.include_timing) {
-    // Environment provenance rides with timing: both vary with how the
-    // experiment was run, never with what it computed.
-    header.emplace_back("exec_workers");
     header.emplace_back("elapsed_seconds");
   }
   header.emplace_back("error");
@@ -431,7 +426,6 @@ void write_trials_csv(std::ostream& os, const ExperimentResult& result,
         trial.corpus_out,
         std::to_string(trial.corpus_out_entries)};
     if (options.include_timing) {
-      row.push_back(std::to_string(trial.exec_workers));
       row.push_back(common::format_double(trial.elapsed_seconds, 4));
     }
     row.push_back(trial.error);
@@ -511,8 +505,6 @@ void write_experiment_json(std::ostream& os, const ExperimentResult& result,
       json.key("target_detected").value(trial.target_detected);
       json.key("detection_tests").value(trial.detection_tests);
       if (options.include_timing) {
-        json.key("exec_workers")
-            .value(static_cast<std::uint64_t>(trial.exec_workers));
         json.key("elapsed_seconds").value(trial.elapsed_seconds);
       }
       json.key("curve");

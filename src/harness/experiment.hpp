@@ -107,12 +107,6 @@ struct TrialResult {
   /// Wall-clock seconds; inherently non-deterministic, excluded from
   /// artifacts when ArtifactOptions::include_timing is false.
   double elapsed_seconds = 0.0;
-  /// Intra-trial exec-worker count (PolicyConfig::exec_workers) the trial
-  /// ran with. Environment provenance, not a result: it never affects any
-  /// other field, so it is emitted with the timing fields and excluded
-  /// from artifacts when include_timing is false (keeping byte-identity
-  /// across worker counts checkable).
-  unsigned exec_workers = 1;
 
   /// Corpus provenance: the mabfuzz-corpus-v2 store this trial warmed up
   /// from (empty = cold start) and how many entries it held at load.
@@ -146,7 +140,8 @@ struct ExperimentOptions {
   /// Worker threads; 0 = hardware concurrency. Never affects results.
   unsigned workers = 0;
   /// Detection experiment: each trial stops at the bug's first detection
-  /// (or the config's test cap), the paper's Table I protocol.
+  /// (or the config's test cap), the paper's Table I protocol. Enable only
+  /// this bug in the config so attribution is unambiguous.
   std::optional<soc::BugId> target_bug;
   /// Stop each trial once every enabled bug is detected (or the cap).
   bool stop_on_all_bugs = false;

@@ -12,7 +12,6 @@
 
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
-#include "harness/detection.hpp"
 #include "soc/bugs.hpp"
 
 namespace mabfuzz::harness {

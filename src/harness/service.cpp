@@ -1,6 +1,5 @@
 #include "harness/service.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -437,8 +436,6 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
   trial.run_index = campaign.config().run_index;
   trial.corpus_in = campaign.config().corpus_in;
   trial.corpus_out = campaign.config().corpus_out;
-  trial.exec_workers = static_cast<unsigned>(
-      std::max<std::size_t>(1, campaign.config().policy.exec_workers));
   trial.corpus_entries = campaign.corpus_loaded_entries();
   if (campaign.corpus() != nullptr && !campaign.config().corpus_out.empty()) {
     trial.corpus_out_entries = campaign.corpus()->size();
@@ -520,7 +517,7 @@ void CampaignService::finish_job(std::unique_lock<std::mutex>& lock, Job& job,
   }
   json.end_object();
 
-  // The campaign (backend, corpus, arenas) is the job's only heavy state;
+  // The campaign (backend and corpus) is the job's only heavy state;
   // a finished job keeps just its status row.
   job.campaign.reset();
   job.observer.reset();

@@ -38,8 +38,8 @@ struct PoolReport {
 /// The trial-worker pool: a reusable common::ThreadTeam plus the chunked
 /// index-claiming loop. The team's threads are reserved from the
 /// process-wide thread budget (common/thread_team.hpp), so nested
-/// parallelism — trial workers whose campaigns run exec-worker teams of
-/// their own — composes through one accounting: a configured budget caps
+/// parallelism — a team started from inside another team's lane —
+/// composes through one accounting: a configured budget caps
 /// the total, exhaustion degrades a pool toward fewer lanes (never
 /// deadlocks), and lane assignment never reaches a result byte.
 class WorkerPool {

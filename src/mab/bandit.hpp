@@ -13,7 +13,7 @@
 //  - save_state() appends the algorithm's complete mutable state (value
 //    estimates, pull counts, weights, RNG stream position) as
 //    deterministic little-endian bytes — the bandit half of the
-//    checkpoint-v1 state witness (harness/checkpoint.hpp): two bandits
+//    checkpoint-v2 state witness (harness/checkpoint.hpp): two bandits
 //    with equal blobs will select identical arm sequences forever.
 
 #include <bit>

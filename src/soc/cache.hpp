@@ -41,12 +41,10 @@
 // (I$ access + D$ snoop) and every LSU access walks the ways of one set;
 // with per-line structs each probe strides over tag+lru+flag padding,
 // while the split valid_/tags_/lru_/dirty_ arrays keep the compared tags
-// adjacent and the flag bytes dense. The split also shrinks each
-// fuzz::Backend exec-lane replica's per-Pipeline footprint, which is what
-// the parallel run_batch path multiplies by the worker count. All four
-// arrays are indexed by line index = set * ways + way; a frame's fields
-// are only meaningful while valid_[index] is set (every reader checks
-// valid first, so reset/invalidate may leave tag/lru/dirty stale).
+// adjacent and the flag bytes dense. All four arrays are indexed by line
+// index = set * ways + way; a frame's fields are only meaningful while
+// valid_[index] is set (every reader checks valid first, so
+// reset/invalidate may leave tag/lru/dirty stale).
 
 #include <cstdint>
 #include <vector>

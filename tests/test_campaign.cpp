@@ -143,15 +143,6 @@ TEST(CampaignConfigTest, ParsesKeyValuePairs) {
   EXPECT_TRUE(config.policy.adaptive_operators);
 }
 
-TEST(CampaignConfigTest, ExecWorkersKeyParsesAndClampsToOne) {
-  CampaignConfig config;
-  config.set("exec-workers", "8");
-  EXPECT_EQ(config.policy.exec_workers, 8u);
-  config.set("exec-workers", "0");  // 0 means "no parallelism", i.e. 1
-  EXPECT_EQ(config.policy.exec_workers, 1u);
-  EXPECT_THROW(config.set("exec-workers", "lots"), std::invalid_argument);
-}
-
 TEST(CampaignConfigTest, DefaultBugSetResolvesAgainstFinalCore) {
   // "bugs=default" is core-relative: from_pairs applies it last so it
   // resolves against the requested core regardless of key order, and
@@ -213,8 +204,8 @@ TEST(CampaignConfigTest, ToPairsRoundTripsEveryFieldByteForByte) {
   config.policy.alpha = 0.3333333333333333;  // not exactly representable
   config.policy.bandit.epsilon = 0.05;
   config.policy.bandit.eta = 1e-9;
-  config.policy.exec_workers = 8;
-  config.policy.exec_batch = 32;
+  config.policy.gamma = 8;
+  config.policy.arm_pool_cap = 32;
   config.policy.length_choices = {3, 17, 255};
 
   const std::vector<std::string> pairs = config.to_pairs();
@@ -250,7 +241,7 @@ TEST(CampaignConfigTest, RandomKeySoupNeverCrashesTheParser) {
   std::vector<std::string> known_keys;
   for (const char* key :
        {"fuzzer", "core", "bugs", "tests", "seed", "epsilon", "eta", "alpha",
-        "arms", "exec-workers", "exec-batch", "length-choices"}) {
+        "arms", "gamma", "pool-cap", "length-choices"}) {
     known_keys.push_back(key);
   }
   std::size_t accepted = 0;

@@ -1,4 +1,4 @@
-// Checkpoint-v1 tests: struct round-trip through the binary format,
+// Checkpoint-v2 tests: struct round-trip through the binary format,
 // corruption rejection (truncation at every byte boundary, bit flips,
 // bad magic/version — always a descriptive throw, never partial state),
 // verified-replay resume equivalence (a resumed campaign finishes with
@@ -174,6 +174,24 @@ TEST(CheckpointCorruptionTest, ErrorsAreDescriptive) {
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
+  }
+
+  // A version-1 file (its config section names keys this build no longer
+  // knows) is refused up front, not half-resumed.
+  const std::string old_version = testing::TempDir() + "version.ckpt";
+  Checkpoint::capture(campaign).save(old_version);
+  bytes = read_file(old_version);
+  ASSERT_GT(bytes.size(), 12u);
+  bytes[8] = 1;  // u32 version, little-endian, right after the 8-byte magic
+  bytes[9] = bytes[10] = bytes[11] = 0;
+  write_file(old_version, bytes);
+  try {
+    (void)Checkpoint::load(old_version);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -10,9 +10,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
-#include "common/arena.hpp"
 #include "common/bitops.hpp"
 #include "common/fastmod.hpp"
 #include "common/cli.hpp"
@@ -417,209 +415,6 @@ TEST(Cli, BooleanSpellings) {
   const CliArgs args(5, argv);
   EXPECT_TRUE(args.get_bool("a", false));
   EXPECT_FALSE(args.get_bool("b", true));
-}
-
-// --- arena ------------------------------------------------------------------------
-
-TEST(Arena, SpansAreValueInitializedAndWritable) {
-  Arena arena;
-  const std::span<std::uint64_t> a = arena.alloc_span<std::uint64_t>(100);
-  ASSERT_EQ(a.size(), 100u);
-  for (const std::uint64_t x : a) {
-    EXPECT_EQ(x, 0u);
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = i;
-  }
-  // A second span must not alias the first.
-  const std::span<std::uint64_t> b = arena.alloc_span<std::uint64_t>(100);
-  for (const std::uint64_t x : b) {
-    EXPECT_EQ(x, 0u);
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], i);
-  }
-  EXPECT_EQ(arena.bytes_allocated(), 200 * sizeof(std::uint64_t));
-}
-
-TEST(Arena, ResetRetainsChunkStorage) {
-  Arena arena(1024);
-  (void)arena.alloc_span<std::byte>(4000);  // spills into multiple chunks
-  const std::size_t capacity = arena.capacity();
-  const std::size_t chunks = arena.chunk_count();
-  EXPECT_GE(capacity, 4000u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.capacity(), capacity);  // storage retained, not freed
-  // A same-shaped second round fits in the retained chunks.
-  (void)arena.alloc_span<std::byte>(4000);
-  EXPECT_EQ(arena.chunk_count(), chunks);
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-  Arena arena(64);
-  const std::span<std::uint32_t> big = arena.alloc_span<std::uint32_t>(1000);
-  ASSERT_EQ(big.size(), 1000u);
-  big.front() = 1;
-  big.back() = 2;
-  EXPECT_EQ(big.front(), 1u);
-  EXPECT_EQ(big.back(), 2u);
-  // Small allocations still work after the oversized one.
-  const std::span<std::uint8_t> small = arena.alloc_span<std::uint8_t>(8);
-  EXPECT_EQ(small.size(), 8u);
-}
-
-TEST(Arena, ZeroCountAndAlignment) {
-  Arena arena;
-  EXPECT_TRUE(arena.alloc_span<int>(0).empty());
-  EXPECT_NE(arena.allocate(0, 1), nullptr);
-  // Mixed-alignment sequence: every pointer respects its type's alignment.
-  (void)arena.alloc_span<char>(3);
-  const std::span<double> d = arena.alloc_span<double>(4);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()) % alignof(double), 0u);
-  (void)arena.alloc_span<char>(1);
-  const std::span<std::uint64_t> q = arena.alloc_span<std::uint64_t>(2);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q.data()) % alignof(std::uint64_t),
-            0u);
-}
-
-TEST(Arena, ReleaseFreesStorage) {
-  Arena arena;
-  (void)arena.alloc_span<int>(100);
-  arena.release();
-  EXPECT_EQ(arena.capacity(), 0u);
-  EXPECT_EQ(arena.chunk_count(), 0u);
-  // Still usable after release.
-  EXPECT_EQ(arena.alloc_span<int>(4).size(), 4u);
-}
-
-TEST(Arena, ChunkBoundaryGrowth) {
-  // A chunk that fills *exactly* must not leak a byte into the next
-  // allocation, and each spill opens exactly one new chunk.
-  Arena arena(64);
-  (void)arena.alloc_span<std::uint8_t>(64);
-  EXPECT_EQ(arena.chunk_count(), 1u);
-  EXPECT_EQ(arena.capacity(), 64u);
-
-  const std::span<std::uint8_t> second = arena.alloc_span<std::uint8_t>(1);
-  EXPECT_EQ(arena.chunk_count(), 2u);
-  second[0] = 0xAB;
-
-  // A request one byte over the remaining space of the active chunk
-  // spills; the skipped tail is padding, not an accounting leak.
-  (void)arena.alloc_span<std::uint8_t>(63);  // fills chunk 2 exactly
-  EXPECT_EQ(arena.chunk_count(), 2u);
-  (void)arena.alloc_span<std::uint8_t>(2);
-  EXPECT_EQ(arena.chunk_count(), 3u);
-  EXPECT_EQ(arena.bytes_allocated(), 64u + 1u + 63u + 2u);
-  EXPECT_EQ(arena.capacity(), 3 * 64u);
-}
-
-TEST(Arena, SteadyStateResetCycleNeverGrows) {
-  // The run_batch staging pattern: identical allocation shape every
-  // cycle. After the first (warmup) cycle, reset() + refill must touch
-  // the heap zero times — chunk count and capacity stay frozen.
-  Arena arena(256);
-  const auto fill = [&arena] {
-    for (int i = 0; i < 10; ++i) {
-      (void)arena.alloc_span<std::uint64_t>(17);
-      (void)arena.alloc_span<char>(5);
-    }
-  };
-  fill();
-  const std::size_t warm_chunks = arena.chunk_count();
-  const std::size_t warm_capacity = arena.capacity();
-  EXPECT_GT(warm_chunks, 1u);  // the shape genuinely spans chunks
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    arena.reset();
-    EXPECT_EQ(arena.bytes_allocated(), 0u);
-    EXPECT_EQ(arena.chunk_count(), warm_chunks);
-    EXPECT_EQ(arena.capacity(), warm_capacity);
-    fill();
-    EXPECT_EQ(arena.chunk_count(), warm_chunks);
-    EXPECT_EQ(arena.capacity(), warm_capacity);
-  }
-}
-
-TEST(Arena, OverAlignedPayloads) {
-  // Max-aligned requests after deliberately odd offsets, across chunk
-  // spills: every returned pointer must honour the requested alignment
-  // and bytes_allocated counts requests, never alignment padding.
-  constexpr std::size_t kMaxAlign = alignof(std::max_align_t);
-  Arena arena(128);
-  std::size_t requested = 0;
-  for (int i = 1; i <= 9; ++i) {
-    (void)arena.alloc_span<char>(static_cast<std::size_t>(i));  // odd offset
-    requested += static_cast<std::size_t>(i);
-    void* p = arena.allocate(kMaxAlign * 2, kMaxAlign);
-    requested += kMaxAlign * 2;
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kMaxAlign, 0u)
-        << "misaligned max_align_t payload at round " << i;
-  }
-  EXPECT_EQ(arena.bytes_allocated(), requested);
-}
-
-// --- arena thread ownership ------------------------------------------------------
-//
-// One arena belongs to one execution thread between resets — the
-// invariant the parallel Backend::run_batch path leans on (each lane
-// resets its private batch arena at shard start). A violation must fault
-// loudly, not corrupt staging memory. (The detlint `context-per-thread`
-// rule flags the static patterns; these tests pin the dynamic guard.)
-
-TEST(Arena, SecondThreadAllocationThrows) {
-  Arena arena;
-  (void)arena.alloc_span<int>(1);  // bind to this thread
-  EXPECT_TRUE(arena.owned_by_this_thread());
-
-  bool threw = false;
-  bool other_saw_ownership = true;
-  std::thread other([&] {
-    other_saw_ownership = arena.owned_by_this_thread();
-    try {
-      (void)arena.alloc_span<int>(1);
-    } catch (const std::logic_error&) {
-      threw = true;
-    }
-  });
-  other.join();
-  EXPECT_FALSE(other_saw_ownership);
-  EXPECT_TRUE(threw);
-  // The faulting thread must not have corrupted the owner: the binding
-  // thread still allocates freely.
-  EXPECT_EQ(arena.alloc_span<int>(2).size(), 2u);
-}
-
-TEST(Arena, ResetIsTheOwnershipHandoffPoint) {
-  Arena arena;
-  (void)arena.alloc_span<int>(1);
-  arena.reset();
-
-  // After reset, any one thread may claim the arena...
-  std::thread other([&] { (void)arena.alloc_span<int>(8); });
-  other.join();
-
-  // ...and the original thread is now the foreign one.
-  EXPECT_FALSE(arena.owned_by_this_thread());
-  EXPECT_THROW((void)arena.alloc_span<int>(1), std::logic_error);
-  arena.reset();
-  EXPECT_TRUE(arena.owned_by_this_thread());
-  EXPECT_EQ(arena.alloc_span<int>(3).size(), 3u);
-}
-
-TEST(Arena, ZeroByteAllocationsNeverBind) {
-  Arena arena;
-  EXPECT_NE(arena.allocate(0, 1), nullptr);
-  EXPECT_TRUE(arena.alloc_span<int>(0).empty());
-
-  // No storage was handed out, so another thread can still claim it.
-  bool ok = false;
-  std::thread other([&] {
-    (void)arena.alloc_span<int>(1);
-    ok = arena.owned_by_this_thread();
-  });
-  other.join();
-  EXPECT_TRUE(ok);
 }
 
 // ---------------------------------------------------------------------------

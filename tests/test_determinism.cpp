@@ -238,59 +238,5 @@ TEST(ExperimentDeterminism, ShardedCorpusMergeByteIdenticalAcrossWorkers) {
   EXPECT_EQ(serial.second, eight.second) << "8-worker merged corpus diverged";
 }
 
-// Intra-trial parallelism is the final axis: exec-workers shards each
-// trial's run_batch blocks across a per-backend thread team. Experiment
-// artifacts AND the merged corpus must be byte-identical for exec-workers
-// 1, 2 and 8 (timing excluded) — the shard->lane assignment may never
-// reach an artifact byte. exec_batch > 1 routes execution through
-// run_batch so the parallel path actually runs.
-TEST(ExperimentDeterminism, ArtifactsByteIdenticalAcrossExecWorkerCounts) {
-  const std::string path = testing::TempDir() + "determinism_execworkers.bin";
-  auto run_with = [&](std::size_t exec_workers) {
-    harness::TrialMatrix matrix;
-    matrix.base.core = soc::CoreKind::kRocket;
-    matrix.base.bugs = soc::default_bugs(soc::CoreKind::kRocket);
-    matrix.base.max_tests = 60;
-    matrix.base.snapshot_every = 30;
-    matrix.base.rng_seed = 1234;
-    matrix.base.corpus_out = path;
-    matrix.base.policy.exec_batch = 16;
-    matrix.base.policy.exec_workers = exec_workers;
-    matrix.fuzzers = {"thehuzz", "ucb"};
-    matrix.trials = 3;
-    harness::ExperimentOptions options;
-    options.workers = 2;  // trial workers x exec workers: the nested case
-    const harness::ExperimentResult result =
-        harness::Experiment(matrix, options).run();
-    EXPECT_EQ(result.failed_trials, 0u);
-    harness::ArtifactOptions artifact_options;
-    artifact_options.include_timing = false;
-    std::ostringstream os;
-    harness::write_experiment_json(os, result, artifact_options);
-    harness::write_trials_csv(os, result, artifact_options);
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "merged corpus was not written";
-    std::ostringstream corpus_bytes;
-    corpus_bytes << in.rdbuf();
-    std::remove(path.c_str());
-    std::remove((path + ".json").c_str());
-    return std::pair<std::string, std::string>(os.str(), corpus_bytes.str());
-  };
-
-  const auto sequential = run_with(1);
-  EXPECT_FALSE(sequential.first.empty());
-  EXPECT_FALSE(sequential.second.empty());
-  const auto two = run_with(2);
-  EXPECT_EQ(sequential.first, two.first)
-      << "exec-workers=2 artifacts diverged from sequential";
-  EXPECT_EQ(sequential.second, two.second)
-      << "exec-workers=2 merged corpus diverged";
-  const auto eight = run_with(8);
-  EXPECT_EQ(sequential.first, eight.first)
-      << "exec-workers=8 artifacts diverged from sequential";
-  EXPECT_EQ(sequential.second, eight.second)
-      << "exec-workers=8 merged corpus diverged";
-}
-
 }  // namespace
 }  // namespace mabfuzz

@@ -203,16 +203,13 @@ TEST(Artifacts, CsvHasOneRowPerTrial) {
   EXPECT_EQ(lines, 1 + 6);  // header + one row per trial
   EXPECT_NE(csv.find("trial,fuzzer,variant,run,status"), std::string::npos);
   EXPECT_NE(csv.find("elapsed_seconds"), std::string::npos);
-  EXPECT_NE(csv.find("exec_workers"), std::string::npos);
 
-  // exec_workers is environment provenance: like elapsed_seconds it is
-  // dropped from byte-identity-comparable artifacts.
+  // Timing is dropped from byte-identity-comparable artifacts.
   ArtifactOptions no_timing;
   no_timing.include_timing = false;
   std::ostringstream os2;
   write_trials_csv(os2, result, no_timing);
   EXPECT_EQ(os2.str().find("elapsed_seconds"), std::string::npos);
-  EXPECT_EQ(os2.str().find("exec_workers"), std::string::npos);
 }
 
 TEST(Artifacts, JsonCarriesSchemaTrialsAndCells) {
@@ -230,7 +227,6 @@ TEST(Artifacts, JsonCarriesSchemaTrialsAndCells) {
   EXPECT_NE(json.find("\"failed_trials\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"median\""), std::string::npos);
   EXPECT_NE(json.find("\"mean_curve\""), std::string::npos);
-  EXPECT_NE(json.find("\"exec_workers\": 1"), std::string::npos);
   // Balanced structure (a cheap well-formedness proxy without a parser).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));

@@ -1,6 +1,7 @@
 // Harness tests: campaign construction for every registered policy,
-// detection measurement, coverage curves, the Fig. 4 speedup/increment
-// math, the shared worker pool and the report renderers.
+// tests-to-detection through Experiment's target_bug path, coverage
+// curves, the Fig. 4 speedup/increment math, the shared worker pool and
+// the report renderers.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,7 @@
 #include "common/thread_team.hpp"
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
-#include "harness/detection.hpp"
+#include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "harness/worker_pool.hpp"
 
@@ -68,39 +69,68 @@ TEST(PolicyLists, CoverThePaperSweeps) {
             kMabPolicies.end());
 }
 
-// --- detection -------------------------------------------------------------------
+// --- detection (Experiment's target_bug path) ----------------------------------
+
+ExperimentResult run_detection(CampaignConfig config, soc::BugId bug,
+                               std::uint64_t trials) {
+  TrialMatrix matrix;
+  matrix.base = std::move(config);
+  matrix.trials = trials;
+  ExperimentOptions options;
+  options.target_bug = bug;
+  return Experiment(std::move(matrix), options).run();
+}
 
 TEST(Detection, FindsEasyBug) {
   CampaignConfig config = small_config("thehuzz");
   config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
   config.max_tests = 500;
-  const DetectionResult r =
-      measure_detection(config, soc::BugId::kV5SilentLoadFault);
-  EXPECT_TRUE(r.detected);
-  EXPECT_GT(r.tests_to_detection, 0u);
-  EXPECT_LE(r.tests_to_detection, 500u);
+  const ExperimentResult r =
+      run_detection(config, soc::BugId::kV5SilentLoadFault, 1);
+  ASSERT_EQ(r.trials.size(), 1u);
+  const TrialResult& trial = r.trials[0];
+  ASSERT_FALSE(trial.failed) << trial.error;
+  EXPECT_TRUE(trial.target_detected);
+  EXPECT_EQ(trial.stop, StopReason::kBugDetected);
+  EXPECT_GT(trial.detection_tests, 0u);
+  EXPECT_LE(trial.detection_tests, 500u);
+  EXPECT_EQ(trial.tests_executed, trial.detection_tests);
 }
 
 TEST(Detection, UndetectedIsCensored) {
   CampaignConfig config = small_config("thehuzz");
   config.bugs = soc::BugSet::none();  // nothing can ever mismatch
   config.max_tests = 50;
-  const DetectionResult r =
-      measure_detection(config, soc::BugId::kV4LostWriteback);
-  EXPECT_FALSE(r.detected);
-  EXPECT_EQ(r.tests_to_detection, 50u);
+  const ExperimentResult r =
+      run_detection(config, soc::BugId::kV4LostWriteback, 1);
+  ASSERT_EQ(r.trials.size(), 1u);
+  const TrialResult& trial = r.trials[0];
+  ASSERT_FALSE(trial.failed) << trial.error;
+  EXPECT_FALSE(trial.target_detected);
+  EXPECT_EQ(trial.stop, StopReason::kMaxTests);
+  EXPECT_EQ(trial.detection_tests, config.max_tests);  // right-censored
+  ASSERT_EQ(r.cells.size(), 1u);
+  EXPECT_EQ(r.cells[0].detected_trials, 0u);
 }
 
 TEST(Detection, MultiRunAggregates) {
   CampaignConfig config = small_config("ucb");
   config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
   config.max_tests = 500;
-  const DetectionSummary s =
-      measure_detection_multi(config, soc::BugId::kV5SilentLoadFault, 3);
-  EXPECT_EQ(s.runs, 3u);
-  EXPECT_EQ(s.detected_runs, 3u);
-  EXPECT_GT(s.mean_tests, 0.0);
-  EXPECT_EQ(s.per_run_tests.size(), 3u);
+  const ExperimentResult r =
+      run_detection(config, soc::BugId::kV5SilentLoadFault, 3);
+  EXPECT_EQ(r.failed_trials, 0u);
+  ASSERT_EQ(r.trials.size(), 3u);
+  for (const TrialResult& trial : r.trials) {
+    EXPECT_TRUE(trial.target_detected) << "run " << trial.run_index;
+    EXPECT_GT(trial.detection_tests, 0u) << "run " << trial.run_index;
+  }
+  ASSERT_EQ(r.cells.size(), 1u);
+  const CellStats& cell = r.cells[0];
+  EXPECT_EQ(cell.trials, 3u);
+  EXPECT_EQ(cell.detected_trials, 3u);
+  EXPECT_EQ(cell.detection.count, 3u);
+  EXPECT_GT(cell.detection.mean, 0.0);
 }
 
 // --- curves -----------------------------------------------------------------------
@@ -270,11 +300,11 @@ TEST(WorkerPool, ConcurrencyAccessorReportsGrantedLanes) {
 }
 
 TEST(WorkerPool, NestedTeamsRespectBudgetAndNeverDeadlock) {
-  // The oversubscription regression: trial workers that each spin up an
-  // exec-worker team (the Campaign exec-workers path) must compose
-  // through the process-wide thread budget — the accounted total stays
-  // under the configured cap, and because reservation is non-blocking the
-  // nesting can degrade lanes but never deadlock.
+  // The oversubscription regression: trial workers that each spin up a
+  // team of their own must compose through the process-wide thread
+  // budget — the accounted total stays under the configured cap, and
+  // because reservation is non-blocking the nesting can degrade lanes but
+  // never deadlock.
   common::set_thread_budget(4);
   std::atomic<unsigned> peak{0};
   std::atomic<int> inner_jobs{0};

@@ -8,10 +8,11 @@
 
 #include <cctype>
 #include <string>
+#include <utility>
 
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
-#include "harness/detection.hpp"
+#include "harness/experiment.hpp"
 
 namespace mabfuzz::harness {
 namespace {
@@ -131,16 +132,22 @@ TEST(PaperProperties, MabCoverageIsCompetitiveWithBaseline) {
 }
 
 TEST(PaperProperties, EasyBugFoundQuicklyByEveryFuzzer) {
-  for (const std::string_view policy : kAllPolicies) {
-    CampaignConfig config;
-    config.core = soc::CoreKind::kCva6;
-    config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
-    config.fuzzer = std::string(policy);
-    config.max_tests = 400;
-    const DetectionResult r =
-        measure_detection(config, soc::BugId::kV5SilentLoadFault);
-    EXPECT_TRUE(r.detected) << policy;
-    EXPECT_LT(r.tests_to_detection, 200u) << policy;
+  TrialMatrix matrix;
+  matrix.base.core = soc::CoreKind::kCva6;
+  matrix.base.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
+  matrix.base.max_tests = 400;
+  matrix.fuzzers.assign(kAllPolicies.begin(), kAllPolicies.end());
+  ExperimentOptions options;
+  options.target_bug = soc::BugId::kV5SilentLoadFault;
+  const ExperimentResult result = Experiment(std::move(matrix), options).run();
+  ASSERT_EQ(result.trials.size(), kAllPolicies.size());
+  for (const TrialResult& trial : result.trials) {
+    ASSERT_FALSE(trial.failed) << trial.fuzzer << ": " << trial.error;
+    EXPECT_TRUE(trial.target_detected) << trial.fuzzer;
+    EXPECT_LT(trial.detection_tests, 200u) << trial.fuzzer;
+  }
+  for (const CellStats& cell : result.cells) {
+    EXPECT_EQ(cell.detected_trials, 1u) << cell.fuzzer;
   }
 }
 

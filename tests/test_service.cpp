@@ -1,7 +1,7 @@
 // CampaignService tests: admission control (duplicate names, queue and
 // per-tenant caps, bad configs), FIFO completion order, pause / resume /
 // cancel at slice boundaries, interrupt-and-resume byte-identity of every
-// artifact across exec-worker counts, and scheduler behaviour under an
+// artifact, and scheduler behaviour under an
 // exhausted process thread budget (degraded grants, no deadlock, same
 // bytes).
 
@@ -228,97 +228,78 @@ TEST(ServiceControlTest, CancelAppliesToPausedJobsImmediately) {
 
 /// The acceptance property: a campaign interrupted into a checkpoint and
 /// resumed in a fresh service produces byte-identical artifacts (JSON,
-/// CSV, corpus store) to an uninterrupted run — at every exec-worker
-/// count, which must itself never change a byte.
-TEST(ServiceResumeTest, InterruptAndResumeIsByteIdenticalAcrossExecWorkers) {
+/// CSV, corpus store) to an uninterrupted run.
+TEST(ServiceResumeTest, InterruptAndResumeIsByteIdentical) {
   const std::string dir = testing::TempDir();
   const std::string artifact = dir + "svc-artifact";
   const std::string corpus = dir + "svc-corpus.bin";
 
-  std::string ref_json;
-  std::string ref_csv;
-  std::string ref_corpus;
-  for (const unsigned exec_workers : {1u, 2u, 8u}) {
-    CampaignConfig campaign = tiny(900, 21);
-    campaign.corpus_out = corpus;
-    campaign.policy.exec_workers = exec_workers;
-    campaign.policy.exec_batch = 16;
+  CampaignConfig campaign = tiny(900, 21);
+  campaign.corpus_out = corpus;
 
-    ServiceConfig config;
-    config.workers = 2;
-    config.slice = 50;
-    config.checkpoint_dir = dir;
+  ServiceConfig config;
+  config.workers = 2;
+  config.slice = 50;
+  config.checkpoint_dir = dir;
 
-    // Uninterrupted reference (recorded once, from exec-workers=1).
-    {
-      CampaignService service(config);
-      JobSpec spec = job("ref", campaign);
-      spec.artifact_out = artifact;
-      service.submit(std::move(spec));
-      service.start();
-      service.drain();
-      service.stop();
-    }
-    const std::string json = read_file(artifact + ".json");
-    const std::string csv = read_file(artifact + ".csv");
-    const std::string store = read_file(corpus);
-    ASSERT_FALSE(json.empty());
-    ASSERT_FALSE(store.empty());
-    if (exec_workers == 1) {
-      ref_json = json;
-      ref_csv = csv;
-      ref_corpus = store;
-    } else {
-      // Exec-worker sharding alone never changes artifact bytes.
-      EXPECT_EQ(json, ref_json) << "exec-workers " << exec_workers;
-      EXPECT_EQ(csv, ref_csv) << "exec-workers " << exec_workers;
-      EXPECT_EQ(store, ref_corpus) << "exec-workers " << exec_workers;
-    }
-    std::remove((artifact + ".json").c_str());
-    std::remove((artifact + ".csv").c_str());
-    std::remove(corpus.c_str());
-
-    // Interrupted run: park the job mid-campaign, stop the service (the
-    // final checkpoint is written), resume in a brand-new service.
-    {
-      CampaignService service(config);
-      JobSpec spec = job("victim", campaign);
-      spec.artifact_out = artifact;
-      service.submit(std::move(spec));
-      service.start();
-      wait_until(
-          [&] { return service.status("victim")->tests_executed >= 100; },
-          "mid-run progress");
-      ASSERT_TRUE(service.pause("victim"));
-      wait_until(
-          [&] {
-            return service.status("victim")->state == JobState::kPaused;
-          },
-          "job to park");
-      ASSERT_LT(service.status("victim")->tests_executed, 900u);
-      service.stop();
-    }
-    const std::string checkpoint = dir + "victim.ckpt";
-    ASSERT_FALSE(read_file(checkpoint).empty());
-    {
-      CampaignService service(config);
-      EXPECT_EQ(service.resume_from_checkpoint(checkpoint), "victim");
-      service.start();
-      service.drain();
-      service.stop();
-      EXPECT_EQ(service.status("victim")->state, JobState::kDone);
-      EXPECT_EQ(service.status("victim")->tests_executed, 900u);
-    }
-    EXPECT_EQ(read_file(artifact + ".json"), ref_json)
-        << "resume diverged at exec-workers " << exec_workers;
-    EXPECT_EQ(read_file(artifact + ".csv"), ref_csv);
-    EXPECT_EQ(read_file(corpus), ref_corpus);
-    // The settled job's checkpoint is removed.
-    EXPECT_TRUE(read_file(checkpoint).empty());
-    std::remove((artifact + ".json").c_str());
-    std::remove((artifact + ".csv").c_str());
-    std::remove(corpus.c_str());
+  // Uninterrupted reference.
+  {
+    CampaignService service(config);
+    JobSpec spec = job("ref", campaign);
+    spec.artifact_out = artifact;
+    service.submit(std::move(spec));
+    service.start();
+    service.drain();
+    service.stop();
   }
+  const std::string ref_json = read_file(artifact + ".json");
+  const std::string ref_csv = read_file(artifact + ".csv");
+  const std::string ref_corpus = read_file(corpus);
+  ASSERT_FALSE(ref_json.empty());
+  ASSERT_FALSE(ref_corpus.empty());
+  std::remove((artifact + ".json").c_str());
+  std::remove((artifact + ".csv").c_str());
+  std::remove(corpus.c_str());
+
+  // Interrupted run: park the job mid-campaign, stop the service (the
+  // final checkpoint is written), resume in a brand-new service.
+  {
+    CampaignService service(config);
+    JobSpec spec = job("victim", campaign);
+    spec.artifact_out = artifact;
+    service.submit(std::move(spec));
+    service.start();
+    wait_until(
+        [&] { return service.status("victim")->tests_executed >= 100; },
+        "mid-run progress");
+    ASSERT_TRUE(service.pause("victim"));
+    wait_until(
+        [&] {
+          return service.status("victim")->state == JobState::kPaused;
+        },
+        "job to park");
+    ASSERT_LT(service.status("victim")->tests_executed, 900u);
+    service.stop();
+  }
+  const std::string checkpoint = dir + "victim.ckpt";
+  ASSERT_FALSE(read_file(checkpoint).empty());
+  {
+    CampaignService service(config);
+    EXPECT_EQ(service.resume_from_checkpoint(checkpoint), "victim");
+    service.start();
+    service.drain();
+    service.stop();
+    EXPECT_EQ(service.status("victim")->state, JobState::kDone);
+    EXPECT_EQ(service.status("victim")->tests_executed, 900u);
+  }
+  EXPECT_EQ(read_file(artifact + ".json"), ref_json) << "resume diverged";
+  EXPECT_EQ(read_file(artifact + ".csv"), ref_csv);
+  EXPECT_EQ(read_file(corpus), ref_corpus);
+  // The settled job's checkpoint is removed.
+  EXPECT_TRUE(read_file(checkpoint).empty());
+  std::remove((artifact + ".json").c_str());
+  std::remove((artifact + ".csv").c_str());
+  std::remove(corpus.c_str());
 }
 
 // --- thread-budget stress -------------------------------------------------------
@@ -326,9 +307,9 @@ TEST(ServiceResumeTest, InterruptAndResumeIsByteIdenticalAcrossExecWorkers) {
 TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
   const std::string dir = testing::TempDir();
   auto run_fleet = [&](const std::string& tag) {
-    // 3 services x 2 scheduler lanes x exec-workers 4 wildly oversubscribes
-    // a budget of 4; grants degrade to fewer (or zero extra) threads and
-    // callers absorb the work — never blocking, never changing bytes.
+    // 3 services x 2 scheduler lanes want 1 (main) + 3 spawned threads,
+    // twice a budget of 2; grants degrade to fewer (or zero extra) threads
+    // and callers absorb the work — never blocking, never changing bytes.
     std::vector<std::unique_ptr<CampaignService>> services;
     for (int s = 0; s < 3; ++s) {
       ServiceConfig config;
@@ -339,8 +320,6 @@ TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
     for (int s = 0; s < 3; ++s) {
       for (int j = 0; j < 2; ++j) {
         CampaignConfig campaign = tiny(200, 100 + 10 * s + j);
-        campaign.policy.exec_workers = 4;
-        campaign.policy.exec_batch = 8;
         JobSpec spec = job("job-" + std::to_string(j), campaign);
         spec.artifact_out = dir + tag + "-s" + std::to_string(s) + "-j" +
                             std::to_string(j);
@@ -355,7 +334,7 @@ TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
   };
 
   run_fleet("unlimited");
-  common::set_thread_budget(4);
+  common::set_thread_budget(2);
   run_fleet("starved");
   common::set_thread_budget(0);
   EXPECT_EQ(common::thread_budget(), 0u);

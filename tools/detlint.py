@@ -2,9 +2,8 @@
 """detlint — the MABFuzz determinism & ownership linter.
 
 The repo's load-bearing guarantee is that experiment and corpus artifacts
-are byte-identical across 1/2/8 workers, any exec-batch value, and
-save->load->save round trips (docs/ARCHITECTURE.md "Reproducibility
-contract").  Runtime tests enforce that property after the fact; detlint
+are byte-identical across 1/2/8 workers and save->load->save round trips
+(docs/ARCHITECTURE.md "Reproducibility contract").  Runtime tests enforce that property after the fact; detlint
 enforces the source-level invariants that make it true, so a stray
 wall-clock read or unordered-container walk in an artifact path is caught
 at lint time instead of as a flaky artifact diff.
@@ -26,10 +25,6 @@ Rules (see docs/STATIC_ANALYSIS.md for the full catalogue):
                          read results from TestOutcome (ownership rule)
   outcome-in-loop        a TestOutcome declared inside a loop body defeats
                          the backend scratch-swap reuse pattern; hoist it
-  context-per-thread     no static-storage Arena/ExecutionContext, and no
-                         handing either type to a spawned thread outside
-                         the backend: each exec lane owns exactly one
-                         context (parallel run_batch sharding rule)
 
 Suppressions:
 
@@ -84,14 +79,10 @@ RULES = {
         "TestOutcome constructed inside a loop; hoist it out and reuse it "
         "so the backend scratch swap stays allocation-free "
         "(docs/ARCHITECTURE.md ownership rules)",
-    "context-per-thread":
-        "Arena/ExecutionContext reachable from more than one thread; each "
-        "exec lane owns exactly one context and arenas bind to their first "
-        "allocating thread (docs/ARCHITECTURE.md \"Batched execution\")",
 }
 
 # Files that feed the deterministic artifact emitters (experiment JSON/CSV,
-# coverage curves, detection reports, corpus serialization, BENCH_*.json).
+# coverage curves, corpus serialization, BENCH_*.json).
 # Nondeterminism in these files can silently change artifact bytes.
 ARTIFACT_PATH_GLOBS = [
     "src/common/json.*",
@@ -99,7 +90,6 @@ ARTIFACT_PATH_GLOBS = [
     "src/harness/experiment.*",
     "src/harness/curves.*",
     "src/harness/report.*",
-    "src/harness/detection.*",
     "src/harness/checkpoint.*",
     "src/harness/service.*",
     "src/fuzz/corpus.*",
@@ -116,11 +106,6 @@ CONTEXT_READ_ALLOWED_GLOBS = ["tests/*", "bench/*", "src/fuzz/backend.*"]
 # outcome-in-loop applies to library and example code; equivalence tests
 # construct fresh outcomes per test on purpose (reused vs fresh suites).
 OUTCOME_RULE_GLOBS = ["src/*", "examples/*"]
-
-# context-per-thread: the backend is the one module that replicates
-# ExecutionContexts across lanes (it owns the shard -> lane mapping), and
-# tests/benches deliberately cross threads to exercise the ownership traps.
-CONTEXT_THREAD_ALLOWED_GLOBS = ["tests/*", "bench/*", "src/fuzz/backend.*"]
 
 DEFAULT_SCAN_ROOTS = ["src", "tests", "bench", "examples"]
 EXCLUDED_DIR_NAMES = {"lint_fixtures", "build"}
@@ -172,16 +157,6 @@ OUTCOME_DECL_RE = re.compile(
     r"(?:^\s*|[{};]\s*)(?:(?:::)?(?:mabfuzz::)?fuzz::)?TestOutcome\s+\w+\s*"
     r"(?:;|\{\s*\}\s*;|=)")
 LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
-
-# context-per-thread: a static-storage Arena/ExecutionContext is reachable
-# from every thread in the process, and naming either type in a
-# thread-spawn expression hands one across the lane boundary.
-STATIC_CONTEXT_RE = re.compile(
-    r"\bstatic\s+(?:inline\s+)?(?:const(?:expr)?\s+)?(?:\w+::)*"
-    r"(?:Arena|ExecutionContext)\b")
-THREAD_SPAWN_RE = re.compile(
-    r"\bstd::(?:jthread|thread|async)\b|\bpthread_create\b")
-CONTEXT_TYPE_RE = re.compile(r"\b(?:Arena|ExecutionContext)\b")
 
 ALLOW_RE = re.compile(r"//\s*detlint:allow\(([^)]*)\)")
 ALLOW_FILE_RE = re.compile(r"//\s*detlint:allow-file\(([^)]*)\)")
@@ -343,8 +318,6 @@ def lint_file(relpath: str, text: str) -> list:
     rng_exempt = _matches_any(relpath, RNG_EXEMPT_GLOBS)
     context_allowed = _matches_any(relpath, CONTEXT_READ_ALLOWED_GLOBS)
     outcome_rule = _matches_any(relpath, OUTCOME_RULE_GLOBS)
-    context_thread_allowed = _matches_any(relpath,
-                                          CONTEXT_THREAD_ALLOWED_GLOBS)
 
     for lineno, cline in enumerate(code, start=1):
         if artifact_path:
@@ -365,16 +338,6 @@ def lint_file(relpath: str, text: str) -> list:
                    RULES["using-namespace-header"])
         if not context_allowed and CONTEXT_READ_RE.search(cline):
             report(lineno, "context-read", RULES["context-read"])
-        if not context_thread_allowed:
-            if STATIC_CONTEXT_RE.search(cline):
-                report(lineno, "context-per-thread",
-                       "static-storage declaration: "
-                       + RULES["context-per-thread"])
-            elif (THREAD_SPAWN_RE.search(cline)
-                  and CONTEXT_TYPE_RE.search(cline)):
-                report(lineno, "context-per-thread",
-                       "thread spawn names a per-lane context type: "
-                       + RULES["context-per-thread"])
 
     if is_header:
         first_code = next(

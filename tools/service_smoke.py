@@ -15,7 +15,10 @@ operator would — and the way no unit test can: with a real SIGKILL.
 Validated along the way: every stdout line of every server is one
 parseable JSON event object, replies follow the ok/error wire protocol,
 and the recovered run's artifacts are byte-identical to the reference —
-the determinism contract surviving a kill -9.
+the determinism contract surviving a kill -9. During the reference run a
+second connection floods 1 MiB without a newline: it must get exactly
+one over-long-line error and be disconnected while the first client keeps
+being served. The same flood on stdin must be skipped through its newline.
 
 Usage: tools/service_smoke.py [--cli PATH] [--workdir DIR]
 """
@@ -39,6 +42,9 @@ JOBS = {
 }
 CHECKPOINT_EVERY = 1000
 DEADLINE = 120.0  # seconds; every wait below shares this cap
+MAX_LINE = 64 * 1024  # the serve loop's cap on an unterminated line
+FLOOD = b"x" * (1 << 20)  # 1 MiB, no newline
+LINE_TOO_LONG = f"error: command line longer than {MAX_LINE} bytes"
 
 
 def fail(message):
@@ -117,6 +123,43 @@ def submit_all(client):
             fail(f"unexpected submit reply {reply!r}")
 
 
+def check_socket_line_cap(sock_path, deadline):
+    """A connection that never sends a newline gets one error reply and is
+    closed; the daemon never buffers the flood."""
+    flood = ServeClient(sock_path, deadline)
+    try:
+        flood.sock.sendall(FLOOD)
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the server hung up mid-flood, as it should
+    flood.sock.settimeout(10.0)
+    replies = b""
+    while True:
+        try:
+            chunk = flood.sock.recv(4096)
+        except ConnectionResetError:
+            break
+        except socket.timeout:
+            fail("server kept the flooding connection open")
+        if not chunk:
+            break
+        replies += chunk
+    flood.close()
+    if replies != (LINE_TOO_LONG + "\n").encode():
+        fail(f"1 MiB unterminated line got {replies[:200]!r}, "
+             f"expected one {LINE_TOO_LONG!r}")
+
+
+def check_stdin_line_cap(cli):
+    """stdin mode answers the flood once, then skips to the next newline."""
+    result = subprocess.run(
+        [str(cli), "serve"], input=FLOOD + b" tail\nstatus\nshutdown\n",
+        capture_output=True, timeout=DEADLINE)
+    replies = result.stderr.decode().splitlines()
+    if result.returncode != 0 or replies != [LINE_TOO_LONG, "ok",
+                                             "ok shutting down"]:
+        fail(f"stdin flood: exit {result.returncode}, replies {replies!r}")
+
+
 def read_artifacts(directory):
     out = {}
     for name in JOBS:
@@ -153,6 +196,10 @@ def main():
                                        ref_dir / "ctl.sock")
     client = ServeClient(ref_dir / "ctl.sock", deadline)
     submit_all(client)
+    check_socket_line_cap(ref_dir / "ctl.sock", deadline)
+    status = client.expect_ok("status")
+    if not all(f"{name}:" in status for name in JOBS):
+        fail(f"status after the flood lost a job: {status!r}")
     client.expect_ok("drain")
     status = client.expect_ok("status")
     for name, (_, tests) in JOBS.items():
@@ -168,7 +215,10 @@ def main():
     if {e["job"] for e in done} != set(JOBS):
         fail(f"reference run missing done events: {done}")
     reference = read_artifacts(ref_dir)
-    print(f"service_smoke: reference OK ({len(ref_events)} events)")
+    print(f"service_smoke: reference OK ({len(ref_events)} events, "
+          "over-long line refused)")
+    check_stdin_line_cap(cli)
+    print("service_smoke: stdin over-long line skipped")
 
     # --- 2. victim run, SIGKILLed mid-campaign --------------------------------
     kill_dir = workdir / "victim"
