@@ -4,6 +4,11 @@
 // edge, replicated structures register replicated points), producing the
 // dense id space the coverage maps are sized to — the C++ analogue of the
 // branch-coverage instrumentation a VCS/Verilator flow compiles into RTL.
+//
+// The registry keeps one entry per registration, not one string per point:
+// a pipeline registers 12k-16k points in a few dozen calls, and their names
+// are only read by reports, which either walk the entries or build the one
+// name they need.
 
 #include <cstdint>
 #include <string>
@@ -17,6 +22,15 @@ using PointId = std::uint32_t;
 
 class Registry {
  public:
+  /// One registration: a single point named `name`, or `count` points
+  /// "<name>[0]".."<name>[count-1]" from an array.
+  struct Entry {
+    std::string name;
+    PointId first = 0;
+    std::size_t count = 1;
+    bool array = false;
+  };
+
   /// Registers a single named point; returns its id.
   PointId add(std::string name);
 
@@ -25,9 +39,14 @@ class Registry {
   PointId add_array(std::string_view prefix, std::size_t count);
 
   /// Number of registered points (|C| in the paper's EXP3 normalisation).
-  [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  [[nodiscard]] const std::string& name(PointId id) const { return names_.at(id); }
+  /// The name of point `id`, built on demand. Throws std::out_of_range for
+  /// an id at or above size().
+  [[nodiscard]] std::string name(PointId id) const;
+
+  /// The registrations in id order; their ranges tile [0, size()).
+  [[nodiscard]] const std::vector<Entry>& entries() const noexcept { return entries_; }
 
   /// Freezes the registry; further registration aborts. Called once the
   /// core finishes construction so the map size is stable.
@@ -35,7 +54,8 @@ class Registry {
   [[nodiscard]] bool frozen() const noexcept { return frozen_; }
 
  private:
-  std::vector<std::string> names_;
+  std::vector<Entry> entries_;
+  std::size_t size_ = 0;
   bool frozen_ = false;
 };
 

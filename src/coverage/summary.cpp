@@ -7,25 +7,31 @@ namespace mabfuzz::coverage {
 
 namespace {
 
-std::string stem_of(const std::string& name) {
-  const auto bracket = name.find('[');
-  return bracket == std::string::npos ? name : name.substr(0, bracket);
+std::string_view stem_of(std::string_view name) {
+  return name.substr(0, name.find('['));
 }
 
-std::string unit_of(const std::string& name) {
-  const auto slash = name.find('/');
-  return slash == std::string::npos ? name : name.substr(0, slash);
+std::string_view unit_of(std::string_view name) {
+  return name.substr(0, name.find('/'));
 }
 
+std::size_t covered_in(const Map& covered, const Registry::Entry& entry) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < entry.count; ++i) {
+    n += covered.test(entry.first + static_cast<PointId>(i)) ? 1 : 0;
+  }
+  return n;
+}
+
+// Groups walk the registry's entries, not its points: every point of an
+// array shares its registered name's stem and unit.
 std::vector<GroupSummary> summarize_by(const Registry& registry, const Map& covered,
-                                       std::string (*key)(const std::string&)) {
+                                       std::string_view (*key)(std::string_view)) {
   std::map<std::string, GroupSummary> groups;
-  for (PointId id = 0; id < registry.size(); ++id) {
-    GroupSummary& g = groups[key(registry.name(id))];
-    ++g.total;
-    if (covered.test(id)) {
-      ++g.covered;
-    }
+  for (const Registry::Entry& entry : registry.entries()) {
+    GroupSummary& g = groups[std::string(key(entry.name))];
+    g.total += entry.count;
+    g.covered += covered_in(covered, entry);
   }
   std::vector<GroupSummary> out;
   out.reserve(groups.size());

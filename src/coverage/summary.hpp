@@ -28,7 +28,8 @@ struct GroupSummary {
 [[nodiscard]] std::vector<GroupSummary> summarize_groups(const Registry& registry,
                                                          const Map& covered);
 
-/// Same, collapsed to the top-level unit (the part before the first '/').
+/// Same, collapsed to the top-level unit (the part of the registered name
+/// before the first '/').
 [[nodiscard]] std::vector<GroupSummary> summarize_units(const Registry& registry,
                                                         const Map& covered);
 

@@ -20,6 +20,8 @@ struct CsrIdentity {
   std::uint64_t archid = 0;
   std::uint64_t impid = 1;
   std::uint64_t hartid = 0;
+
+  friend bool operator==(const CsrIdentity&, const CsrIdentity&) = default;
 };
 
 /// Architecturally-deterministic timebase (see header comment).
@@ -97,6 +99,9 @@ class CsrFile {
   [[nodiscard]] std::uint64_t mtval() const noexcept { return mtval_; }
   [[nodiscard]] std::uint64_t mtvec() const noexcept { return mtvec_; }
   [[nodiscard]] std::uint64_t mscratch() const noexcept { return mscratch_; }
+
+  /// Every field equal: the two files answer every read and write alike.
+  friend bool operator==(const CsrFile&, const CsrFile&) = default;
 
  private:
   static constexpr std::uint64_t kMstatusMie = 1ULL << 3;

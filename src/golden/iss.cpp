@@ -145,7 +145,16 @@ void Iss::run_impl(const std::vector<Word>& program,
   result.commits.clear();
   result.halt = HaltReason::kBudget;
 
+  probe_.begin_test(decoded_program != nullptr);
+  std::uint64_t next_probe = probe_.next_step();
   for (std::uint64_t step = 0; step < config_.instruction_budget; ++step) {
+    if (step == next_probe) [[unlikely]] {
+      step += probe_loop(result);
+      next_probe = probe_.next_step();
+      if (step == config_.instruction_budget) {
+        break;
+      }
+    }
     if (pc_ == sentinel_pc_) {
       result.halt = HaltReason::kSentinel;
       break;
@@ -215,6 +224,31 @@ void Iss::run_impl(const std::vector<Word>& program,
   result.mtval = csrs_.mtval();
   result.mtvec = csrs_.mtvec();
   result.mscratch = csrs_.mscratch();
+}
+
+std::uint64_t Iss::probe_loop(ArchResult& out) {
+  if (probe_.confirming()) {
+    if (!probe_.period_reads_counter(out.commits) && pc_ == loop_start_.pc &&
+        regs_ == loop_start_.regs && csrs_ == loop_start_.csrs &&
+        memory_.changes() == loop_start_.memory_changes) {
+      const std::uint64_t copies =
+          probe_.replicate(out.commits, config_.instruction_budget);
+      instret_ += copies * (instret_ - loop_start_.instret);
+      const std::uint64_t skipped = copies * probe_.period();
+      skipped_steps_ += skipped;
+      return skipped;
+    }
+    probe_.reject();
+    return 0;
+  }
+  if (probe_.scan(out.commits, pc_)) {
+    loop_start_.pc = pc_;
+    loop_start_.regs = regs_;
+    loop_start_.csrs = csrs_;
+    loop_start_.memory_changes = memory_.changes();
+    loop_start_.instret = instret_;
+  }
+  return 0;
 }
 
 void Iss::execute(const Instruction& instr, Word word, CommitRecord& record,

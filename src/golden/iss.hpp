@@ -14,6 +14,7 @@
 #include "golden/trap.hpp"
 #include "isa/commit.hpp"
 #include "isa/decoded_program.hpp"
+#include "isa/loop_probe.hpp"
 #include "isa/platform.hpp"
 
 namespace mabfuzz::golden {
@@ -39,18 +40,34 @@ class Iss {
   void run(const std::vector<isa::Word>& program, isa::ArchResult& out);
 
   /// Pre-decoded hot path: fetched words resolve through `decoded`
-  /// (typically the cache Backend::run_test shares with the DUT pipeline).
-  /// Architecturally identical to the per-word-decode overloads.
+  /// (typically the cache Backend::run_test shares with the DUT pipeline),
+  /// and a test that enters an exactly repeating loop jumps to the
+  /// instruction budget (isa/loop_probe.hpp). Architecturally identical to
+  /// the per-word-decode overloads, which step every instruction.
   void run(const std::vector<isa::Word>& program, isa::DecodedProgram& decoded,
            isa::ArchResult& out);
 
   [[nodiscard]] const IssConfig& config() const noexcept { return config_; }
+
+  /// Lifetime count of steps the loop skip did not simulate (diagnostics
+  /// and tests only; it never influences execution).
+  [[nodiscard]] std::uint64_t skipped_steps() const noexcept { return skipped_steps_; }
 
  private:
   struct StepOutcome {
     std::uint64_t next_pc = 0;
     bool has_trap = false;
     Trap trap;
+  };
+
+  /// The hart state a steady-state loop must repeat, captured where a
+  /// candidate period starts.
+  struct LoopStart {
+    std::uint64_t pc = 0;
+    std::array<std::uint64_t, isa::kNumRegs> regs{};
+    CsrFile csrs;
+    std::uint64_t memory_changes = 0;
+    std::uint64_t instret = 0;  // not compared: only its growth per period
   };
 
   void reset_hart() noexcept;
@@ -72,6 +89,11 @@ class Iss {
   void write_reg(isa::RegIndex rd, std::uint64_t value,
                  isa::CommitRecord& record) noexcept;
 
+  /// Called at probe_.next_step(): compares the state with the captured
+  /// loop start, or looks for a new candidate period. Returns the steps
+  /// skipped (0 unless the state repeated).
+  std::uint64_t probe_loop(isa::ArchResult& out);
+
   [[nodiscard]] std::uint64_t reg(isa::RegIndex index) const noexcept {
     return regs_[index & 0x1f];
   }
@@ -83,6 +105,10 @@ class Iss {
   std::uint64_t pc_ = 0;
   std::uint64_t instret_ = 0;
   std::uint64_t sentinel_pc_ = 0;
+
+  isa::LoopProbe probe_;
+  LoopStart loop_start_;
+  std::uint64_t skipped_steps_ = 0;
 };
 
 }  // namespace mabfuzz::golden

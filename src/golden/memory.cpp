@@ -60,7 +60,11 @@ void Memory::write_block(std::uint64_t addr, const std::uint8_t* in,
                          unsigned bytes) noexcept {
   if (bytes > 0 && contains(addr, bytes)) {
     const std::uint64_t offset = (addr & isa::kPhysAddrMask) - base_;
-    std::memcpy(bytes_.data() + offset, in, bytes);
+    std::uint8_t* block = bytes_.data() + offset;
+    for (unsigned i = 0; i < bytes; ++i) {
+      changes_ += block[i] != in[i] ? 1 : 0;
+    }
+    std::memcpy(block, in, bytes);
     mark_dirty(offset, offset + bytes - 1);
     return;
   }

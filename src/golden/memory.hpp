@@ -71,7 +71,9 @@ class Memory {
     }
     const std::uint64_t offset = addr - base_;
     for (unsigned i = 0; i < bytes; ++i) {
-      bytes_[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+      const auto byte = static_cast<std::uint8_t>(value >> (8 * i));
+      changes_ += bytes_[offset + i] != byte ? 1 : 0;
+      bytes_[offset + i] = byte;
     }
     mark_dirty(offset, offset + bytes - 1);
     return true;
@@ -115,6 +117,11 @@ class Memory {
   /// Number of pages currently marked dirty (diagnostics / benchmarks).
   [[nodiscard]] std::size_t dirty_pages() const noexcept;
 
+  /// Lifetime count of bytes whose value store() or write_block() changed.
+  /// Equal counts at two points of a test mean no DRAM byte changed in
+  /// between (the steady-state loop proof, isa/loop_probe.hpp).
+  [[nodiscard]] std::uint64_t changes() const noexcept { return changes_; }
+
  private:
   void mark_dirty(std::uint64_t first_offset, std::uint64_t last_offset) noexcept {
     const std::uint64_t first_page = first_offset / kPageBytes;
@@ -127,6 +134,7 @@ class Memory {
   std::uint64_t base_;
   std::vector<std::uint8_t> bytes_;
   std::vector<std::uint64_t> dirty_;  // one bit per kPageBytes page
+  std::uint64_t changes_ = 0;
 };
 
 }  // namespace mabfuzz::golden

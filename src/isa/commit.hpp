@@ -56,6 +56,8 @@ struct ArchResult {
   std::uint64_t mtval = 0;
   std::uint64_t mtvec = 0;
   std::uint64_t mscratch = 0;
+
+  friend bool operator==(const ArchResult&, const ArchResult&) = default;
 };
 
 }  // namespace mabfuzz::isa

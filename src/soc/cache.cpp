@@ -1,6 +1,7 @@
 #include "soc/cache.hpp"
 
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -18,6 +19,51 @@ unsigned log2_or_throw(unsigned value, const char* what) {
                                 " must be a power of two");
   }
   return static_cast<unsigned>(std::countr_zero(value));
+}
+
+// Steady-state snapshots of either cache. Both keep the invariant that the
+// touched list holds exactly the valid frames (a fill of an invalid frame
+// adds it; reset and invalidate_all clear valid bits and list together), so
+// it enumerates the valid lines, and equal list sizes with every captured
+// line still valid mean no other line became valid.
+
+std::uint32_t lru_rank(const std::vector<std::uint8_t>& valid,
+                       const std::vector<std::uint32_t>& lru, std::size_t index,
+                       unsigned ways) noexcept {
+  const std::size_t base = index - index % ways;
+  std::uint32_t rank = 0;
+  for (unsigned w = 0; w < ways; ++w) {
+    rank += valid[base + w] != 0 && lru[base + w] < lru[index] ? 1 : 0;
+  }
+  return rank;
+}
+
+void capture_lines(const std::vector<std::uint32_t>& touched,
+                   const std::vector<std::uint8_t>& valid,
+                   const std::vector<std::uint64_t>& tags,
+                   const std::vector<std::uint32_t>& lru, unsigned ways,
+                   std::vector<CachedLine>& out) {
+  out.clear();
+  for (const std::uint32_t index : touched) {
+    out.push_back(CachedLine{index, lru_rank(valid, lru, index, ways), tags[index]});
+  }
+}
+
+bool lines_match(const std::vector<CachedLine>& lines,
+                 const std::vector<std::uint32_t>& touched,
+                 const std::vector<std::uint8_t>& valid,
+                 const std::vector<std::uint64_t>& tags,
+                 const std::vector<std::uint32_t>& lru, unsigned ways) noexcept {
+  if (touched.size() != lines.size()) {
+    return false;
+  }
+  for (const CachedLine& line : lines) {
+    if (valid[line.index] == 0 || tags[line.index] != line.tag ||
+        lru_rank(valid, lru, line.index, ways) != line.lru_rank) {
+      return false;
+    }
+  }
+  return true;
 }
 }  // namespace
 
@@ -107,6 +153,16 @@ void InstructionCache::invalidate_all(coverage::Context& ctx) noexcept {
   touched_.clear();
   last_line_ = kNoLine;
   ctx.hit(cov_flush_);
+}
+
+void InstructionCache::capture(Snapshot& out) const {
+  capture_lines(touched_, valid_, tags_, lru_, params_.ways, out.lines);
+  out.last_line = last_line_;
+}
+
+bool InstructionCache::matches(const Snapshot& snapshot) const noexcept {
+  return last_line_ == snapshot.last_line &&
+         lines_match(snapshot.lines, touched_, valid_, tags_, lru_, params_.ways);
 }
 
 // --- DataCache --------------------------------------------------------------
@@ -365,6 +421,34 @@ void DataCache::flush_all(golden::Memory& memory, coverage::Context& ctx) {
     }
   }
   wb_buffer_busy_ = 0;
+}
+
+void DataCache::capture(Snapshot& out) const {
+  capture_lines(touched_, valid_, tags_, lru_, params_.ways, out.lines);
+  out.dirty.clear();
+  out.data.clear();
+  for (const CachedLine& line : out.lines) {
+    out.dirty.push_back(dirty_[line.index]);
+    const std::uint8_t* bytes = line_data(line.index);
+    out.data.insert(out.data.end(), bytes, bytes + params_.line_bytes);
+  }
+  out.wb_buffer_busy = wb_buffer_busy_;
+}
+
+bool DataCache::matches(const Snapshot& snapshot) const noexcept {
+  if (wb_buffer_busy_ != snapshot.wb_buffer_busy ||
+      !lines_match(snapshot.lines, touched_, valid_, tags_, lru_, params_.ways)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < snapshot.lines.size(); ++i) {
+    const std::uint32_t index = snapshot.lines[i].index;
+    if (dirty_[index] != snapshot.dirty[i] ||
+        std::memcmp(line_data(index), snapshot.data.data() + i * params_.line_bytes,
+                    params_.line_bytes) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace mabfuzz::soc

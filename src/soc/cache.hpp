@@ -61,6 +61,15 @@ struct CacheParams {
   unsigned line_bytes = 32;  // power of two, >= 8
 };
 
+/// A valid line in a steady-state snapshot (isa/loop_probe.hpp): its frame,
+/// tag and rank among its set's valid lines by LRU stamp. Only that order
+/// is observable (it picks victims); the stamps themselves are not.
+struct CachedLine {
+  std::uint32_t index = 0;
+  std::uint32_t lru_rank = 0;
+  std::uint64_t tag = 0;
+};
+
 /// Presence-only I-cache (timing + coverage).
 class InstructionCache {
  public:
@@ -83,6 +92,14 @@ class InstructionCache {
   void invalidate_all(coverage::Context& ctx) noexcept;
 
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
+
+  // Steady-state loop support: the valid lines and the last-line shortcut.
+  struct Snapshot {
+    std::vector<CachedLine> lines;
+    std::uint64_t last_line = 0;
+  };
+  void capture(Snapshot& out) const;
+  [[nodiscard]] bool matches(const Snapshot& snapshot) const noexcept;
 
  private:
   // Line numbers stay below 2^61 with line_bytes >= 8, so none equals it.
@@ -160,6 +177,18 @@ class DataCache {
   void flush_all(golden::Memory& memory, coverage::Context& ctx);
 
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
+
+  // Steady-state loop support: the valid lines with their dirty bits and
+  // bytes, and the writeback-buffer countdown. The presence filter follows
+  // from the valid lines' tags.
+  struct Snapshot {
+    std::vector<CachedLine> lines;
+    std::vector<std::uint8_t> dirty;  // per line
+    std::vector<std::uint8_t> data;   // line_bytes per line
+    unsigned wb_buffer_busy = 0;
+  };
+  void capture(Snapshot& out) const;
+  [[nodiscard]] bool matches(const Snapshot& snapshot) const noexcept;
 
  private:
   static constexpr std::size_t kNoLine = static_cast<std::size_t>(-1);

@@ -49,6 +49,13 @@ class CsrUnit {
   [[nodiscard]] std::uint64_t mtvec() const noexcept { return file_.mtvec(); }
   [[nodiscard]] std::uint64_t mscratch() const noexcept { return file_.mscratch(); }
 
+  /// Steady-state loop support (isa/loop_probe.hpp): the architectural
+  /// file is the unit's only state.
+  void capture(golden::CsrFile& out) const noexcept { out = file_; }
+  [[nodiscard]] bool matches(const golden::CsrFile& snapshot) const noexcept {
+    return file_ == snapshot;
+  }
+
   /// True when `addr` falls in the unimplemented custom/counter ranges whose
   /// accesses the V6 bug turns into X-value reads (0x7C0-0x7FF, 0xB03-0xBFF).
   [[nodiscard]] static bool in_v6_window(isa::CsrAddr addr) noexcept;

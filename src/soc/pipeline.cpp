@@ -30,7 +30,8 @@ Pipeline::Pipeline(PipelineParams params)
       csrs_(params_.identity, params_.bugs, ctx_),
       decode_(params_.decode, params_.bugs, ctx_),
       exec_(params_.exec, ctx_),
-      lsu_(params_.lsu, params_.bugs, ctx_) {
+      lsu_(params_.lsu, params_.bugs, ctx_),
+      probe_(params_.lanes) {
   auto& reg = ctx_.registry();
   fetch_regions_ = static_cast<unsigned>(params_.dram_size >> 12);
   if (fetch_regions_ == 0) {
@@ -196,8 +197,17 @@ void Pipeline::run_impl(const std::vector<Word>& program,
   out.firings.clear();
   out.arch.halt = HaltReason::kBudget;
 
+  probe_.begin_test(decoded_program != nullptr);
+  std::uint64_t next_probe = probe_.next_step();
   for (std::uint64_t step_count = 0; step_count < params_.instruction_budget;
        ++step_count) {
+    if (step_count == next_probe) [[unlikely]] {
+      step_count += probe_loop(out);
+      next_probe = probe_.next_step();
+      if (step_count == params_.instruction_budget) {
+        break;
+      }
+    }
     if (pc_ == sentinel_pc_) {
       out.arch.halt = HaltReason::kSentinel;
       ctx_.hit(cov_halt_, 0);
@@ -318,6 +328,76 @@ void Pipeline::run_impl(const std::vector<Word>& program,
   out.arch.mscratch = csrs_.mscratch();
   out.cycles = cycle_;
   ctx_.take_test_map(out.test_coverage);
+}
+
+std::uint64_t Pipeline::probe_loop(RunOutput& out) {
+  if (probe_.confirming()) {
+    if (!probe_.period_reads_counter(out.arch.commits) && loop_repeats()) {
+      return skip_loop(out);
+    }
+    probe_.reject();
+    return 0;
+  }
+  if (probe_.scan(out.arch.commits, pc_)) {
+    capture_loop_start(out.firings.size());
+  }
+  return 0;
+}
+
+void Pipeline::capture_loop_start(std::size_t firings) {
+  LoopStart& s = loop_start_;
+  s.pc = pc_;
+  s.regs = regs_;
+  csrs_.capture(s.csrs);
+  s.memory_changes = memory_.changes();
+  s.have_prev_issue = have_prev_issue_;
+  s.prev_klass = prev_klass_;
+  s.prev_rd = prev_rd_;
+  s.have_prev_mnemonic = have_prev_mnemonic_;
+  s.prev_mnemonic = prev_mnemonic_;
+  scoreboard_.capture(cycle_, s.scoreboard);
+  rob_.capture(s.rob);
+  predictor_.capture(s.predictor);
+  icache_.capture(s.icache);
+  dcache_.capture(s.dcache);
+  s.cycle = cycle_;
+  s.instret = instret_;
+  s.firings = firings;
+}
+
+bool Pipeline::loop_repeats() const {
+  const LoopStart& s = loop_start_;
+  return pc_ == s.pc && regs_ == s.regs && have_prev_issue_ == s.have_prev_issue &&
+         prev_klass_ == s.prev_klass && prev_rd_ == s.prev_rd &&
+         have_prev_mnemonic_ == s.have_prev_mnemonic &&
+         prev_mnemonic_ == s.prev_mnemonic && csrs_.matches(s.csrs) &&
+         memory_.changes() == s.memory_changes &&
+         scoreboard_.matches(s.scoreboard, cycle_) &&
+         rob_.matches(s.rob, ctx_.test_map()) && predictor_.matches(s.predictor) &&
+         icache_.matches(s.icache) && dcache_.matches(s.dcache);
+}
+
+std::uint64_t Pipeline::skip_loop(RunOutput& out) {
+  const std::uint64_t copies =
+      probe_.replicate(out.arch.commits, params_.instruction_budget);
+  const std::uint64_t period = probe_.period();
+  const std::size_t first = loop_start_.firings;
+  const std::size_t last = out.firings.size();
+  out.firings.reserve(last + copies * (last - first));
+  for (std::uint64_t copy = 1; copy <= copies; ++copy) {
+    for (std::size_t i = first; i < last; ++i) {
+      BugFiring firing = out.firings[i];
+      firing.commit_index += copy * period;
+      out.firings.push_back(firing);
+    }
+  }
+  const std::uint64_t cycles = copies * (cycle_ - loop_start_.cycle);
+  cycle_ += cycles;
+  scoreboard_.delay(cycles);
+  instret_ += copies * (instret_ - loop_start_.instret);
+  const std::uint64_t skipped = copies * period;
+  skipped_steps_ += skipped;
+  return skipped;
 }
 
 void Pipeline::execute_instruction(const DecodeUnit::Outcome& decoded, Word word,

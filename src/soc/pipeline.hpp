@@ -17,6 +17,7 @@
 #include "golden/memory.hpp"
 #include "isa/commit.hpp"
 #include "isa/decoded_program.hpp"
+#include "isa/loop_probe.hpp"
 #include "isa/platform.hpp"
 #include "soc/bugs.hpp"
 #include "soc/cache.hpp"
@@ -52,6 +53,8 @@ struct RunOutput {
   coverage::Map test_coverage;
   FiringLog firings;
   std::uint64_t cycles = 0;
+
+  friend bool operator==(const RunOutput&, const RunOutput&) = default;
 };
 
 class Pipeline {
@@ -72,8 +75,10 @@ class Pipeline {
   void run(const std::vector<isa::Word>& program, RunOutput& out);
 
   /// Pre-decoded hot path: fetched words resolve through `decoded`
-  /// (typically the cache Backend::run_test shares with the golden ISS).
-  /// Architecturally identical to the per-word-decode overloads.
+  /// (typically the cache Backend::run_test shares with the golden ISS),
+  /// and a test that enters an exactly repeating loop jumps to the
+  /// instruction budget (isa/loop_probe.hpp). Identical in every output to
+  /// the per-word-decode overloads, which step every instruction.
   void run(const std::vector<isa::Word>& program, isa::DecodedProgram& decoded,
            RunOutput& out);
 
@@ -84,6 +89,10 @@ class Pipeline {
   [[nodiscard]] std::size_t coverage_universe() const noexcept {
     return ctx_.universe();
   }
+
+  /// Lifetime count of steps the loop skip did not simulate (diagnostics
+  /// and tests only; it never influences execution).
+  [[nodiscard]] std::uint64_t skipped_steps() const noexcept { return skipped_steps_; }
 
  private:
   // Per-commit scratch. The record is built in place at the back of the
@@ -98,6 +107,32 @@ class Pipeline {
     isa::TrapCause cause = isa::TrapCause::kIllegalInstruction;
     unsigned latency = 1;
     bool has_trap = false;
+  };
+
+  /// The state a steady-state loop must repeat, captured where a candidate
+  /// period starts (docs/ARCHITECTURE.md, "Steady-state loops"). Left out:
+  /// decode plans (a pure function's cache), the units' touched lists (they
+  /// only bound reset work), and the test's coverage map (one period later
+  /// it holds every point the period hits).
+  struct LoopStart {
+    std::uint64_t pc = 0;
+    std::array<std::uint64_t, isa::kNumRegs> regs{};
+    golden::CsrFile csrs;
+    std::uint64_t memory_changes = 0;
+    bool have_prev_issue = false;
+    isa::InstrClass prev_klass{};
+    isa::RegIndex prev_rd = 0;
+    bool have_prev_mnemonic = false;
+    isa::Mnemonic prev_mnemonic{};
+    Scoreboard::Snapshot scoreboard;
+    ReorderBuffer::Snapshot rob;
+    BranchPredictor::Snapshot predictor;
+    InstructionCache::Snapshot icache;
+    DataCache::Snapshot dcache;
+    // Not compared: only their growth per period is used.
+    std::uint64_t cycle = 0;
+    std::uint64_t instret = 0;
+    std::size_t firings = 0;
   };
 
   void cold_reset(const std::vector<isa::Word>& program);
@@ -125,6 +160,16 @@ class Pipeline {
 
   void note_pair_issue(isa::InstrClass klass, bool raw_dependent,
                        coverage::Context& ctx);
+
+  /// Called at probe_.next_step(): compares the state with the captured
+  /// loop start, or looks for a new candidate period. Returns the steps
+  /// skipped (0 unless the state repeated).
+  std::uint64_t probe_loop(RunOutput& out);
+  void capture_loop_start(std::size_t firings);
+  [[nodiscard]] bool loop_repeats() const;
+  /// Replicates the confirmed period up to the budget: commits, firings,
+  /// cycles and retired instructions. Returns the steps skipped.
+  std::uint64_t skip_loop(RunOutput& out);
 
   PipelineParams params_;
   coverage::Context ctx_;
@@ -181,6 +226,10 @@ class Pipeline {
   unsigned fetch_regions_ = 0;
   unsigned fetch_region_mask_ = 0;  // fetch_regions_ - 1 when a power of two
   bool fetch_region_pow2_ = false;
+
+  isa::LoopProbe probe_;
+  LoopStart loop_start_;
+  std::uint64_t skipped_steps_ = 0;
 };
 
 }  // namespace mabfuzz::soc

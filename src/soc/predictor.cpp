@@ -80,4 +80,26 @@ void BranchPredictor::update(std::uint64_t pc, bool taken, bool mispredicted,
   }
 }
 
+void BranchPredictor::capture(Snapshot& out) const {
+  out.entries.clear();
+  for (const std::uint32_t index : touched_) {
+    const Entry& e = entries_[index];
+    out.entries.push_back(Snapshot::Valid{index, e.counter, e.tag});
+  }
+}
+
+bool BranchPredictor::matches(const Snapshot& snapshot) const noexcept {
+  // Equal counts and every captured entry unchanged: no entry became valid.
+  if (touched_.size() != snapshot.entries.size()) {
+    return false;
+  }
+  for (const Snapshot::Valid& v : snapshot.entries) {
+    const Entry& e = entries_[v.index];
+    if (e.tag != v.tag || e.counter != v.counter) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace mabfuzz::soc

@@ -36,6 +36,21 @@ class BranchPredictor {
 
   [[nodiscard]] const PredictorParams& params() const noexcept { return params_; }
 
+  // Steady-state loop support (isa/loop_probe.hpp): the valid entries.
+  // Invalid ones are unobservable (predict() checks valid, allocation
+  // rewrites tag and counter). The touched list holds exactly the valid
+  // entries, so it enumerates them.
+  struct Snapshot {
+    struct Valid {
+      std::uint32_t index = 0;
+      std::uint8_t counter = 0;
+      std::uint64_t tag = 0;
+    };
+    std::vector<Valid> entries;
+  };
+  void capture(Snapshot& out) const;
+  [[nodiscard]] bool matches(const Snapshot& snapshot) const noexcept;
+
  private:
   struct Entry {
     bool valid = false;

@@ -59,4 +59,25 @@ void ReorderBuffer::flush(coverage::Context& ctx) noexcept {
   tail_ = 0;
 }
 
+void ReorderBuffer::capture(Snapshot& out) const noexcept {
+  out = Snapshot{head_, tail_, occupancy_};
+}
+
+bool ReorderBuffer::matches(const Snapshot& snapshot,
+                            const coverage::Map& test_map) const noexcept {
+  if (snapshot.head == head_ && snapshot.tail == tail_ &&
+      snapshot.occupancy == occupancy_) {
+    return true;
+  }
+  if (snapshot.occupancy != 0 || occupancy_ != 0) {
+    return false;
+  }
+  for (unsigned slot = 0; slot < slots_; ++slot) {
+    if (!test_map.test(cov_alloc_ + slot) || !test_map.test(cov_retire_ + slot)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace mabfuzz::soc

@@ -46,6 +46,21 @@ class ReorderBuffer {
   /// Trap: every occupied slot is flushed.
   void flush(coverage::Context& ctx) noexcept;
 
+  // Steady-state loop support (isa/loop_probe.hpp).
+  struct Snapshot {
+    unsigned head = 0;
+    unsigned tail = 0;
+    unsigned occupancy = 0;
+  };
+  void capture(Snapshot& out) const noexcept;
+
+  /// Equal pointers and occupancy. Two empty buffers with different
+  /// pointers also match once `test_map` holds every alloc and retire slot
+  /// point: the pointers then decide nothing but which of those points an
+  /// instruction hits again.
+  [[nodiscard]] bool matches(const Snapshot& snapshot,
+                             const coverage::Map& test_map) const noexcept;
+
   [[nodiscard]] unsigned occupancy() const noexcept { return occupancy_; }
   [[nodiscard]] unsigned slots() const noexcept { return slots_; }
   [[nodiscard]] bool enabled() const noexcept { return slots_ != 0; }

@@ -64,7 +64,26 @@ class Scoreboard {
   /// Flushes all pending writers (trap / pipeline flush).
   void flush() noexcept;
 
+  // Steady-state loop support (isa/loop_probe.hpp). Only waits are
+  // observable: a busy register whose ready cycle has passed reads like a
+  // free one, and what a read of a live one does (bypass or stall) depends
+  // on `ready - now` alone.
+
+  /// The live writers at cycle `now` and their remaining waits.
+  struct Snapshot {
+    std::uint32_t live = 0;
+    std::array<std::uint64_t, isa::kNumRegs> wait{};
+  };
+  void capture(std::uint64_t now, Snapshot& out) const noexcept;
+  [[nodiscard]] bool matches(const Snapshot& snapshot, std::uint64_t now) const noexcept;
+
+  /// Moves every pending writer `cycles` later, for a skip that moves the
+  /// pipeline's cycle count by as much.
+  void delay(std::uint64_t cycles) noexcept;
+
  private:
+  [[nodiscard]] std::uint32_t live_mask(std::uint64_t now) const noexcept;
+
   static_assert(isa::kNumRegs <= 32, "busy_ mask is one bit per register");
 
   std::uint32_t busy_ = 0;  // bit r set => ready_cycle_[r] is live

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "coverage/summary.hpp"
 #include "soc/cores.hpp"
 
@@ -55,6 +57,43 @@ TEST(Summary, TotalsMatchUniverseOnRealCore) {
     EXPECT_EQ(g.covered, 0u);
   }
   EXPECT_EQ(total, dut.coverage_universe());
+}
+
+TEST(Summary, ArrayPointsShareTheirRegisteredNamesGroups) {
+  Registry reg;
+  reg.add_array("flat", 2);
+  reg.add_array("unit/part", 3);
+  Map covered(reg.size());
+  covered.set(1);
+  covered.set(3);
+
+  const auto units = summarize_units(reg, covered);
+  ASSERT_EQ(units.size(), 2u);
+  EXPECT_EQ(units[0].group, "unit");
+  EXPECT_EQ(units[0].total, 3u);
+  EXPECT_EQ(units[0].covered, 1u);
+  EXPECT_EQ(units[1].group, "flat");
+  EXPECT_EQ(units[1].total, 2u);
+  EXPECT_EQ(units[1].covered, 1u);
+  const auto groups = summarize_groups(reg, covered);
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].group, "unit/part");
+  EXPECT_EQ(groups[1].group, "flat");
+}
+
+TEST(Registry, NamesAreBuiltOnDemand) {
+  Registry reg;
+  EXPECT_EQ(reg.add("single"), 0u);
+  EXPECT_EQ(reg.add_array("arr", 3), 1u);
+  EXPECT_EQ(reg.add_array("none", 0), 4u);
+  EXPECT_EQ(reg.add("tail"), 4u);
+  EXPECT_EQ(reg.size(), 5u);
+  EXPECT_EQ(reg.entries().size(), 3u);
+  EXPECT_EQ(reg.name(0), "single");
+  EXPECT_EQ(reg.name(1), "arr[0]");
+  EXPECT_EQ(reg.name(3), "arr[2]");
+  EXPECT_EQ(reg.name(4), "tail");
+  EXPECT_THROW((void)reg.name(5), std::out_of_range);
 }
 
 TEST(Summary, EmptyRegistry) {

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "fuzz/backend.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/seedgen.hpp"
 #include "golden/iss.hpp"
+#include "isa/builder.hpp"
 #include "isa/decoded_program.hpp"
+#include "isa/platform.hpp"
 #include "mutation/engine.hpp"
 #include "soc/cores.hpp"
 #include "soc/pipeline.hpp"
@@ -109,73 +112,72 @@ INSTANTIATE_TEST_SUITE_P(AllCores, CleanCoreDifferential,
 // backend whose ExecutionContext is reused across many tests must produce
 // the same outcomes as a backend constructed fresh for each test.
 
+// Both simulators on both paths: the per-word-decode reference overloads,
+// which step every instruction, against the pre-decoded hot path with its
+// decode cache, decode plans and steady-state loop skip. Each side reuses one
+// set of output buffers across programs, exactly the Backend::run_test
+// ownership pattern, so buffer reuse is under test too.
+struct PathPair {
+  PathPair(soc::CoreKind core, soc::BugSet bugs)
+      : kind(core),
+        dut_ref(soc::core_params(core, bugs)),
+        dut_pre(soc::core_params(core, bugs)),
+        iss_ref(soc::golden_config_for(core)),
+        iss_pre(soc::golden_config_for(core)) {}
+
+  /// Runs `program` four times and expects every output equal: the whole
+  /// RunOutput (commits, end state, cycles, coverage, firings) and the
+  /// whole ISS ArchResult. The skip reaches its end state by a jump, so no
+  /// field may be left out.
+  void expect_equivalent(const std::vector<isa::Word>& program,
+                         const std::string& label) {
+    dut_ref.run(program, dut_ref_out);
+    decoded.build(program);
+    dut_pre.run(program, decoded, dut_pre_out);
+    ASSERT_EQ(dut_ref_out.arch.commits, dut_pre_out.arch.commits)
+        << soc::core_name(kind) << " " << label
+        << ": pre-decoded pipeline commit trace diverged";
+    EXPECT_TRUE(dut_ref_out.arch == dut_pre_out.arch)
+        << soc::core_name(kind) << " " << label << ": pipeline end state diverged";
+    EXPECT_EQ(dut_ref_out.cycles, dut_pre_out.cycles)
+        << soc::core_name(kind) << " " << label << ": cycle annotation diverged";
+    EXPECT_EQ(dut_ref_out.firings, dut_pre_out.firings)
+        << soc::core_name(kind) << " " << label << ": bug firing log diverged";
+    EXPECT_TRUE(dut_ref_out.test_coverage == dut_pre_out.test_coverage)
+        << soc::core_name(kind) << " " << label << ": coverage bitmap diverged";
+
+    iss_ref.run(program, iss_ref_out);
+    iss_pre.run(program, decoded, iss_pre_out);
+    ASSERT_EQ(iss_ref_out.commits, iss_pre_out.commits)
+        << soc::core_name(kind) << " " << label
+        << ": pre-decoded ISS commit trace diverged";
+    EXPECT_TRUE(iss_ref_out == iss_pre_out)
+        << soc::core_name(kind) << " " << label << ": ISS end state diverged";
+  }
+
+  soc::CoreKind kind;
+  soc::Pipeline dut_ref;
+  soc::Pipeline dut_pre;
+  golden::Iss iss_ref;
+  golden::Iss iss_pre;
+  isa::DecodedProgram decoded;
+  soc::RunOutput dut_ref_out;
+  soc::RunOutput dut_pre_out;
+  isa::ArchResult iss_ref_out;
+  isa::ArchResult iss_pre_out;
+};
+
 class DecodeCacheEquivalence : public ::testing::TestWithParam<soc::CoreKind> {};
-
-// One comparison: reference (decode-per-word) vs pre-decoded (shared cache);
-// both sides run through the buffer-reuse overloads, so reuse and caching
-// are exercised together.
-void expect_predecoded_equivalent(soc::CoreKind kind, const soc::BugSet& bugs,
-                                  const std::vector<isa::Word>& program,
-                                  soc::Pipeline& dut_ref, soc::Pipeline& dut_pre,
-                                  golden::Iss& iss_ref, golden::Iss& iss_pre,
-                                  isa::DecodedProgram& decoded,
-                                  soc::RunOutput& ref, soc::RunOutput& dut_out,
-                                  isa::ArchResult& iss_ref_out,
-                                  isa::ArchResult& iss_out, int t) {
-  // The reference side uses the decode-per-word *buffer-reuse* overloads —
-  // both halves of the refactor (reuse and cache) are under test here.
-  dut_ref.run(program, ref);
-  decoded.build(program);
-  dut_pre.run(program, decoded, dut_out);
-  ASSERT_EQ(ref.arch.commits, dut_out.arch.commits)
-      << soc::core_name(kind) << (bugs.empty() ? " (clean)" : " (default bugs)")
-      << ": pre-decoded pipeline commit trace diverged on program " << t;
-  EXPECT_EQ(ref.arch.regs, dut_out.arch.regs);
-  EXPECT_EQ(ref.arch.instret, dut_out.arch.instret);
-  EXPECT_EQ(ref.arch.halt, dut_out.arch.halt);
-  EXPECT_EQ(ref.arch.mstatus, dut_out.arch.mstatus);
-  EXPECT_EQ(ref.arch.mepc, dut_out.arch.mepc);
-  EXPECT_EQ(ref.arch.mcause, dut_out.arch.mcause);
-  EXPECT_EQ(ref.arch.mtval, dut_out.arch.mtval);
-  EXPECT_EQ(ref.arch.mscratch, dut_out.arch.mscratch);
-  EXPECT_EQ(ref.cycles, dut_out.cycles) << "cycle annotation diverged";
-  EXPECT_EQ(ref.firings, dut_out.firings) << "bug firing log diverged";
-  EXPECT_TRUE(ref.test_coverage == dut_out.test_coverage)
-      << "coverage bitmap diverged on program " << t;
-
-  iss_ref.run(program, iss_ref_out);
-  iss_pre.run(program, decoded, iss_out);
-  ASSERT_EQ(iss_ref_out.commits, iss_out.commits)
-      << soc::core_name(kind)
-      << ": pre-decoded ISS commit trace diverged on program " << t;
-  EXPECT_EQ(iss_ref_out.regs, iss_out.regs);
-  EXPECT_EQ(iss_ref_out.instret, iss_out.instret);
-  EXPECT_EQ(iss_ref_out.halt, iss_out.halt);
-  EXPECT_EQ(iss_ref_out.mcause, iss_out.mcause);
-  EXPECT_EQ(iss_ref_out.mtval, iss_out.mtval);
-}
 
 TEST_P(DecodeCacheEquivalence, PreDecodedPathMatchesPerWordDecode) {
   const soc::CoreKind kind = GetParam();
   // Default (paper) bug set: V1-V6 on CVA6, V7 on Rocket, none on BOOM —
   // the injected-bug behaviours must be bit-exact through the cache too.
-  const soc::BugSet bugs = soc::default_bugs(kind);
-  soc::Pipeline dut_ref(soc::core_params(kind, bugs));
-  soc::Pipeline dut_pre(soc::core_params(kind, bugs));
-  golden::Iss iss_ref(soc::golden_config_for(kind));
-  golden::Iss iss_pre(soc::golden_config_for(kind));
+  PathPair paths(kind, soc::default_bugs(kind));
   fuzz::SeedGenerator gen(fuzz::SeedGenConfig{},
                           common::make_stream(4242, 0, "decode-cache"));
   mutation::Engine engine(mutation::EngineConfig{},
                           common::make_stream(4242, 0, "decode-cache-mut"));
-
-  // One cache and one set of output buffers reused for the whole suite
-  // (on BOTH sides): exactly the Backend::run_test ownership pattern.
-  isa::DecodedProgram decoded;
-  soc::RunOutput ref_out;
-  soc::RunOutput dut_out;
-  isa::ArchResult iss_ref_out;
-  isa::ArchResult iss_out;
 
   for (int t = 0; t < 25; ++t) {
     std::vector<isa::Word> program = gen.next_program();
@@ -186,9 +188,7 @@ TEST_P(DecodeCacheEquivalence, PreDecodedPathMatchesPerWordDecode) {
         program = engine.mutate(program);
       }
     }
-    expect_predecoded_equivalent(kind, bugs, program, dut_ref, dut_pre, iss_ref,
-                                 iss_pre, decoded, ref_out, dut_out,
-                                 iss_ref_out, iss_out, t);
+    paths.expect_equivalent(program, "program " + std::to_string(t));
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
@@ -197,6 +197,192 @@ TEST_P(DecodeCacheEquivalence, PreDecodedPathMatchesPerWordDecode) {
 
 INSTANTIATE_TEST_SUITE_P(AllCores, DecodeCacheEquivalence,
                          ::testing::ValuesIn(soc::kAllCores), core_param_name);
+
+// --- steady-state loop skip -------------------------------------------------------
+//
+// The pre-decoded paths jump over the exactly repeating tail of a
+// budget-bound test (isa/loop_probe.hpp). The jump must be invisible: on the
+// mutant-lineage stream of every core and bug set, and on hand-built loops
+// aimed at each rule of the state comparison, the skipping side must equal
+// the per-word reference in every output. skipped_steps() shows where the
+// skip ran and where it must stay out.
+
+soc::BugSet bugs_named(soc::CoreKind kind, std::string_view which) {
+  if (which == "none") {
+    return soc::BugSet::none();
+  }
+  return which == "default" ? soc::default_bugs(kind) : soc::BugSet::all();
+}
+
+class LoopSkipEquivalence : public ::testing::TestWithParam<soc::CoreKind> {};
+
+TEST_P(LoopSkipEquivalence, LineageStreamMatchesPerWordReference) {
+  const soc::CoreKind kind = GetParam();
+  for (const std::string_view bugs : {"none", "default", "all"}) {
+    PathPair paths(kind, bugs_named(kind, bugs));
+    fuzz::SeedGenerator gen(fuzz::SeedGenConfig{},
+                            common::make_stream(5151, 0, "loop-skip"));
+    mutation::Engine engine(mutation::EngineConfig{},
+                            common::make_stream(5151, 0, "loop-skip-mut"));
+    for (int seed = 0; seed < 16; ++seed) {
+      std::vector<isa::Word> program = gen.next_program();
+      for (int depth = 0; depth <= 30; ++depth) {
+        if (depth > 0) {
+          program = engine.mutate(program);
+        }
+        paths.expect_equivalent(program, "bugs " + std::string(bugs) + ", seed " +
+                                             std::to_string(seed) + ", depth " +
+                                             std::to_string(depth));
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+    // The skip path ran, and only on the pre-decoded side.
+    EXPECT_GT(paths.dut_pre.skipped_steps(), 0U) << "bugs " << bugs;
+    EXPECT_GT(paths.iss_pre.skipped_steps(), 0U) << "bugs " << bugs;
+    EXPECT_EQ(paths.dut_ref.skipped_steps(), 0U);
+    EXPECT_EQ(paths.iss_ref.skipped_steps(), 0U);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCores, LoopSkipEquivalence,
+                         ::testing::ValuesIn(soc::kAllCores), core_param_name);
+
+// One hand-built loop on one core: every output equal to the reference, the
+// run ends at the budget, and each simulator skipped or did not, as stated.
+void expect_loop(soc::CoreKind kind, soc::BugSet bugs,
+                 const std::vector<isa::Word>& program, bool dut_skips,
+                 bool iss_skips) {
+  PathPair paths(kind, bugs);
+  paths.expect_equivalent(program, "hand-built loop");
+  EXPECT_EQ(paths.dut_ref_out.arch.halt, isa::HaltReason::kBudget)
+      << soc::core_name(kind);
+  EXPECT_EQ(paths.dut_pre.skipped_steps() > 0, dut_skips)
+      << soc::core_name(kind) << ": pipeline skipped "
+      << paths.dut_pre.skipped_steps() << " steps";
+  EXPECT_EQ(paths.iss_pre.skipped_steps() > 0, iss_skips)
+      << soc::core_name(kind) << ": ISS skipped " << paths.iss_pre.skipped_steps()
+      << " steps";
+}
+
+void expect_loop_on_every_core(const std::vector<isa::Word>& program, bool skips) {
+  for (const soc::CoreKind kind : soc::kAllCores) {
+    expect_loop(kind, soc::default_bugs(kind), program, skips, skips);
+  }
+}
+
+// x6 := the scratch region seeds use for memory traffic.
+isa::Instruction load_scratch_base(isa::RegIndex rd) {
+  return isa::lui(rd, static_cast<std::int32_t>(isa::kScratchBase));
+}
+
+TEST(LoopSkip, RobPointersMatchOnlyOnceEverySlotIsCovered) {
+  // 80 trap-free commits cover ROB slots 0-79; the ecall's flush resets the
+  // pointers, and the `jal x0, 0` loop then walks them one slot per commit.
+  // Two empty ROBs with different pointers differ only in which slot points
+  // they hit next, so the pipeline may skip only once slots 80-95 are
+  // covered too. Skipping earlier loses those points.
+  std::vector<isa::Instruction> program(80, isa::addi(1, 1, 1));
+  program.push_back(isa::ecall());
+  program.push_back(isa::jal(0, 0));
+  expect_loop(soc::CoreKind::kBoom, soc::BugSet::none(), isa::assemble(program),
+              true, true);
+}
+
+TEST(LoopSkip, CounterCsrReadBlocksSkip) {
+  // `time` is instret / 8, outside the compared state: x7 holds still for a
+  // few periods, then moves. No period that reads a counter repeats. Loops
+  // of 2-5 instructions after 0-7 straight-line ones put the read at every
+  // phase of the probe's schedule.
+  for (std::size_t prefix = 0; prefix < 8; ++prefix) {
+    for (int nops = 0; nops < 4; ++nops) {
+      std::vector<isa::Instruction> program(prefix, isa::addi(5, 5, 1));
+      program.push_back(isa::csrrs(7, isa::csr::kTime, 0));
+      program.insert(program.end(), static_cast<std::size_t>(nops), isa::nop());
+      program.push_back(isa::jal(0, -4 * (nops + 1)));
+      expect_loop_on_every_core(isa::assemble(program), false);
+    }
+  }
+}
+
+TEST(LoopSkip, MidProgramSelfLoop) {
+  expect_loop_on_every_core(
+      isa::assemble({isa::addi(5, 0, 7), isa::addi(6, 0, 9), isa::jal(0, 0),
+                     isa::addi(7, 0, 1), isa::addi(8, 0, 2)}),
+      true);
+}
+
+TEST(LoopSkip, TrapLoop) {
+  // ecall, four handler instructions, mret back to the jal: every period
+  // flushes the ROB and scoreboard and rewrites mepc, mcause and t6.
+  expect_loop_on_every_core(
+      isa::assemble({isa::addi(5, 0, 3), isa::ecall(), isa::jal(0, -4)}), true);
+}
+
+TEST(LoopSkip, IdempotentStoreLoop) {
+  // The first store changes DRAM (or a D$ line); every later one rewrites
+  // the same bytes, so the state repeats.
+  expect_loop_on_every_core(
+      isa::assemble({load_scratch_base(6), isa::addi(5, 0, 0x55), isa::sd(6, 5, 0),
+                     isa::jal(0, -4)}),
+      true);
+}
+
+TEST(LoopSkip, FenceLoopsOverDirtyLines) {
+  // FENCE writes the dirty lines back every period; FENCE.I also empties
+  // the I$, which refills along the same path.
+  for (const isa::Instruction& fence : {isa::fence(), isa::fence_i()}) {
+    expect_loop_on_every_core(
+        isa::assemble({load_scratch_base(6), isa::addi(5, 0, 0x66), isa::sd(6, 5, 0),
+                       isa::sd(6, 5, 40), fence, isa::jal(0, -12)}),
+        true);
+  }
+}
+
+TEST(LoopSkip, ThrashedCva6DataCache) {
+  // CVA6's D$ has 2 sets of 1 way: the two stores evict each other's dirty
+  // line every period, and the writebacks rewrite DRAM with equal bytes.
+  expect_loop(soc::CoreKind::kCva6, soc::default_bugs(soc::CoreKind::kCva6),
+              isa::assemble({load_scratch_base(6), isa::addi(5, 0, 0x77),
+                             isa::sd(6, 5, 0), isa::sd(6, 5, 64), isa::ld(7, 6, 8),
+                             isa::jal(0, -12)}),
+              true, true);
+}
+
+TEST(LoopSkip, OddPeriodOnTwoLaneBoom) {
+  // A 3-instruction loop alternates lanes from one iteration to the next,
+  // so the pipeline proves and replicates a 6-step period.
+  expect_loop(soc::CoreKind::kBoom, soc::BugSet::none(),
+              isa::assemble({isa::addi(5, 0, 1), isa::addi(6, 5, 2),
+                             isa::xori(7, 6, 3), isa::jal(0, -8)}),
+              true, true);
+}
+
+TEST(LoopSkip, V4FiresEveryPeriodOnCva6) {
+  // Both lines have address bits [7:6] set and share CVA6's D$ set 0, so
+  // every store drops the other line's writeback (V4). The replicated
+  // firings must carry the right commit indices.
+  PathPair paths(soc::CoreKind::kCva6, soc::default_bugs(soc::CoreKind::kCva6));
+  paths.expect_equivalent(
+      isa::assemble({load_scratch_base(6), isa::addi(5, 0, 0x11),
+                     isa::sd(6, 5, 0xC0), isa::sd(6, 5, 0x1C0), isa::jal(0, -8)}),
+      "V4 loop");
+  EXPECT_GT(paths.dut_pre.skipped_steps(), 0U);
+  EXPECT_GT(paths.dut_pre_out.firings.size(), 300U);
+  EXPECT_EQ(paths.dut_pre_out.firings.back().id, soc::BugId::kV4LostWriteback);
+}
+
+TEST(LoopSkip, V7FiresEveryPeriodOnRocket) {
+  // EBREAK traps and skips the minstret increment (V7): the period's
+  // retired-instruction growth is one short of its length.
+  PathPair paths(soc::CoreKind::kRocket, soc::default_bugs(soc::CoreKind::kRocket));
+  paths.expect_equivalent(isa::assemble({isa::ebreak(), isa::jal(0, -4)}), "V7 loop");
+  EXPECT_GT(paths.dut_pre.skipped_steps(), 0U);
+  EXPECT_GT(paths.dut_pre_out.firings.size(), 100U);
+  EXPECT_EQ(paths.dut_pre_out.firings.back().id, soc::BugId::kV7EbreakInstret);
+  EXPECT_LT(paths.dut_pre_out.arch.instret, paths.dut_pre_out.arch.commits.size());
+}
 
 // A backend reusing its ExecutionContext (decode cache + run buffers +
 // dirty-region DRAM) across a long test sequence must report exactly what a
@@ -241,6 +427,108 @@ TEST(ExecutionContextReuse, ReusedBackendMatchesFreshBackendPerTest) {
   // tests), or this test proves nothing about the scratch path.
   EXPECT_GT(reused.execution_context().decoded.lookups(),
             reused.execution_context().decoded.misses());
+}
+
+// --- behaviour lock -------------------------------------------------------------
+//
+// The equivalence tests compare two execution paths of one build, so a
+// change that moves both paths at once passes them. This lock folds every
+// TestOutcome field of a fixed lineage stream into one FNV-1a-64 digest per
+// (core, bug set) and compares it with constants recorded before the
+// steady-state loop skip (docs/ARCHITECTURE.md, "Steady-state loops")
+// landed. About a fifth of these tests run into the instruction budget, so
+// the skip path is inside the lock. A deliberate behaviour change updates
+// the constants in the same change, and says so.
+
+class Fnv1a64 {
+ public:
+  void add(std::uint64_t value) noexcept {
+    for (unsigned i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((value >> (8 * i)) & 0xff)) * kPrime;
+    }
+  }
+  void add(std::string_view text) noexcept {
+    add(text.size());
+    for (const char c : text) {
+      hash_ = (hash_ ^ static_cast<std::uint8_t>(c)) * kPrime;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+void fold_outcome(const fuzz::TestOutcome& outcome, Fnv1a64& digest) {
+  digest.add(outcome.coverage.universe());
+  for (const std::uint64_t word : outcome.coverage.words()) {
+    digest.add(word);
+  }
+  digest.add(outcome.commits);
+  digest.add(outcome.dut_cycles);
+  digest.add(outcome.mismatch ? 1 : 0);
+  digest.add(outcome.mismatch_description);
+  digest.add(outcome.mismatch_commit);
+  digest.add(outcome.firings.size());
+  for (const soc::BugFiring& firing : outcome.firings) {
+    digest.add(static_cast<std::uint64_t>(firing.id));
+    digest.add(firing.commit_index);
+  }
+}
+
+TEST(BehaviourLock, LineageOutcomesMatchRecordedDigests) {
+  struct Case {
+    soc::CoreKind core;
+    const char* bugs;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {soc::CoreKind::kCva6, "none", 0x42802f0283e1e8f6ULL},
+      {soc::CoreKind::kCva6, "default", 0x6f3b88af42235e87ULL},
+      {soc::CoreKind::kCva6, "all", 0x3371263d033b00e6ULL},
+      {soc::CoreKind::kRocket, "none", 0x132aecbce49cb560ULL},
+      {soc::CoreKind::kRocket, "default", 0x20fac1a988dc908bULL},
+      {soc::CoreKind::kRocket, "all", 0x658f2ee0c9806c1eULL},
+      {soc::CoreKind::kBoom, "none", 0x00496bc211034ed3ULL},
+      {soc::CoreKind::kBoom, "default", 0x00496bc211034ed3ULL},
+      {soc::CoreKind::kBoom, "all", 0x68f5ded6b280b318ULL},
+  };
+  constexpr int kSeeds = 40;
+  constexpr int kLineageDepth = 50;
+
+  for (const Case& c : cases) {
+    fuzz::BackendConfig config;
+    config.core = c.core;
+    config.bugs = bugs_named(c.core, c.bugs);
+    config.rng_seed = 7;
+    fuzz::Backend backend(config);
+
+    Fnv1a64 digest;
+    fuzz::TestOutcome outcome;
+    int tests = 0;
+    int budget_bound = 0;
+    for (int s = 0; s < kSeeds; ++s) {
+      fuzz::TestCase test = backend.make_seed();
+      for (int depth = 0; depth <= kLineageDepth; ++depth) {
+        if (depth > 0) {
+          test = backend.make_mutant(test);
+        }
+        backend.run_test(test, outcome);
+        fold_outcome(outcome, digest);
+        ++tests;
+        budget_bound += backend.execution_context().dut_out.arch.halt ==
+                                isa::HaltReason::kBudget
+                            ? 1
+                            : 0;
+      }
+    }
+    EXPECT_EQ(digest.value(), c.digest)
+        << soc::core_name(c.core) << " with bugs " << c.bugs
+        << ": the outcome stream changed";
+    // The lock must reach the budget-bound tail, or it cannot see the skip.
+    EXPECT_GT(budget_bound, tests / 10) << soc::core_name(c.core);
+  }
 }
 
 TEST(DifferentialOracle, EnabledBugStillDiverges) {

@@ -130,6 +130,22 @@ TEST(Memory, WritesAfterResetAreTrackedAgain) {
   EXPECT_EQ(mem.dirty_pages(), 0u);
 }
 
+TEST(Memory, ChangesCountBytesWhoseValueChanged) {
+  Memory memory(kDramBase, 4096);
+  memory.store(kDramBase, 0x1122, 2);
+  EXPECT_EQ(memory.changes(), 2u);
+  memory.store(kDramBase, 0x1122, 2);  // same bytes
+  EXPECT_EQ(memory.changes(), 2u);
+  memory.store(kDramBase, 0x3322, 2);
+  EXPECT_EQ(memory.changes(), 3u);
+  std::uint8_t block[4] = {0x22, 0x33, 0, 0};
+  memory.write_block(kDramBase, block, 4);
+  EXPECT_EQ(memory.changes(), 3u);
+  block[3] = 1;
+  memory.write_block(kDramBase, block, 4);
+  EXPECT_EQ(memory.changes(), 4u);
+}
+
 TEST(Memory, PartialTrailingPageResetsFully) {
   // A RAM whose size is not a page multiple: the trailing partial page must
   // reset without touching out-of-range bytes.

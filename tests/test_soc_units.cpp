@@ -127,6 +127,34 @@ TEST(ICacheShortcut, CoverageMatchesAFreshProbe) {
   EXPECT_EQ(warm_ctx.test_map().count(), 1u);
 }
 
+// Steady-state snapshots (isa/loop_probe.hpp): every line, its set's LRU
+// order and the last-line shortcut must be compared; LRU stamps must not.
+TEST_F(ICacheTest, SnapshotComparesLinesLruOrderAndLastLine) {
+  ctx_.begin_test();
+  const std::uint64_t a = kDramBase;
+  const std::uint64_t b = kDramBase + 4 * 32;  // set 0 as well
+  const std::uint64_t c = kDramBase + 32;      // set 1
+  icache_.access(a, ctx_);
+  icache_.access(b, ctx_);
+  icache_.access(c, ctx_);
+  InstructionCache::Snapshot snapshot;
+  icache_.capture(snapshot);
+  EXPECT_TRUE(icache_.matches(snapshot));
+
+  icache_.access(a, ctx_);  // set 0 order flips; the last line is c again
+  icache_.access(c, ctx_);
+  EXPECT_FALSE(icache_.matches(snapshot));
+  icache_.access(b, ctx_);  // the captured order again, with newer stamps
+  icache_.access(c, ctx_);
+  EXPECT_TRUE(icache_.matches(snapshot));
+
+  icache_.access(b, ctx_);  // same lines and order, last line b
+  EXPECT_FALSE(icache_.matches(snapshot));
+  icache_.access(kDramBase + 3 * 32, ctx_);  // one more valid line
+  icache_.access(c, ctx_);
+  EXPECT_FALSE(icache_.matches(snapshot));
+}
+
 // --- DataCache ------------------------------------------------------------------
 
 class DCacheTest : public ::testing::Test {
@@ -317,6 +345,36 @@ TEST_F(DCacheTest, PhysicalAliasesShareLines) {
   EXPECT_EQ(dcache_.load(kDramBase, 1, memory_, ctx_, false).value, 0x7fu);
 }
 
+TEST_F(DCacheTest, SnapshotComparesDataDirtyLruOrderAndWritebackBuffer) {
+  const std::uint64_t a = kDramBase;
+  const std::uint64_t b = kDramBase + 2 * 32;  // set 0 as well
+  dcache_.store(a, 0x11, 1, memory_, ctx_, false);
+  dcache_.load(b, 1, memory_, ctx_, false);
+  DataCache::Snapshot snapshot;
+  dcache_.capture(snapshot);
+  EXPECT_TRUE(dcache_.matches(snapshot));
+
+  dcache_.store(a, 0x11, 1, memory_, ctx_, false);  // same bytes, order flips
+  EXPECT_FALSE(dcache_.matches(snapshot));
+  dcache_.load(b, 1, memory_, ctx_, false);  // the captured order again
+  EXPECT_TRUE(dcache_.matches(snapshot));
+
+  dcache_.store(a + 1, 0x22, 1, memory_, ctx_, false);  // new bytes in a
+  dcache_.load(b, 1, memory_, ctx_, false);
+  EXPECT_FALSE(dcache_.matches(snapshot));
+  dcache_.capture(snapshot);
+  dcache_.store(b, 0, 1, memory_, ctx_, false);  // b turns dirty, bytes unchanged
+  EXPECT_FALSE(dcache_.matches(snapshot));
+
+  // A dirty eviction arms the writeback buffer for three accesses; a hit on
+  // the most recently used line changes nothing else.
+  dcache_.load(kDramBase + 4 * 32, 1, memory_, ctx_, false);
+  dcache_.load(kDramBase + 4 * 32, 1, memory_, ctx_, false);
+  dcache_.capture(snapshot);
+  dcache_.load(kDramBase + 4 * 32, 1, memory_, ctx_, false);
+  EXPECT_FALSE(dcache_.matches(snapshot));
+}
+
 // --- BranchPredictor ---------------------------------------------------------------
 
 class PredictorTest : public ::testing::Test {
@@ -358,6 +416,20 @@ TEST_F(PredictorTest, ResetForgets) {
   EXPECT_FALSE(predictor_.predict(kDramBase, ctx_).btb_hit);
 }
 
+TEST_F(PredictorTest, SnapshotComparesValidEntries) {
+  predictor_.update(kDramBase, true, false, ctx_);  // allocated, weakly taken
+  BranchPredictor::Snapshot snapshot;
+  predictor_.capture(snapshot);
+  EXPECT_TRUE(predictor_.matches(snapshot));
+  predictor_.update(kDramBase, true, false, ctx_);  // counter moves
+  EXPECT_FALSE(predictor_.matches(snapshot));
+  predictor_.capture(snapshot);
+  predictor_.update(kDramBase, true, false, ctx_);  // saturated: no change
+  EXPECT_TRUE(predictor_.matches(snapshot));
+  predictor_.update(kDramBase + 4, false, false, ctx_);  // a new valid entry
+  EXPECT_FALSE(predictor_.matches(snapshot));
+}
+
 // --- Scoreboard -----------------------------------------------------------------------
 
 class ScoreboardTest : public ::testing::Test {
@@ -395,6 +467,19 @@ TEST_F(ScoreboardTest, FlushClears) {
   EXPECT_EQ(sb_.check_read(7, 0, ctx_), 0u);
 }
 
+TEST_F(ScoreboardTest, SnapshotComparesWaitsNotCycles) {
+  sb_.mark_write(5, 110, ctx_);
+  sb_.mark_write(6, 95, ctx_);  // done by cycle 100: reads like a free register
+  Scoreboard::Snapshot snapshot;
+  sb_.capture(100, snapshot);
+  EXPECT_TRUE(sb_.matches(snapshot, 100));
+  EXPECT_FALSE(sb_.matches(snapshot, 101));  // x5 waits 9 cycles, not 10
+  sb_.delay(50);
+  EXPECT_TRUE(sb_.matches(snapshot, 150));
+  sb_.mark_write(7, 152, ctx_);  // one more live writer
+  EXPECT_FALSE(sb_.matches(snapshot, 150));
+}
+
 // --- ReorderBuffer ----------------------------------------------------------------------
 
 class RobTest : public ::testing::Test {
@@ -427,6 +512,19 @@ TEST_F(RobTest, FlushEmpties) {
   rob_.allocate(ctx_);
   rob_.flush(ctx_);
   EXPECT_EQ(rob_.occupancy(), 0u);
+}
+
+TEST_F(RobTest, SnapshotIgnoresEmptyPointersOnceEverySlotIsCovered) {
+  ReorderBuffer::Snapshot snapshot;
+  rob_.capture(snapshot);  // empty, pointers at slot 0
+  rob_.dispatch_retire(ctx_);
+  EXPECT_FALSE(rob_.matches(snapshot, ctx_.test_map()));  // slots 1-3 uncovered
+  for (int i = 0; i < 4; ++i) {
+    rob_.dispatch_retire(ctx_);
+  }
+  EXPECT_TRUE(rob_.matches(snapshot, ctx_.test_map()));  // pointers at slot 1
+  rob_.allocate(ctx_);
+  EXPECT_FALSE(rob_.matches(snapshot, ctx_.test_map()));  // not empty
 }
 
 TEST(RobDisabled, ZeroSlotsIsNoop) {
