@@ -387,7 +387,6 @@ std::string_view stop_reason_name(StopReason reason) noexcept {
     case StopReason::kWallClock: return "wall-clock";
     case StopReason::kBugDetected: return "bug-detected";
     case StopReason::kAllBugsDetected: return "all-bugs-detected";
-    case StopReason::kCoverageTarget: return "coverage-target";
     case StopReason::kCustom: return "custom";
   }
   return "?";
@@ -424,12 +423,6 @@ StopCondition StopCondition::all_bugs_detected() {
           [](const Campaign& c) { return c.all_enabled_bugs_detected(); }};
 }
 
-StopCondition StopCondition::coverage_at_least(std::size_t points) {
-  return {StopReason::kCoverageTarget,
-          "coverage_at_least(" + std::to_string(points) + ")",
-          [points](const Campaign& c) { return c.covered() >= points; }};
-}
-
 StopCondition StopCondition::custom(std::string label, Predicate fn) {
   return {StopReason::kCustom, std::move(label), std::move(fn)};
 }
@@ -440,15 +433,6 @@ StopCondition StopCondition::operator||(StopCondition other) const {
     combined.clauses_.push_back(std::move(clause));
   }
   return combined;
-}
-
-std::optional<StopReason> StopCondition::evaluate(const Campaign& campaign) const {
-  for (const Clause& clause : clauses_) {
-    if (clause.satisfied(campaign)) {
-      return clause.reason;
-    }
-  }
-  return std::nullopt;
 }
 
 std::string StopCondition::describe() const {

@@ -127,7 +127,6 @@ enum class StopReason : std::uint8_t {
   kWallClock,
   kBugDetected,
   kAllBugsDetected,
-  kCoverageTarget,
   kCustom,
 };
 
@@ -153,16 +152,11 @@ class StopCondition {
   /// Stop once every bug enabled in the campaign's BugSet is detected.
   /// Never satisfied when no bugs are enabled (compose with max_tests).
   [[nodiscard]] static StopCondition all_bugs_detected();
-  /// Stop once accumulated coverage reaches `points`.
-  [[nodiscard]] static StopCondition coverage_at_least(std::size_t points);
   /// Escape hatch for experiment-specific conditions.
   [[nodiscard]] static StopCondition custom(std::string label, Predicate fn);
 
   /// Ordered composition: this condition's clauses first, then `other`'s.
   [[nodiscard]] StopCondition operator||(StopCondition other) const;
-
-  /// The reason of the first satisfied clause, if any.
-  [[nodiscard]] std::optional<StopReason> evaluate(const Campaign& campaign) const;
 
   /// Human-readable description ("bug_detected(V5) || max_tests(5000)").
   [[nodiscard]] std::string describe() const;

@@ -161,38 +161,45 @@ StopCondition Experiment::stop_condition(const TrialSpec& spec) const {
     return StopCondition::bug_detected(*options_.target_bug) ||
            StopCondition::max_tests(spec.config.max_tests);
   }
-  if (options_.stop_on_all_bugs) {
-    return StopCondition::all_bugs_detected() ||
-           StopCondition::max_tests(spec.config.max_tests);
-  }
   return StopCondition::max_tests(spec.config.max_tests);
+}
+
+TrialResult finished_trial(const Campaign& campaign, const RunResult& run) {
+  const CampaignConfig& config = campaign.config();
+  TrialResult trial;
+  trial.fuzzer = config.fuzzer;
+  trial.run_index = config.run_index;
+  trial.corpus_in = config.corpus_in;
+  trial.corpus_entries = campaign.corpus_loaded_entries();
+  trial.corpus_out = config.corpus_out;
+  if (campaign.save_corpus()) {
+    trial.corpus_out_entries = campaign.corpus()->size();
+  }
+  trial.stop = run.reason;
+  trial.tests_executed = run.tests_executed;
+  trial.covered = campaign.covered();
+  trial.universe = campaign.coverage_universe();
+  trial.mismatches = campaign.mismatches();
+  trial.detected_bugs = campaign.detected_bug_count();
+  trial.elapsed_seconds = run.elapsed_seconds;
+  trial.curve = curve_from_snapshots(campaign.snapshots());
+  trial.curve.universe = campaign.coverage_universe();
+  return trial;
 }
 
 TrialResult Experiment::run_trial(const TrialSpec& spec) const {
   TrialResult result;
-  result.index = spec.index;
-  result.fuzzer = spec.fuzzer;
-  result.variant = spec.variant;
-  result.run_index = spec.run_index;
   // Provenance is config, not outcome: a failed warm-start trial must
-  // still be recorded as warm-started (and shard-assigned) in the
-  // artifacts.
+  // still be recorded as warm-started (with the entries it loaded) and
+  // shard-assigned in the artifacts. finished_trial refills all of it.
+  result.fuzzer = spec.fuzzer;
+  result.run_index = spec.run_index;
   result.corpus_in = spec.config.corpus_in;
   result.corpus_out = spec.config.corpus_out;
   try {
     Campaign campaign(spec.config);
     result.corpus_entries = campaign.corpus_loaded_entries();
-    const RunResult run = campaign.run_until(stop_condition(spec));
-    if (campaign.corpus() != nullptr && !spec.config.corpus_out.empty()) {
-      result.corpus_out_entries = campaign.corpus()->size();
-      campaign.save_corpus();
-    }
-    result.stop = run.reason;
-    result.tests_executed = run.tests_executed;
-    result.covered = campaign.covered();
-    result.universe = campaign.coverage_universe();
-    result.mismatches = campaign.mismatches();
-    result.detected_bugs = campaign.detected_bug_count();
+    result = finished_trial(campaign, campaign.run_until(stop_condition(spec)));
     if (options_.target_bug) {
       result.target_detected = campaign.bug_detected(*options_.target_bug);
       result.detection_tests =
@@ -200,9 +207,6 @@ TrialResult Experiment::run_trial(const TrialSpec& spec) const {
               ? campaign.first_detection_test(*options_.target_bug)
               : spec.config.max_tests;  // right-censored at the cap
     }
-    result.elapsed_seconds = run.elapsed_seconds;
-    result.curve = curve_from_snapshots(campaign.snapshots());
-    result.curve.universe = campaign.coverage_universe();
   } catch (const std::exception& e) {
     result.failed = true;
     result.error = e.what();
@@ -210,6 +214,8 @@ TrialResult Experiment::run_trial(const TrialSpec& spec) const {
                    << (spec.variant.empty() ? "" : "/" + spec.variant)
                    << ", run " << spec.run_index << ") failed: " << e.what();
   }
+  result.index = spec.index;
+  result.variant = spec.variant;
   return result;
 }
 

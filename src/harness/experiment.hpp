@@ -121,6 +121,15 @@ struct TrialResult {
   CoverageCurve curve;  // per-batch coverage samples
 };
 
+/// The result of a campaign that stopped with `run`: policy, run index,
+/// corpus provenance, stop, counts, elapsed time and coverage curve.
+/// Saves the corpus to config().corpus_out first when the campaign has
+/// one (throws if the write fails). Index, variant and target-bug fields
+/// are the caller's. Experiment trials and finished service jobs are
+/// both reported through this.
+[[nodiscard]] TrialResult finished_trial(const Campaign& campaign,
+                                         const RunResult& run);
+
 /// Aggregate statistics over one (fuzzer, variant) cell's trials.
 struct CellStats {
   std::string fuzzer;
@@ -143,8 +152,6 @@ struct ExperimentOptions {
   /// (or the config's test cap), the paper's Table I protocol. Enable only
   /// this bug in the config so attribution is unambiguous.
   std::optional<soc::BugId> target_bug;
-  /// Stop each trial once every enabled bug is detected (or the cap).
-  bool stop_on_all_bugs = false;
 };
 
 /// Everything an Experiment::run() produced.

@@ -1,5 +1,6 @@
 #include "harness/service.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -7,9 +8,6 @@
 #include <utility>
 
 #include "common/json.hpp"
-#include "common/thread_team.hpp"
-#include "fuzz/corpus.hpp"
-#include "harness/curves.hpp"
 #include "harness/experiment.hpp"
 #include "soc/bugs.hpp"
 
@@ -162,6 +160,24 @@ namespace {
          state == JobState::kFailed;
 }
 
+/// A job name becomes a file name (<checkpoint_dir>/<name>.ckpt), and it
+/// arrives from the serve protocol and from checkpoint files: anything
+/// but a short plain name could escape the checkpoint directory or fail
+/// every checkpoint write mid-run.
+void validate_job_name(const std::string& name) {
+  const bool plain_chars =
+      std::all_of(name.begin(), name.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+               (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+      });
+  if (name.empty() || name.size() > 128 || !plain_chars || name == "." ||
+      name == "..") {
+    throw std::invalid_argument(
+        "service: job name '" + name +
+        "' must be 1-128 bytes of [A-Za-z0-9._-], and not '.' or '..'");
+  }
+}
+
 }  // namespace
 
 void CampaignService::admit(std::unique_ptr<Job> job,
@@ -201,9 +217,7 @@ void CampaignService::admit(std::unique_ptr<Job> job,
 }
 
 void CampaignService::submit(JobSpec spec) {
-  if (spec.name.empty()) {
-    throw std::invalid_argument("service: job name must be non-empty");
-  }
+  validate_job_name(spec.name);
   auto job = std::make_unique<Job>();
   job->spec = std::move(spec);
   // Constructed on the submitting thread so a bad config (unknown fuzzer,
@@ -227,14 +241,11 @@ void CampaignService::submit(JobSpec spec) {
 
 std::string CampaignService::resume_from_checkpoint(const std::string& path) {
   const Checkpoint checkpoint = Checkpoint::load(path);
+  validate_job_name(checkpoint.job_name);
   auto job = std::make_unique<Job>();
   job->spec.tenant = checkpoint.tenant;
   job->spec.name = checkpoint.job_name;
   job->spec.artifact_out = checkpoint.artifact_out;
-  if (job->spec.name.empty()) {
-    throw std::invalid_argument("service: checkpoint '" + path +
-                                "' carries no job name");
-  }
   // Verified deterministic replay up to the checkpointed step.
   job->campaign = resume_campaign(checkpoint);
   job->spec.config = job->campaign->config();
@@ -350,13 +361,10 @@ void CampaignService::start() {
     }
     started_ = true;
   }
-  // The dispatcher thread hosts the ThreadTeam: it is the team's caller
-  // lane (uncounted by the budget, mirroring WorkerPool's caller), and
-  // the requested extra lanes are budget-accounted team threads.
-  dispatcher_ = std::thread([this] {
-    common::ThreadTeam team(config_.workers);
-    team.run([this](unsigned) { lane_loop(); });
-  });
+  lanes_.reserve(config_.workers);
+  for (unsigned lane = 0; lane < config_.workers; ++lane) {
+    lanes_.emplace_back([this] { lane_loop(); });
+  }
 }
 
 void CampaignService::drain() {
@@ -370,15 +378,14 @@ void CampaignService::drain() {
 void CampaignService::stop() {
   {
     const std::lock_guard<std::mutex> guard(mutex_);
-    if (stopping_) {
-      // A second stop() still waits for the dispatcher below.
-    }
     stopping_ = true;
   }
   work_cv_.notify_all();
   drain_cv_.notify_all();
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
+  for (std::thread& lane : lanes_) {
+    if (lane.joinable()) {
+      lane.join();
+    }
   }
   // Lanes are gone; the caller thread owns every campaign now. Park the
   // unfinished ones in final checkpoints so a restart can resume them.
@@ -418,11 +425,8 @@ void CampaignService::write_checkpoint(Job& job) {
 }
 
 void CampaignService::write_artifacts(Job& job, const RunResult& run) {
-  Campaign& campaign = *job.campaign;
-  if (campaign.corpus() != nullptr &&
-      !campaign.config().corpus_out.empty()) {
-    campaign.save_corpus();
-  }
+  // Built even without an artifact prefix: it saves the corpus.
+  TrialResult trial = finished_trial(*job.campaign, run);
   if (job.spec.artifact_out.empty()) {
     return;
   }
@@ -430,24 +434,6 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
   // experiment-v1 JSON/CSV schema the matrix engine writes, with timing
   // excluded so reruns and resumed runs are byte-identical.
   ExperimentResult result;
-  TrialResult trial;
-  trial.index = 0;
-  trial.fuzzer = campaign.config().fuzzer;
-  trial.run_index = campaign.config().run_index;
-  trial.corpus_in = campaign.config().corpus_in;
-  trial.corpus_out = campaign.config().corpus_out;
-  trial.corpus_entries = campaign.corpus_loaded_entries();
-  if (campaign.corpus() != nullptr && !campaign.config().corpus_out.empty()) {
-    trial.corpus_out_entries = campaign.corpus()->size();
-  }
-  trial.stop = run.reason;
-  trial.tests_executed = run.tests_executed;
-  trial.covered = campaign.covered();
-  trial.universe = campaign.coverage_universe();
-  trial.mismatches = campaign.mismatches();
-  trial.detected_bugs = campaign.detected_bug_count();
-  trial.curve = curve_from_snapshots(campaign.snapshots());
-  trial.curve.universe = campaign.coverage_universe();
   result.trials.push_back(std::move(trial));
   aggregate_experiment(result);
 

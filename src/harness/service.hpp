@@ -3,9 +3,8 @@
 //
 // Jobs (named CampaignConfigs) are submitted while the service runs and
 // are interleaved round-robin in fixed-size test quanta
-// (Campaign::run_slice) across a shared common::ThreadTeam, so many
-// campaigns progress concurrently under the process-wide thread budget
-// (common/thread_team.hpp). Control — pause / resume / cancel — takes
+// (Campaign::run_slice) across `workers` lane threads, so many campaigns
+// progress concurrently. Control — pause / resume / cancel — takes
 // effect at slice boundaries only; a campaign is never touched by two
 // lanes at once, so per-job results are byte-identical to an
 // uninterrupted Campaign::run() regardless of worker count, sibling jobs
@@ -50,8 +49,7 @@
 namespace mabfuzz::harness {
 
 struct ServiceConfig {
-  /// Scheduler lanes requested from the process thread budget (the grant
-  /// may be smaller; fewer lanes never changes results).
+  /// Scheduler lanes (one thread each); the count never changes results.
   unsigned workers = 2;
   /// Max live (queued/running/paused) jobs; submit() throws beyond it.
   std::size_t queue_cap = 64;
@@ -132,8 +130,8 @@ class CampaignService {
   /// All jobs, submission order.
   [[nodiscard]] std::vector<JobStatus> jobs() const;
 
-  /// Spawns the scheduler (one dispatcher thread hosting a ThreadTeam of
-  /// config.workers lanes). Idempotent.
+  /// Spawns config.workers lane threads from the calling thread (they
+  /// inherit its CPU affinity). Idempotent.
   void start();
 
   /// Blocks until no job is runnable or mid-slice (paused jobs do not
@@ -176,7 +174,7 @@ class CampaignService {
   bool stopping_ = false;
 
   std::mutex events_mutex_;
-  std::thread dispatcher_;
+  std::vector<std::thread> lanes_;  // joined by stop()
 };
 
 }  // namespace mabfuzz::harness

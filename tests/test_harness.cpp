@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/thread_team.hpp"
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
 #include "harness/experiment.hpp"
@@ -289,60 +288,6 @@ TEST(WorkerPool, ZeroTasksIsNoop) {
       run_indexed(0, 0, [&](std::uint64_t) { FAIL(); });
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.tasks, 0u);
-}
-
-TEST(WorkerPool, ConcurrencyAccessorReportsGrantedLanes) {
-  // Unlimited budget (the default): the pool gets exactly what it asked
-  // for, and concurrency() is the observable contract nested layers size
-  // themselves against.
-  WorkerPool pool(3);
-  EXPECT_EQ(pool.concurrency(), 3u);
-}
-
-TEST(WorkerPool, NestedTeamsRespectBudgetAndNeverDeadlock) {
-  // The oversubscription regression: trial workers that each spin up a
-  // team of their own must compose through the process-wide thread
-  // budget — the accounted total stays under the configured cap, and
-  // because reservation is non-blocking the nesting can degrade lanes but
-  // never deadlock.
-  common::set_thread_budget(4);
-  std::atomic<unsigned> peak{0};
-  std::atomic<int> inner_jobs{0};
-  WorkerPool outer(3);  // wants 2 spawned threads; 1 (main) + 2 <= 4: granted
-  EXPECT_EQ(outer.concurrency(), 3u);
-  const PoolReport report = outer.run(6, [&](std::uint64_t) {
-    common::ThreadTeam inner(8);  // wants 7 more; at most 1 slot is spare
-    EXPECT_LE(inner.concurrency(), 8u);
-    const unsigned in_use = common::threads_in_use();
-    unsigned prev = peak.load();
-    while (prev < in_use && !peak.compare_exchange_weak(prev, in_use)) {
-    }
-    std::atomic<int> lanes_ran{0};
-    inner.run([&](unsigned) { lanes_ran.fetch_add(1); });
-    EXPECT_EQ(lanes_ran.load(), static_cast<int>(inner.concurrency()));
-    inner_jobs.fetch_add(1);
-  });
-  common::set_thread_budget(0);  // restore the unlimited default
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(inner_jobs.load(), 6);
-  EXPECT_LE(peak.load(), 4u) << "nested teams oversubscribed the budget";
-}
-
-TEST(WorkerPool, ExhaustedBudgetDegradesToCallerThread) {
-  // Cap = 1 leaves zero spare slots: every team shrinks to the caller's
-  // own lane, work still completes, nothing blocks waiting for threads.
-  common::set_thread_budget(1);
-  WorkerPool pool(8);
-  EXPECT_EQ(pool.concurrency(), 1u);
-  std::vector<int> counts(16, 0);
-  const PoolReport report =
-      pool.run(16, [&](std::uint64_t r) { ++counts[r]; });
-  common::set_thread_budget(0);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.workers, 1u);
-  for (const int c : counts) {
-    EXPECT_EQ(c, 1);
-  }
 }
 
 // --- report renderers ------------------------------------------------------------------

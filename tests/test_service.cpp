@@ -1,9 +1,8 @@
-// CampaignService tests: admission control (duplicate names, queue and
-// per-tenant caps, bad configs), FIFO completion order, pause / resume /
-// cancel at slice boundaries, interrupt-and-resume byte-identity of every
-// artifact, and scheduler behaviour under an
-// exhausted process thread budget (degraded grants, no deadlock, same
-// bytes).
+// CampaignService tests: admission control (duplicate names, job names
+// that are not plain file names, queue and per-tenant caps, bad configs),
+// FIFO completion order, pause / resume / cancel at slice boundaries,
+// interrupt-and-resume byte-identity of every artifact, and byte-identity
+// across lane counts.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_team.hpp"
+#include "harness/checkpoint.hpp"
 #include "harness/service.hpp"
 
 namespace mabfuzz::harness {
@@ -66,6 +65,30 @@ TEST(ServiceAdmissionTest, RejectsDuplicateJobNames) {
   CampaignService service(ServiceConfig{});
   service.submit(job("dup", tiny(50)));
   EXPECT_THROW(service.submit(job("dup", tiny(50))), std::invalid_argument);
+}
+
+TEST(ServiceAdmissionTest, RejectsJobNamesThatAreNotPlainFileNames) {
+  // A job name becomes <checkpoint_dir>/<name>.ckpt, so anything that is
+  // not a short plain file name is refused before a campaign is built.
+  CampaignService service(ServiceConfig{});
+  for (const std::string& name :
+       {std::string("../escaped"), std::string("a/b"), std::string("."),
+        std::string(".."), std::string(129, 'a'), std::string()}) {
+    EXPECT_THROW(service.submit(job(name, tiny(50))), std::invalid_argument)
+        << "'" << name << "'";
+  }
+  service.submit(job("job0-epsilon-greedy", tiny(50)));
+  service.submit(job("smoke.v2_1", tiny(50)));
+  service.submit(job(std::string(128, 'a'), tiny(50)));
+
+  // A name read back from a checkpoint file passes the same rule.
+  Campaign campaign(tiny(50));
+  Checkpoint checkpoint = Checkpoint::capture(campaign);
+  checkpoint.job_name = "../x";
+  const std::string path = testing::TempDir() + "escaping-name.ckpt";
+  checkpoint.save(path);
+  EXPECT_THROW(service.resume_from_checkpoint(path), std::invalid_argument);
+  std::remove(path.c_str());
 }
 
 TEST(ServiceAdmissionTest, EnforcesQueueCapWithBackpressure) {
@@ -302,18 +325,17 @@ TEST(ServiceResumeTest, InterruptAndResumeIsByteIdentical) {
   std::remove(corpus.c_str());
 }
 
-// --- thread-budget stress -------------------------------------------------------
+// --- lane count -----------------------------------------------------------------
 
-TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
+/// A lane only decides which thread runs a slice: three concurrent
+/// services write the same bytes with one lane each as with three.
+TEST(ServiceLaneTest, ArtifactsByteIdenticalAcrossLaneCounts) {
   const std::string dir = testing::TempDir();
-  auto run_fleet = [&](const std::string& tag) {
-    // 3 services x 2 scheduler lanes want 1 (main) + 3 spawned threads,
-    // twice a budget of 2; grants degrade to fewer (or zero extra) threads
-    // and callers absorb the work — never blocking, never changing bytes.
+  auto run_fleet = [&](unsigned workers, const std::string& tag) {
     std::vector<std::unique_ptr<CampaignService>> services;
     for (int s = 0; s < 3; ++s) {
       ServiceConfig config;
-      config.workers = 2;
+      config.workers = workers;
       config.slice = 40;
       services.push_back(std::make_unique<CampaignService>(config));
     }
@@ -333,24 +355,22 @@ TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
     }
   };
 
-  run_fleet("unlimited");
-  common::set_thread_budget(2);
-  run_fleet("starved");
-  common::set_thread_budget(0);
-  EXPECT_EQ(common::thread_budget(), 0u);
+  run_fleet(1, "one-lane");
+  run_fleet(3, "three-lanes");
 
   for (int s = 0; s < 3; ++s) {
     for (int j = 0; j < 2; ++j) {
       const std::string suffix =
           "-s" + std::to_string(s) + "-j" + std::to_string(j);
-      const std::string unlimited =
-          read_file(dir + "unlimited" + suffix + ".json");
-      ASSERT_FALSE(unlimited.empty());
-      EXPECT_EQ(read_file(dir + "starved" + suffix + ".json"), unlimited)
-          << suffix;
-      EXPECT_EQ(read_file(dir + "starved" + suffix + ".csv"),
-                read_file(dir + "unlimited" + suffix + ".csv"))
-          << suffix;
+      for (const char* ext : {".json", ".csv"}) {
+        const std::string one = dir + "one-lane" + suffix + ext;
+        const std::string three = dir + "three-lanes" + suffix + ext;
+        const std::string expected = read_file(one);
+        ASSERT_FALSE(expected.empty()) << one;
+        EXPECT_EQ(read_file(three), expected) << suffix << ext;
+        std::remove(one.c_str());
+        std::remove(three.c_str());
+      }
     }
   }
 }
