@@ -219,11 +219,9 @@ void BM_MabSchedulerStep(benchmark::State& state) {
   fuzz::BackendConfig backend_config;
   backend_config.core = soc::CoreKind::kCva6;
   fuzz::Backend backend(backend_config);
-  core::MabFuzzConfig config;
-  mab::BanditConfig bandit_config;
-  bandit_config.num_arms = config.num_arms;
+  const fuzz::PolicyConfig policy;
   core::MabScheduler scheduler(
-      backend, mab::make_bandit("ucb", bandit_config), config);
+      backend, mab::make_bandit("ucb", policy.bandit), policy);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scheduler.step());
   }

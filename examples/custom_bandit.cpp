@@ -1,10 +1,10 @@
 // Extending MABFuzz with a custom bandit — the ~30-line recipe:
 //
 //   1. implement mab::Bandit (select / update / reset_arm),
-//   2. register a factory under a name in mab::BanditRegistry,
-//   3. call core::register_mab_policy(name) to make it a fuzzer.
+//   2. register a factory under a name in mab::BanditRegistry.
 //
-// From then on the name works everywhere a policy name is accepted:
+// Every bandit name is a fuzzer name (MABFuzz over that bandit), so from
+// then on the name works everywhere a policy name is accepted:
 // CampaignConfig::fuzzer, mabfuzz_cli --fuzzer, the bench sweeps. Here:
 // a softmax (Boltzmann-exploration) bandit with a temperature schedule —
 // not one of the library's four — including the reset-arm extension,
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "core/register.hpp"
 #include "harness/campaign.hpp"
 #include "mab/registry.hpp"
 
@@ -95,14 +94,13 @@ int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
   const std::uint64_t max_tests = args.get_uint("tests", 1500);
 
-  // The whole extension: one registry entry + one policy registration.
+  // The whole extension: one registry entry.
   mab::BanditRegistry::instance().add(
       "softmax", [](const mab::BanditConfig& config) {
         return std::make_unique<SoftmaxBandit>(
             config.num_arms, /*initial_temperature=*/50.0,
             common::make_stream(config.rng_seed, 0, "softmax"));
       });
-  core::register_mab_policy("softmax");
 
   std::cout << "MABFuzz with a custom softmax bandit vs the library's UCB "
                "and Thompson on CVA6 (" << max_tests << " tests each):\n";

@@ -77,7 +77,6 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/register.hpp"
 #include "coverage/summary.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/registry.hpp"
@@ -91,13 +90,12 @@ namespace {
 using namespace mabfuzz;
 
 int list_fuzzers() {
-  core::ensure_builtin_policies_registered();
   std::cout << "registered fuzzer policies:\n";
   for (const std::string& name : fuzz::FuzzerRegistry::instance().names()) {
     std::cout << "  " << name << "\n";
   }
-  std::cout << "registered bandit policies (core::register_mab_policy turns "
-               "any of them into a fuzzer):\n";
+  std::cout << "registered bandit policies (each is also a fuzzer name: "
+               "MABFuzz over that bandit):\n";
   for (const std::string& name : mab::BanditRegistry::instance().names()) {
     std::cout << "  " << name << "\n";
   }
@@ -467,7 +465,6 @@ int serve_stdin_loop(harness::CampaignService& service) {
 }
 
 int run_serve(const common::CliArgs& args) {
-  core::ensure_builtin_policies_registered();
   harness::ServiceConfig config;
   config.workers =
       static_cast<unsigned>(args.get_uint("service-workers", 2));

@@ -1,9 +1,9 @@
 #pragma once
 // Generic string-keyed factory registry: the shared mechanics behind
 // mab::BanditRegistry and fuzz::FuzzerRegistry (thread-safe add/lookup,
-// duplicate rejection, alias resolution, and miss errors that list every
-// registered name). The domain registries wrap one of these and add their
-// factory signature and self-registration of built-ins.
+// duplicate rejection, and miss errors that list every registered name).
+// The domain registries derive from one of these and add their create()
+// signature and self-registration of built-ins.
 
 #include <functional>
 #include <map>
@@ -15,54 +15,50 @@
 
 namespace mabfuzz::common {
 
-template <typename Factory>
+template <typename FactoryT>
 class NamedRegistry {
  public:
+  using Factory = FactoryT;
+
   /// `kind`/`kind_plural` name the registered things in error messages
   /// ("bandit policy" / "bandit policies").
   NamedRegistry(std::string kind, std::string kind_plural)
       : kind_(std::move(kind)), kind_plural_(std::move(kind_plural)) {}
 
   /// Registers `factory` under `name`; throws std::invalid_argument if the
-  /// name (or an alias) is already taken.
+  /// name is already taken.
   void add(std::string name, Factory factory) {
     const std::scoped_lock guard(lock_);
-    if (factories_.contains(name) || aliases_.contains(name)) {
+    if (factories_.contains(name)) {
       throw std::invalid_argument(kind_ + " '" + name +
                                   "' is already registered");
     }
     factories_.emplace(std::move(name), std::move(factory));
   }
 
-  /// Registers `alias` as an alternate spelling of `canonical`.
-  void add_alias(std::string alias, std::string canonical) {
-    const std::scoped_lock guard(lock_);
-    if (factories_.contains(alias) || aliases_.contains(alias)) {
-      throw std::invalid_argument(kind_ + " '" + alias +
-                                  "' is already registered");
-    }
-    if (!factories_.contains(canonical)) {
-      throw std::invalid_argument("alias '" + alias + "' targets unknown " +
-                                  kind_ + " '" + canonical + "'; " +
-                                  known_names_message());
-    }
-    aliases_.emplace(std::move(alias), std::move(canonical));
-  }
-
-  /// The factory registered under `name` (canonical or alias), copied out
-  /// so callers invoke it without holding the registry lock.
+  /// The factory registered under `name`, copied out so callers invoke it
+  /// without holding the registry lock.
   /// Throws std::invalid_argument listing all known names on a miss.
   [[nodiscard]] Factory lookup(std::string_view name) const {
     const std::scoped_lock guard(lock_);
-    return find_locked(name)->second;
+    const auto it = factories_.find(name);
+    if (it == factories_.end()) {
+      std::string message = "unknown " + kind_ + " '" + std::string(name) +
+                            "'; known " + kind_plural_ + ":";
+      for (const auto& [known, factory] : factories_) {
+        message += " " + known;
+      }
+      throw std::invalid_argument(message);
+    }
+    return it->second;
   }
 
   [[nodiscard]] bool contains(std::string_view name) const {
     const std::scoped_lock guard(lock_);
-    return factories_.contains(name) || aliases_.contains(name);
+    return factories_.contains(name);
   }
 
-  /// Canonical names, sorted; aliases are not listed.
+  /// Registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const {
     const std::scoped_lock guard(lock_);
     std::vector<std::string> out;
@@ -73,59 +69,22 @@ class NamedRegistry {
     return out;
   }
 
-  /// Resolves an alias to its canonical name (identity for canonical
-  /// names). Throws like lookup() on a miss.
-  [[nodiscard]] std::string canonical_name(std::string_view name) const {
-    const std::scoped_lock guard(lock_);
-    return find_locked(name)->first;
-  }
-
-  /// Removes a registration and any aliases pointing at it (test
-  /// hygiene). Returns false if absent.
+  /// Removes a registration (test hygiene). Returns false if absent.
   bool remove(std::string_view name) {
     const std::scoped_lock guard(lock_);
     const auto it = factories_.find(name);
     if (it == factories_.end()) {
-      return aliases_.erase(std::string(name)) > 0;
+      return false;
     }
-    std::erase_if(aliases_,
-                  [&](const auto& entry) { return entry.second == it->first; });
     factories_.erase(it);
     return true;
   }
 
  private:
-  using FactoryMap = std::map<std::string, Factory, std::less<>>;
-
-  [[nodiscard]] typename FactoryMap::const_iterator find_locked(
-      std::string_view name) const {
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      const auto alias = aliases_.find(name);
-      if (alias != aliases_.end()) {
-        it = factories_.find(alias->second);
-      }
-    }
-    if (it == factories_.end()) {
-      throw std::invalid_argument("unknown " + kind_ + " '" + std::string(name) +
-                                  "'; " + known_names_message());
-    }
-    return it;
-  }
-
-  [[nodiscard]] std::string known_names_message() const {
-    std::string message = "known " + kind_plural_ + ":";
-    for (const auto& [name, factory] : factories_) {
-      message += " " + name;
-    }
-    return message;
-  }
-
   std::string kind_;
   std::string kind_plural_;
   mutable std::mutex lock_;
-  FactoryMap factories_;
-  std::map<std::string, std::string, std::less<>> aliases_;
+  std::map<std::string, Factory, std::less<>> factories_;
 };
 
 }  // namespace mabfuzz::common

@@ -12,7 +12,7 @@
 //    instructions in a test"). Arms = candidate lengths; reward = the
 //    globally-new coverage of the freshly generated seed.
 //
-// Both plug into MabScheduler via MabFuzzConfig and default to off, so the
+// Both plug in through fuzz::PolicyConfig and default to off, so the
 // paper's original formulation stays the default behaviour.
 
 #include <memory>

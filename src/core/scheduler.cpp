@@ -9,15 +9,16 @@ namespace mabfuzz::core {
 
 MabScheduler::MabScheduler(fuzz::Backend& backend,
                            std::unique_ptr<mab::Bandit> bandit,
-                           const MabFuzzConfig& config)
-    : backend_(backend), bandit_(std::move(bandit)), config_(config),
-      reward_config_{config.alpha}, global_(backend.coverage_universe()) {
-  if (!bandit_ || bandit_->num_arms() != config_.num_arms) {
+                           const fuzz::PolicyConfig& policy)
+    : backend_(backend), bandit_(std::move(bandit)), config_(policy),
+      reward_config_{policy.alpha}, global_(backend.coverage_universe()) {
+  if (!bandit_) {
     std::abort();  // mis-wired construction is a programming error
   }
-  arms_.reserve(config_.num_arms);
-  pending_seed_length_.assign(config_.num_arms, 0);
-  for (std::size_t a = 0; a < config_.num_arms; ++a) {
+  const std::size_t num_arms = bandit_->num_arms();
+  arms_.reserve(num_arms);
+  pending_seed_length_.assign(num_arms, 0);
+  for (std::size_t a = 0; a < num_arms; ++a) {
     arms_.emplace_back(make_fresh_seed(a), backend_.coverage_universe(),
                        config_.gamma, config_.arm_pool_cap);
   }

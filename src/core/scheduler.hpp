@@ -23,40 +23,20 @@
 #include "core/reward.hpp"
 #include "fuzz/backend.hpp"
 #include "fuzz/fuzzer.hpp"
+#include "fuzz/registry.hpp"
 #include "mab/bandit.hpp"
-
-namespace mabfuzz::fuzz {
-class Corpus;  // fuzz/corpus.hpp; carried opaquely here
-}  // namespace mabfuzz::fuzz
 
 namespace mabfuzz::core {
 
-struct MabFuzzConfig {
-  std::size_t num_arms = 10;       // paper Sec. IV-A
-  double alpha = 0.25;             // reward mix
-  std::size_t gamma = 3;           // reset threshold; 0 disables resets
-  unsigned mutants_per_interesting = 5;  // same burst as the baseline
-  std::size_t arm_pool_cap = 1024;
-  /// Optional Sec. V extension: adaptive seed-length selection. When set,
-  /// fresh seeds (initial arms and resets) take their instruction count
-  /// from this bandit, rewarded by the seed's globally-new coverage.
-  std::shared_ptr<SeedLengthPolicy> length_policy;
-  /// When true, mutation-operator rewards (did the mutant cover anything
-  /// arm-new?) are fed back to the backend's operator policy. Harmless for
-  /// the default static policy; enables the Sec. V adaptive-operator
-  /// extension when the backend carries a MabOperatorPolicy.
-  bool feed_operator_rewards = true;
-  /// Optional cross-campaign store (fuzz/corpus.hpp): every executed test
-  /// is offered to it; the corpus's novelty gate decides admission. Null =
-  /// no persistence.
-  std::shared_ptr<fuzz::Corpus> corpus;
-};
-
 class MabScheduler final : public fuzz::Fuzzer {
  public:
-  /// `bandit` must have exactly `config.num_arms` arms.
+  /// One arm per bandit arm. Reads the MABFuzz shaping knobs of `policy`:
+  /// alpha, gamma (0 disables resets), the mutant burst shared with the
+  /// baseline, the arm pool cap, operator-reward feedback, the optional
+  /// Sec. V seed-length policy and the optional cross-campaign corpus
+  /// (every executed test is offered to it).
   MabScheduler(fuzz::Backend& backend, std::unique_ptr<mab::Bandit> bandit,
-               const MabFuzzConfig& config);
+               const fuzz::PolicyConfig& policy);
 
   fuzz::StepResult step() override;
 
@@ -77,7 +57,7 @@ class MabScheduler final : public fuzz::Fuzzer {
  private:
   fuzz::Backend& backend_;
   std::unique_ptr<mab::Bandit> bandit_;
-  MabFuzzConfig config_;
+  fuzz::PolicyConfig config_;
   RewardConfig reward_config_;
   fuzz::TestCase make_fresh_seed(std::size_t arm_index);
 

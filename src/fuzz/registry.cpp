@@ -16,20 +16,15 @@ FuzzerRegistry& FuzzerRegistry::instance() {
 // --- built-in self-registration -------------------------------------------------
 //
 // The fuzz-layer policies register here, in the registry's own TU, so they
-// are always linked. The bandit-backed MABFuzz schedulers live one layer up
-// and register from core/register.cpp.
+// are always linked. The MABFuzz scheduler lives one layer up and needs no
+// entry: harness::Campaign builds it for every mab::BanditRegistry name.
 
 namespace {
 
 const FuzzerRegistration kTheHuzzRegistration{
     "thehuzz",
     [](Backend& backend, const PolicyConfig& config) -> std::unique_ptr<Fuzzer> {
-      // The mutant burst is shared across all policies (experimental
-      // control): the unified knob overrides the baseline-local one.
-      TheHuzzConfig thehuzz = config.thehuzz;
-      thehuzz.mutants_per_interesting = config.mutants_per_interesting;
-      thehuzz.corpus = config.corpus;
-      return std::make_unique<TheHuzz>(backend, thehuzz);
+      return std::make_unique<TheHuzz>(backend, config);
     }};
 
 const FuzzerRegistration kRandomRegistration{
@@ -49,13 +44,11 @@ const FuzzerRegistration kReuseRegistration{
             std::string(soc::core_name(backend.config().core)),
             backend.coverage_universe(), config.corpus_cap);
       }
-      ReuseConfig reuse;
-      reuse.gamma = config.gamma;
       auto bandit =
           mab::BanditRegistry::instance().create(config.reuse_bandit,
                                                  config.bandit);
       return std::make_unique<ReuseFuzzer>(backend, std::move(corpus),
-                                           std::move(bandit), reuse);
+                                           std::move(bandit), config.gamma);
     }};
 
 }  // namespace

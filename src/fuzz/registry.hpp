@@ -1,15 +1,15 @@
 #pragma once
 // String-keyed fuzzer (scheduling-policy) registry and the unified policy
-// configuration every factory consumes. A "fuzzer" here is a complete
+// configuration every policy consumes. A "fuzzer" here is a complete
 // scheduling policy over a shared Backend: the TheHuzz FIFO baseline, the
-// random-regression control, and one entry per built-in bandit policy
-// (wired up by core/register.cpp, which couples a mab::Bandit to the
-// MabScheduler).
+// random-regression control and the corpus-reuse fuzzer register here.
+// Every mab::BanditRegistry name is a fuzzer name too: harness::Campaign
+// resolves a name this registry does not hold to core::MabScheduler over
+// the bandit of that name.
 //
-// The registry is the experiment-construction seam the paper's methodology
-// needs: the policy is the *only* variable, selected by name, with every
-// other knob living in one PolicyConfig. Unknown names throw
-// std::invalid_argument listing the registered names.
+// The registries are the experiment-construction seam the paper's
+// methodology needs: the policy is the *only* variable, selected by name,
+// with every other knob living in one PolicyConfig.
 
 #include <memory>
 #include <string>
@@ -31,11 +31,10 @@ namespace mabfuzz::fuzz {
 class Corpus;  // fuzz/corpus.hpp; carried opaquely here
 
 /// The unified scheduling-policy configuration (paper Sec. III / IV-A
-/// defaults). Each registered factory reads the fields relevant to it:
-/// bandit-backed schedulers consume `bandit` plus the MABFuzz shaping
-/// knobs; TheHuzz consumes `thehuzz` (with the shared mutant burst applied
-/// as the experimental control); the extensions block enables the Sec. V
-/// adaptive policies.
+/// defaults). Each policy reads the fields relevant to it: the MABFuzz
+/// scheduler consumes `bandit` plus the MABFuzz shaping knobs; TheHuzz
+/// consumes `thehuzz` plus the shared mutant burst (the experimental
+/// control); the extensions block enables the Sec. V adaptive policies.
 struct PolicyConfig {
   /// Bandit parameters — the single home of num_arms / epsilon / eta.
   mab::BanditConfig bandit{};
@@ -47,8 +46,7 @@ struct PolicyConfig {
   std::size_t arm_pool_cap = 1024;
   bool feed_operator_rewards = true;
 
-  /// Baseline parameters (mutants_per_interesting above wins, keeping the
-  /// mutant burst identical across policies — the paper's control).
+  /// Baseline-only parameters; the mutant burst above is shared.
   TheHuzzConfig thehuzz{};
 
   /// Sec. V extensions. The declarative flags are materialised by
@@ -73,43 +71,22 @@ struct PolicyConfig {
   std::shared_ptr<Corpus> corpus;
 };
 
-class FuzzerRegistry {
+class FuzzerRegistry
+    : public common::NamedRegistry<std::function<std::unique_ptr<Fuzzer>(
+          Backend&, const PolicyConfig&)>> {
  public:
-  using Factory =
-      std::function<std::unique_ptr<Fuzzer>(Backend&, const PolicyConfig&)>;
-
   [[nodiscard]] static FuzzerRegistry& instance();
-
-  /// Registers `factory` under `name`; throws std::invalid_argument on a
-  /// duplicate.
-  void add(std::string name, Factory factory) {
-    registry_.add(std::move(name), std::move(factory));
-  }
 
   /// Builds the policy registered under `name` on top of `backend`.
   /// Throws std::invalid_argument listing all known names on a miss.
   [[nodiscard]] std::unique_ptr<Fuzzer> create(std::string_view name,
                                                Backend& backend,
                                                const PolicyConfig& config) const {
-    return registry_.lookup(name)(backend, config);
+    return lookup(name)(backend, config);
   }
-
-  [[nodiscard]] bool contains(std::string_view name) const {
-    return registry_.contains(name);
-  }
-
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const {
-    return registry_.names();
-  }
-
-  /// Removes a registration (test hygiene). Returns false if absent.
-  bool remove(std::string_view name) { return registry_.remove(name); }
 
  private:
-  FuzzerRegistry() : registry_("fuzzer policy", "fuzzer policies") {}
-
-  common::NamedRegistry<Factory> registry_;
+  FuzzerRegistry() : NamedRegistry("fuzzer policy", "fuzzer policies") {}
 };
 
 /// File-scope self-registration helper, mirroring mab::BanditRegistration.

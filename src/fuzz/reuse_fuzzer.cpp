@@ -7,10 +7,9 @@
 namespace mabfuzz::fuzz {
 
 ReuseFuzzer::ReuseFuzzer(Backend& backend, std::shared_ptr<Corpus> corpus,
-                         std::unique_ptr<mab::Bandit> bandit,
-                         const ReuseConfig& config)
+                         std::unique_ptr<mab::Bandit> bandit, std::size_t gamma)
     : backend_(backend), corpus_(std::move(corpus)), bandit_(std::move(bandit)),
-      config_(config), global_(backend.coverage_universe()) {
+      global_(backend.coverage_universe()) {
   if (!corpus_ || !bandit_ || bandit_->num_arms() == 0) {
     std::abort();  // mis-wired construction is a programming error
   }
@@ -32,7 +31,7 @@ ReuseFuzzer::ReuseFuzzer(Backend& backend, std::shared_ptr<Corpus> corpus,
   arms_.reserve(num_arms);
   for (std::size_t a = 0; a < num_arms; ++a) {
     ArmState arm;
-    arm.monitor = coverage::GammaWindowMonitor(config_.gamma);
+    arm.monitor = coverage::GammaWindowMonitor(gamma);
     if (a < ranked.size()) {
       arm.parent = ranked[a]->test;
       ++arms_from_corpus_;

@@ -34,20 +34,15 @@
 
 namespace mabfuzz::fuzz {
 
-struct ReuseConfig {
-  /// Depletion threshold for the per-arm γ-window monitor; 0 disables
-  /// arm replacement (paper Sec. III-C semantics).
-  std::size_t gamma = 3;
-};
-
 class ReuseFuzzer final : public Fuzzer {
  public:
   /// `bandit->num_arms()` fixes the arm count. The corpus supplies the
   /// initial arm seeds (best-novelty first); missing arms start from fresh
   /// random seeds — an empty corpus degrades to a cold-start mutational
-  /// fuzzer whose discoveries populate the store.
+  /// fuzzer whose discoveries populate the store. `gamma` is the per-arm
+  /// depletion threshold; 0 disables arm replacement (paper Sec. III-C).
   ReuseFuzzer(Backend& backend, std::shared_ptr<Corpus> corpus,
-              std::unique_ptr<mab::Bandit> bandit, const ReuseConfig& config);
+              std::unique_ptr<mab::Bandit> bandit, std::size_t gamma);
 
   StepResult step() override;
 
@@ -89,7 +84,6 @@ class ReuseFuzzer final : public Fuzzer {
   Backend& backend_;
   std::shared_ptr<Corpus> corpus_;
   std::unique_ptr<mab::Bandit> bandit_;
-  ReuseConfig config_;
   std::vector<ArmState> arms_;
   std::vector<TestCase> reserve_;  // unused corpus entries, best-first
   std::size_t reserve_cursor_ = 0;

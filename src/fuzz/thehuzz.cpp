@@ -3,11 +3,14 @@
 #include <algorithm>
 
 #include "fuzz/corpus.hpp"
+#include "fuzz/registry.hpp"
 
 namespace mabfuzz::fuzz {
 
-TheHuzz::TheHuzz(Backend& backend, const TheHuzzConfig& config)
-    : backend_(backend), config_(config), pool_(config.pool_cap),
+TheHuzz::TheHuzz(Backend& backend, const PolicyConfig& policy)
+    : backend_(backend), config_(policy.thehuzz),
+      mutants_per_interesting_(policy.mutants_per_interesting),
+      corpus_(policy.corpus), pool_(config_.pool_cap),
       accumulated_(backend.coverage_universe()) {
   for (unsigned i = 0; i < config_.initial_seeds; ++i) {
     pool_.push(backend_.make_seed());
@@ -24,7 +27,7 @@ void TheHuzz::refill_from_database() {
   // dynamic selection replaces.
   const TestCase& parent = database_[db_cursor_];
   db_cursor_ = (db_cursor_ + 1) % database_.size();
-  const unsigned burst = std::max(1u, config_.mutants_per_interesting);
+  const unsigned burst = std::max(1u, mutants_per_interesting_);
   for (unsigned i = 0; i < burst; ++i) {
     pool_.push(backend_.make_mutant(parent));
   }
@@ -42,8 +45,8 @@ StepResult TheHuzz::step() {
   result.mismatch = outcome_.mismatch;
   result.firings = outcome_.firings;
   result.new_global_points = accumulated_.absorb(outcome_.coverage);
-  if (config_.corpus) {
-    config_.corpus->offer(test, outcome_.coverage);
+  if (corpus_) {
+    corpus_->offer(test, outcome_.coverage);
   }
 
   // Static policy: every test that covered anything new is "interesting";
@@ -56,7 +59,7 @@ StepResult TheHuzz::step() {
       }
     }
     database_.push_back(test);
-    for (unsigned i = 0; i < config_.mutants_per_interesting; ++i) {
+    for (unsigned i = 0; i < mutants_per_interesting_; ++i) {
       pool_.push(backend_.make_mutant(test));
     }
   }

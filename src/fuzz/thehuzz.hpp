@@ -18,22 +18,22 @@
 
 namespace mabfuzz::fuzz {
 
-class Corpus;  // fuzz/corpus.hpp
+class Corpus;         // fuzz/corpus.hpp
+struct PolicyConfig;  // fuzz/registry.hpp
 
 struct TheHuzzConfig {
   unsigned initial_seeds = 10;
-  unsigned mutants_per_interesting = 5;
   std::size_t pool_cap = 4096;
   std::size_t database_cap = 2048;
-  /// Optional cross-campaign store: every executed test is offered to it
-  /// (the corpus's novelty gate decides admission). Null = no persistence,
-  /// the original TheHuzz behaviour.
-  std::shared_ptr<Corpus> corpus;
 };
 
 class TheHuzz final : public Fuzzer {
  public:
-  TheHuzz(Backend& backend, const TheHuzzConfig& config);
+  /// Reads `policy.thehuzz`, the mutant burst shared with every policy and
+  /// the optional cross-campaign corpus: every executed test is offered to
+  /// it (the corpus's novelty gate decides admission). A null corpus is
+  /// the original TheHuzz behaviour.
+  TheHuzz(Backend& backend, const PolicyConfig& policy);
 
   StepResult step() override;
   [[nodiscard]] const coverage::Accumulator& accumulated() const override {
@@ -50,6 +50,8 @@ class TheHuzz final : public Fuzzer {
 
   Backend& backend_;
   TheHuzzConfig config_;
+  unsigned mutants_per_interesting_;
+  std::shared_ptr<Corpus> corpus_;
   TestPool pool_;
   std::deque<TestCase> database_;  // interesting tests, insertion order
   std::size_t db_cursor_ = 0;      // static FIFO replay position

@@ -12,7 +12,7 @@
 
 #include "common/log.hpp"
 #include "core/adaptive.hpp"
-#include "core/register.hpp"
+#include "core/scheduler.hpp"
 #include "fuzz/corpus.hpp"
 #include "mab/registry.hpp"
 #include "mutation/operators.hpp"
@@ -165,7 +165,7 @@ struct ConfigKey {
 // Declaration order is application order for from_args(): `core` precedes
 // `bugs` so "bugs=default" resolves against the requested core.
 constexpr ConfigKey kConfigKeys[] = {
-    {"fuzzer", "scheduling policy name (see FuzzerRegistry / --list-fuzzers)",
+    {"fuzzer", "scheduling policy: a fuzzer or bandit name (--list-fuzzers)",
      [](CampaignConfig& c, std::string_view v) { c.fuzzer = std::string(v); },
      [](const CampaignConfig& c) { return c.fuzzer; }},
     {"core", "DUT core: cva6 | rocket | boom",
@@ -198,7 +198,11 @@ constexpr ConfigKey kConfigKeys[] = {
      [](const CampaignConfig& c) { return std::to_string(c.snapshot_every); }},
     {"arms", "number of bandit arms (paper: 10)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.bandit.num_arms = parse_u64("arms", v);
+       const std::uint64_t arms = parse_u64("arms", v);
+       if (arms == 0) {
+         throw std::invalid_argument("campaign key 'arms': must be at least 1");
+       }
+       c.policy.bandit.num_arms = arms;
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.bandit.num_arms); }},
     {"epsilon", "epsilon-greedy exploration rate (paper: 0.1)",
@@ -448,8 +452,40 @@ std::string StopCondition::describe() const {
 
 // --- Campaign -------------------------------------------------------------------
 
+namespace {
+
+/// A fuzzer-registry name builds that policy; any other bandit-registry
+/// name is MABFuzz over that bandit (the bandit is the scheduler's only
+/// variable, paper Sec. III). A miss lists both registries' names as one
+/// sorted list, the form of a single registry's miss message.
+std::unique_ptr<fuzz::Fuzzer> make_fuzzer(const std::string& name,
+                                          fuzz::Backend& backend,
+                                          const fuzz::PolicyConfig& policy) {
+  const auto& fuzzers = fuzz::FuzzerRegistry::instance();
+  if (fuzzers.contains(name)) {
+    return fuzzers.create(name, backend, policy);
+  }
+  const auto& bandits = mab::BanditRegistry::instance();
+  if (bandits.contains(name)) {
+    return std::make_unique<core::MabScheduler>(
+        backend, bandits.create(name, policy.bandit), policy);
+  }
+  std::vector<std::string> known = fuzzers.names();
+  for (std::string& bandit : bandits.names()) {
+    known.push_back(std::move(bandit));
+  }
+  std::sort(known.begin(), known.end());
+  std::string message =
+      "unknown fuzzer policy '" + name + "'; known fuzzer policies:";
+  for (const std::string& known_name : known) {
+    message += " " + known_name;
+  }
+  throw std::invalid_argument(message);
+}
+
+}  // namespace
+
 Campaign::Campaign(const CampaignConfig& config) : config_(config) {
-  core::ensure_builtin_policies_registered();
   MABFUZZ_DEBUG() << "campaign: " << config_.fuzzer << " on "
                   << soc::core_name(config_.core) << ", run " << config_.run_index
                   << ", " << config_.max_tests << " tests";
@@ -517,8 +553,7 @@ Campaign::Campaign(const CampaignConfig& config) : config_(config) {
         config_.policy.length_choices, mab::make_bandit("ucb", len_bandit));
   }
 
-  fuzzer_ = fuzz::FuzzerRegistry::instance().create(config_.fuzzer, *backend_,
-                                                    config_.policy);
+  fuzzer_ = make_fuzzer(config_.fuzzer, *backend_, config_.policy);
 }
 
 bool Campaign::save_corpus() const {

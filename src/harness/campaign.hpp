@@ -49,7 +49,7 @@ inline constexpr std::array<std::string_view, 4> kMabPolicies = {
     "epsilon-greedy", "ucb", "exp3", "thompson"};
 
 struct CampaignConfig {
-  std::string fuzzer = "thehuzz";  // fuzz::FuzzerRegistry key
+  std::string fuzzer = "thehuzz";  // fuzzer or bandit registry name
   soc::CoreKind core = soc::CoreKind::kRocket;
   soc::BugSet bugs;  // default: none (coverage experiments)
   std::uint64_t max_tests = 10'000;
@@ -209,9 +209,10 @@ class CampaignObserver {
 };
 
 /// One constructed, observable fuzzing campaign. Construction resolves the
-/// policy through fuzz::FuzzerRegistry (throwing with the list of known
-/// names on a miss) and derives every RNG stream from
-/// (rng_seed, run_index), so equal configs replay bit-identically.
+/// policy name through fuzz::FuzzerRegistry, then mab::BanditRegistry
+/// (MABFuzz over that bandit), throwing with the list of known names on a
+/// miss, and derives every RNG stream from (rng_seed, run_index), so equal
+/// configs replay bit-identically.
 class Campaign {
  public:
   explicit Campaign(const CampaignConfig& config);

@@ -103,7 +103,7 @@ class Bandit {
 /// the fields it cares about and ignores the rest; defaults are the paper's
 /// Sec. IV-A values. Construction goes through mab/registry.hpp
 /// (make_bandit(name, config) / BanditRegistry), keyed by policy name:
-/// "epsilon-greedy" (alias "eps"), "ucb", "exp3", "thompson".
+/// "epsilon-greedy", "ucb", "exp3", "thompson".
 struct BanditConfig {
   std::size_t num_arms = 10;
   double epsilon = 0.1;       // ε-greedy exploration rate

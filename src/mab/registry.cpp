@@ -24,7 +24,7 @@ std::unique_ptr<Bandit> make_bandit(std::string_view name,
 // Lives in the same translation unit as instance() so any binary that can
 // reach the registry has the built-ins linked in; the Meyers singleton
 // makes the cross-TU initialisation order irrelevant. Each factory derives
-// the bandit's exploration stream from (seed, canonical name) — the exact
+// the bandit's exploration stream from (seed, policy name) — the exact
 // streams the pre-registry enum factory produced.
 
 namespace {
@@ -53,11 +53,6 @@ const BanditRegistration kThompsonRegistration{
       return std::make_unique<Thompson>(
           config.num_arms, common::make_stream(config.rng_seed, 0, "thompson"));
     }};
-
-[[maybe_unused]] const bool kAliasesRegistered = [] {
-  BanditRegistry::instance().add_alias("eps", "epsilon-greedy");
-  return true;
-}();
 
 }  // namespace
 

@@ -1,11 +1,11 @@
 #pragma once
 // String-keyed bandit-policy registry: the single construction path for
 // every MAB algorithm in the system. Built-ins (epsilon-greedy, ucb, exp3,
-// thompson) self-register at static-initialisation time and are already
-// wired up as fuzzers; a custom bandit registered here additionally needs
-// one core::register_mab_policy(name) call to become selectable as a
-// fuzzer (harness::CampaignConfig::fuzzer, mabfuzz_cli --fuzzer, the bench
-// sweeps) — see examples/custom_bandit.cpp.
+// thompson) self-register at static-initialisation time. Every name here
+// is also a fuzzer name: harness::Campaign runs core::MabScheduler over the
+// bandit of that name (CampaignConfig::fuzzer, mabfuzz_cli --fuzzer, the
+// bench sweeps), so a custom bandit registered here is selectable as a
+// fuzzer with no further call — see examples/custom_bandit.cpp.
 //
 // Lookup misses throw std::invalid_argument whose message lists every
 // registered name, so a typo on the command line is self-explaining.
@@ -13,63 +13,29 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/registry.hpp"
 #include "mab/bandit.hpp"
 
 namespace mabfuzz::mab {
 
-class BanditRegistry {
+class BanditRegistry
+    : public common::NamedRegistry<
+          std::function<std::unique_ptr<Bandit>(const BanditConfig&)>> {
  public:
-  using Factory = std::function<std::unique_ptr<Bandit>(const BanditConfig&)>;
-
   /// The process-wide registry (Meyers singleton: safe to use from static
   /// initialisers in other translation units).
   [[nodiscard]] static BanditRegistry& instance();
 
-  /// Registers `factory` under `name`.
-  /// Throws std::invalid_argument if the name (or alias) is already taken.
-  void add(std::string name, Factory factory) {
-    registry_.add(std::move(name), std::move(factory));
-  }
-
-  /// Registers `alias` as an alternate spelling of `canonical`
-  /// ("eps" -> "epsilon-greedy"). The alias resolves to the canonical
-  /// factory, so derived RNG streams are identical under either spelling.
-  void add_alias(std::string alias, std::string canonical) {
-    registry_.add_alias(std::move(alias), std::move(canonical));
-  }
-
-  /// Builds the bandit registered under `name` (canonical or alias).
+  /// Builds the bandit registered under `name`.
   /// Throws std::invalid_argument listing all known names on a miss.
   [[nodiscard]] std::unique_ptr<Bandit> create(std::string_view name,
                                                const BanditConfig& config) const {
-    return registry_.lookup(name)(config);
+    return lookup(name)(config);
   }
-
-  [[nodiscard]] bool contains(std::string_view name) const {
-    return registry_.contains(name);
-  }
-
-  /// Canonical names, sorted; aliases are not listed.
-  [[nodiscard]] std::vector<std::string> names() const {
-    return registry_.names();
-  }
-
-  /// Resolves an alias to its canonical name (identity for canonical
-  /// names). Throws like create() on a miss.
-  [[nodiscard]] std::string canonical_name(std::string_view name) const {
-    return registry_.canonical_name(name);
-  }
-
-  /// Removes a registration (test hygiene). Returns false if absent.
-  bool remove(std::string_view name) { return registry_.remove(name); }
 
  private:
-  BanditRegistry() : registry_("bandit policy", "bandit policies") {}
-
-  common::NamedRegistry<Factory> registry_;
+  BanditRegistry() : NamedRegistry("bandit policy", "bandit policies") {}
 };
 
 /// File-scope self-registration helper:
@@ -84,7 +50,7 @@ struct BanditRegistration {
 
 /// Convenience: build a bandit by policy name through the registry.
 /// The bandit's exploration stream is derived from (config.rng_seed, the
-/// canonical policy name), so the same config replays bit-identically.
+/// policy name), so the same config replays bit-identically.
 [[nodiscard]] std::unique_ptr<Bandit> make_bandit(std::string_view name,
                                                   const BanditConfig& config);
 

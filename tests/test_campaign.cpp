@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/register.hpp"
 #include "fuzz/registry.hpp"
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
@@ -72,32 +71,41 @@ TEST(BanditRegistryTest, DuplicateRegistrationRejected) {
                                   config.num_arms, common::Xoshiro256StarStar(2));
                             }),
                std::invalid_argument);
-  EXPECT_THROW(registry.add_alias("test-duplicate-alias", "no-such-canonical"),
-               std::invalid_argument);
   EXPECT_TRUE(registry.remove(name));
   EXPECT_FALSE(registry.remove(name));
 }
 
-TEST(FuzzerRegistryTest, ListsBuiltinsIncludingThompson) {
-  core::ensure_builtin_policies_registered();
-  const auto names = fuzz::FuzzerRegistry::instance().names();
-  for (const std::string_view expected : kAllPolicies) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+TEST(FuzzerRegistryTest, EveryBuiltinPolicyNameBuildsACampaign) {
+  std::vector<std::string_view> policies(kAllPolicies.begin(),
+                                         kAllPolicies.end());
+  policies.push_back("random");
+  policies.push_back("reuse");
+  for (const std::string_view policy : policies) {
+    Campaign campaign(tiny(std::string(policy), 5));
+    campaign.run();
+    EXPECT_EQ(campaign.tests_executed(), 5u) << policy;
+    if (mab::BanditRegistry::instance().contains(policy)) {
+      EXPECT_EQ(campaign.fuzzer().name(), "MABFuzz:" + std::string(policy));
+    }
   }
-  EXPECT_NE(std::find(names.begin(), names.end(), "random"), names.end());
 }
 
 TEST(FuzzerRegistryTest, UnknownPolicyThrowsFromCampaignConstruction) {
-  try {
-    Campaign campaign(tiny("definitely-not-registered"));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("definitely-not-registered"), std::string::npos);
-    EXPECT_NE(message.find("thehuzz"), std::string::npos);
-    EXPECT_NE(message.find("thompson"), std::string::npos);
+  // "eps" is no alias of epsilon-greedy: it is as unknown as any typo.
+  for (const std::string name : {"definitely-not-registered", "eps"}) {
+    try {
+      Campaign campaign(tiny(name));
+      FAIL() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("'" + name + "'"), std::string::npos);
+      EXPECT_NE(message.find("thehuzz"), std::string::npos);   // fuzzer names
+      EXPECT_NE(message.find("thompson"), std::string::npos);  // bandit names
+    }
   }
+  CampaignConfig reuse = tiny("reuse");
+  reuse.policy.reuse_bandit = "eps";
+  EXPECT_THROW({ Campaign campaign(reuse); }, std::invalid_argument);
 }
 
 TEST(FuzzerRegistryTest, CustomBanditBecomesAFuzzerInOneCall) {
@@ -107,14 +115,13 @@ TEST(FuzzerRegistryTest, CustomBanditBecomesAFuzzerInOneCall) {
             config.num_arms,
             common::make_stream(config.rng_seed, 0, "test-greedy"));
       });
-  core::register_mab_policy("test-greedy");
 
   Campaign campaign(tiny("test-greedy", 30));
   campaign.run();
+  EXPECT_EQ(campaign.fuzzer().name(), "MABFuzz:ucb");  // the factory's bandit
   EXPECT_EQ(campaign.tests_executed(), 30u);
   EXPECT_GT(campaign.covered(), 0u);
 
-  EXPECT_TRUE(fuzz::FuzzerRegistry::instance().remove("test-greedy"));
   EXPECT_TRUE(mab::BanditRegistry::instance().remove("test-greedy"));
 }
 
@@ -187,6 +194,7 @@ TEST(CampaignConfigTest, RejectsMalformedValues) {
   EXPECT_THROW(config.set("epsilon", "often"), std::invalid_argument);
   EXPECT_THROW(config.set("core", "pentium"), std::invalid_argument);
   EXPECT_THROW(config.set("bugs", "V9"), std::invalid_argument);
+  EXPECT_THROW(config.set("arms", "0"), std::invalid_argument);
   EXPECT_THROW(CampaignConfig::from_pairs({{"tests"}}), std::invalid_argument);
 }
 

@@ -2,8 +2,9 @@
 // corruption rejection (truncation at every byte boundary, bit flips,
 // bad magic/version — always a descriptive throw, never partial state),
 // verified-replay resume equivalence (a resumed campaign finishes with
-// exactly the state of an uninterrupted one), and divergence detection
-// when the config or the warm-start corpus drifted under a checkpoint.
+// exactly the state of an uninterrupted one), divergence detection when
+// the config or the warm-start corpus drifted under a checkpoint, and a
+// clean refusal (not an abort) of a checkpoint whose config cannot run.
 
 #include <gtest/gtest.h>
 
@@ -262,6 +263,31 @@ TEST(CheckpointResumeTest, ConfigDriftIsDetectedAsDivergence) {
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("diverged"), std::string::npos);
+  }
+}
+
+TEST(CheckpointResumeTest, OutOfRangeConfigIsRefusedNotAborted) {
+  // A checkpoint file is outside input: a config no campaign can run must
+  // come back as an error naming the key, not abort the process in a
+  // bandit constructor.
+  Campaign campaign(tiny("ucb", 80));
+  advance(campaign, 20);
+  Checkpoint checkpoint = Checkpoint::capture(campaign);
+  bool rewritten = false;
+  for (std::string& pair : checkpoint.config_pairs) {
+    if (pair.rfind("arms=", 0) == 0) {
+      pair = "arms=0";
+      rewritten = true;
+    }
+  }
+  ASSERT_TRUE(rewritten);
+  const std::string path = testing::TempDir() + "zero-arms.ckpt";
+  checkpoint.save(path);
+  try {
+    (void)resume_campaign(Checkpoint::load(path));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("arms"), std::string::npos);
   }
 }
 

@@ -118,29 +118,27 @@ std::unique_ptr<mab::Bandit> make_eps(std::size_t arms) {
 
 TEST(Scheduler, StepsExecuteAndCoverageGrows) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), fuzz::PolicyConfig{});
   for (int i = 0; i < 100; ++i) {
     const fuzz::StepResult r = scheduler.step();
     EXPECT_EQ(r.test_index, static_cast<std::uint64_t>(i + 1));
     ASSERT_TRUE(r.arm.has_value());
-    EXPECT_LT(*r.arm, config.num_arms);
+    EXPECT_LT(*r.arm, 10u);
   }
   EXPECT_GT(scheduler.accumulated().covered(), 0u);
 }
 
 TEST(Scheduler, NameReflectsBandit) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), fuzz::PolicyConfig{});
   EXPECT_EQ(scheduler.name(), "MABFuzz:epsilon-greedy");
 }
 
 TEST(Scheduler, ArmsResetOnDepletion) {
   auto backend = make_backend();
-  MabFuzzConfig config;
+  fuzz::PolicyConfig config;
   config.gamma = 2;  // aggressive resets for the test
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), config);
   for (int i = 0; i < 600; ++i) {
     scheduler.step();
   }
@@ -151,9 +149,9 @@ TEST(Scheduler, ArmsResetOnDepletion) {
 
 TEST(Scheduler, GammaZeroNeverResets) {
   auto backend = make_backend();
-  MabFuzzConfig config;
+  fuzz::PolicyConfig config;
   config.gamma = 0;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), config);
   for (int i = 0; i < 300; ++i) {
     scheduler.step();
   }
@@ -162,9 +160,8 @@ TEST(Scheduler, GammaZeroNeverResets) {
 
 TEST(Scheduler, ArmPullsAreTracked) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  config.num_arms = 4;
-  MabScheduler scheduler(backend, make_eps(4), config);
+  MabScheduler scheduler(backend, make_eps(4), fuzz::PolicyConfig{});
+  ASSERT_EQ(scheduler.num_arms(), 4u);  // one arm per bandit arm
   for (int i = 0; i < 80; ++i) {
     scheduler.step();
   }
@@ -179,11 +176,10 @@ TEST(Scheduler, ArmPullsAreTracked) {
 
 TEST(Scheduler, WorksWithExp3Normalisation) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  auto bandit = std::make_unique<mab::Exp3>(config.num_arms, 0.1,
-                                            common::Xoshiro256StarStar(77));
+  auto bandit =
+      std::make_unique<mab::Exp3>(10, 0.1, common::Xoshiro256StarStar(77));
   const mab::Exp3* exp3 = bandit.get();
-  MabScheduler scheduler(backend, std::move(bandit), config);
+  MabScheduler scheduler(backend, std::move(bandit), fuzz::PolicyConfig{});
   for (int i = 0; i < 200; ++i) {
     scheduler.step();
   }
@@ -198,19 +194,11 @@ TEST(Scheduler, WorksWithExp3Normalisation) {
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(Scheduler, MismatchedArmCountAborts) {
-  auto backend = make_backend();
-  MabFuzzConfig config;
-  config.num_arms = 10;
-  EXPECT_DEATH(MabScheduler(backend, make_eps(3), config), "");
-}
-
 TEST(Scheduler, DetectsEasyBug) {
   auto backend =
       make_backend(soc::CoreKind::kCva6,
                    soc::BugSet::single(soc::BugId::kV5SilentLoadFault));
-  MabFuzzConfig config;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), fuzz::PolicyConfig{});
   bool detected = false;
   for (int i = 0; i < 500 && !detected; ++i) {
     detected = scheduler.step().mismatch;

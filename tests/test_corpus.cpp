@@ -624,7 +624,7 @@ TEST(ReuseFuzzer, ColdStartStepsAndAccumulates) {
   bandit_config.num_arms = 4;
   fuzz::ReuseFuzzer fuzzer(backend, corpus,
                            mab::make_bandit("thompson", bandit_config),
-                           fuzz::ReuseConfig{});
+                           /*gamma=*/3);
   EXPECT_EQ(fuzzer.name(), "Reuse:thompson");
   EXPECT_EQ(fuzzer.arms_from_corpus(), 0u);
   for (int i = 0; i < 80; ++i) {
@@ -650,7 +650,7 @@ TEST(ReuseFuzzer, WarmStartSeedsArmsFromTheCorpus) {
   bandit_config.num_arms = 4;
   fuzz::ReuseFuzzer fuzzer(backend, corpus,
                            mab::make_bandit("thompson", bandit_config),
-                           fuzz::ReuseConfig{});
+                           /*gamma=*/3);
   EXPECT_EQ(fuzzer.arms_from_corpus(), 4u);
 
   // Arms are the highest-novelty corpus entries, best first.

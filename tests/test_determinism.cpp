@@ -1,5 +1,5 @@
 // Seeded-determinism regression: two MABFuzz runs built from the same
-// MabFuzzConfig and RNG seeds must replay the exact same experiment —
+// PolicyConfig and RNG seeds must replay the exact same experiment —
 // identical arm-selection sequences, coverage totals, resets and mismatch
 // flags — and a whole trial matrix must produce byte-identical aggregate
 // statistics no matter how many worker threads execute it.
@@ -42,13 +42,11 @@ RunTrace run_once(std::string_view algorithm, std::uint64_t seed, int steps) {
   backend_config.rng_seed = seed;
   fuzz::Backend backend(backend_config);
 
-  core::MabFuzzConfig mab_config;
-  mab_config.num_arms = 5;
-  mab::BanditConfig bandit_config;
-  bandit_config.num_arms = mab_config.num_arms;
-  bandit_config.rng_seed = seed;
-  core::MabScheduler fuzzer(backend, mab::make_bandit(algorithm, bandit_config),
-                            mab_config);
+  fuzz::PolicyConfig policy;
+  policy.bandit.num_arms = 5;
+  policy.bandit.rng_seed = seed;
+  core::MabScheduler fuzzer(backend, mab::make_bandit(algorithm, policy.bandit),
+                            policy);
 
   RunTrace trace;
   for (int t = 0; t < steps; ++t) {

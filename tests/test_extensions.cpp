@@ -116,11 +116,8 @@ TEST(AdaptiveScheduler, RunsWithOperatorPolicy) {
   backend_config.operator_policy = policy;
   fuzz::Backend backend(backend_config);
 
-  MabFuzzConfig config;
-  mab::BanditConfig bandit_config;
-  bandit_config.num_arms = config.num_arms;
-  MabScheduler scheduler(backend,
-                         mab::make_bandit("ucb", bandit_config),
+  const fuzz::PolicyConfig config;
+  MabScheduler scheduler(backend, mab::make_bandit("ucb", config.bandit),
                          config);
   for (int i = 0; i < 300; ++i) {
     scheduler.step();
@@ -133,15 +130,12 @@ TEST(AdaptiveScheduler, RunsWithLengthPolicy) {
   backend_config.core = soc::CoreKind::kCva6;
   fuzz::Backend backend(backend_config);
 
-  MabFuzzConfig config;
+  fuzz::PolicyConfig config;
   config.gamma = 2;  // force resets so multiple lengths get sampled
   config.length_policy =
       std::make_shared<SeedLengthPolicy>(std::vector<unsigned>{8, 20, 40},
                                          len_bandit(3));
-  mab::BanditConfig bandit_config;
-  bandit_config.num_arms = config.num_arms;
-  MabScheduler scheduler(backend,
-                         mab::make_bandit("ucb", bandit_config),
+  MabScheduler scheduler(backend, mab::make_bandit("ucb", config.bandit),
                          config);
   for (int i = 0; i < 400; ++i) {
     scheduler.step();
@@ -155,13 +149,10 @@ TEST(AdaptiveScheduler, SeedLengthsVaryAcrossArms) {
   backend_config.core = soc::CoreKind::kCva6;
   fuzz::Backend backend(backend_config);
 
-  MabFuzzConfig config;
+  fuzz::PolicyConfig config;
   config.length_policy = std::make_shared<SeedLengthPolicy>(
       std::vector<unsigned>{8, 40}, len_bandit(2));
-  mab::BanditConfig bandit_config;
-  bandit_config.num_arms = config.num_arms;
-  MabScheduler scheduler(backend,
-                         mab::make_bandit("ucb", bandit_config),
+  MabScheduler scheduler(backend, mab::make_bandit("ucb", config.bandit),
                          config);
   std::set<std::size_t> seed_sizes;
   for (std::size_t a = 0; a < scheduler.num_arms(); ++a) {

@@ -10,6 +10,7 @@
 #include "fuzz/seedgen.hpp"
 #include "fuzz/test_case.hpp"
 #include "fuzz/random_fuzzer.hpp"
+#include "fuzz/registry.hpp"
 #include "fuzz/thehuzz.hpp"
 #include "isa/decoder.hpp"
 
@@ -303,7 +304,7 @@ TEST(TheHuzzFuzzer, CoverageGrowsOverSteps) {
   config.core = soc::CoreKind::kCva6;
   config.bugs = soc::BugSet::none();
   Backend backend(config);
-  TheHuzz fuzzer(backend, TheHuzzConfig{});
+  TheHuzz fuzzer(backend, PolicyConfig{});
   std::size_t after_10 = 0;
   for (int i = 0; i < 200; ++i) {
     fuzzer.step();
@@ -316,7 +317,7 @@ TEST(TheHuzzFuzzer, CoverageGrowsOverSteps) {
 
 TEST(TheHuzzFuzzer, StepIndexIncrements) {
   Backend backend(BackendConfig{});
-  TheHuzz fuzzer(backend, TheHuzzConfig{});
+  TheHuzz fuzzer(backend, PolicyConfig{});
   EXPECT_EQ(fuzzer.step().test_index, 1u);
   EXPECT_EQ(fuzzer.step().test_index, 2u);
 }
@@ -324,10 +325,10 @@ TEST(TheHuzzFuzzer, StepIndexIncrements) {
 TEST(TheHuzzFuzzer, NeverStallsWhenPoolEmpties) {
   BackendConfig config;
   Backend backend(config);
-  TheHuzzConfig thehuzz;
-  thehuzz.initial_seeds = 1;
-  thehuzz.mutants_per_interesting = 0;  // nothing ever requeued
-  TheHuzz fuzzer(backend, thehuzz);
+  PolicyConfig policy;
+  policy.thehuzz.initial_seeds = 1;
+  policy.mutants_per_interesting = 0;  // nothing ever requeued
+  TheHuzz fuzzer(backend, policy);
   for (int i = 0; i < 25; ++i) {
     fuzzer.step();  // must regenerate seeds, not crash
   }
@@ -339,7 +340,7 @@ TEST(TheHuzzFuzzer, DetectsEasyBugEventually) {
   config.core = soc::CoreKind::kCva6;
   config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
   Backend backend(config);
-  TheHuzz fuzzer(backend, TheHuzzConfig{});
+  TheHuzz fuzzer(backend, PolicyConfig{});
   bool detected = false;
   for (int i = 0; i < 500 && !detected; ++i) {
     const StepResult r = fuzzer.step();
@@ -391,7 +392,7 @@ TEST(RandomRegression, MutationBasedFuzzerReachesThem) {
   config.core = soc::CoreKind::kCva6;
   config.bugs = soc::BugSet::single(soc::BugId::kV2IllegalOpExec);
   Backend backend(config);
-  TheHuzz fuzzer(backend, TheHuzzConfig{});
+  TheHuzz fuzzer(backend, PolicyConfig{});
   bool detected = false;
   for (int i = 0; i < 6000 && !detected; ++i) {
     detected = fuzzer.step().mismatch;

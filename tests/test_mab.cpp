@@ -373,12 +373,6 @@ TEST(Factory, BuildsAllAlgorithmsByName) {
   EXPECT_EQ(make_bandit("ucb", config)->num_arms(), 10u);
 }
 
-TEST(Factory, AliasResolvesToCanonicalPolicy) {
-  BanditConfig config;
-  EXPECT_EQ(make_bandit("eps", config)->name(), "epsilon-greedy");
-  EXPECT_EQ(BanditRegistry::instance().canonical_name("eps"), "epsilon-greedy");
-}
-
 TEST(Factory, ZeroArmsAborts) {
   BanditConfig config;
   config.num_arms = 0;

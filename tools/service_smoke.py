@@ -19,6 +19,9 @@ the determinism contract surviving a kill -9. During the reference run a
 second connection floods 1 MiB without a newline: it must get exactly
 one over-long-line error and be disconnected while the first client keeps
 being served. The same flood on stdin must be skipped through its newline.
+The reference run's control connection also submits a job no campaign can
+run (`arms=0`): it must get exactly one `error:` reply naming `arms`, and
+the daemon must carry on serving the accepted jobs.
 
 Usage: tools/service_smoke.py [--cli PATH] [--workdir DIR]
 """
@@ -45,6 +48,9 @@ DEADLINE = 120.0  # seconds; every wait below shares this cap
 MAX_LINE = 64 * 1024  # the serve loop's cap on an unterminated line
 FLOOD = b"x" * (1 << 20)  # 1 MiB, no newline
 LINE_TOO_LONG = f"error: command line longer than {MAX_LINE} bytes"
+BAD_JOB = "smoke-bad"
+BAD_SUBMIT = (f"submit tenant=smoke job={BAD_JOB} artifact-out={BAD_JOB} "
+              "fuzzer=ucb core=rocket tests=100 arms=0")
 
 
 def fail(message):
@@ -123,6 +129,15 @@ def submit_all(client):
             fail(f"unexpected submit reply {reply!r}")
 
 
+def check_bad_config_refused(client):
+    """A config no campaign can run is refused with one error reply that
+    names the offending key; the daemon keeps serving (the status that
+    follows proves no second reply line and no lost job)."""
+    reply = client.command(BAD_SUBMIT)
+    if not reply.startswith("error:") or "arms" not in reply:
+        fail(f"arms=0 submit got {reply!r}, expected an error naming 'arms'")
+
+
 def check_socket_line_cap(sock_path, deadline):
     """A connection that never sends a newline gets one error reply and is
     closed; the daemon never buffers the flood."""
@@ -196,10 +211,13 @@ def main():
                                        ref_dir / "ctl.sock")
     client = ServeClient(ref_dir / "ctl.sock", deadline)
     submit_all(client)
+    check_bad_config_refused(client)
     check_socket_line_cap(ref_dir / "ctl.sock", deadline)
     status = client.expect_ok("status")
     if not all(f"{name}:" in status for name in JOBS):
         fail(f"status after the flood lost a job: {status!r}")
+    if f"{BAD_JOB}:" in status:
+        fail(f"refused job {BAD_JOB} shows up in status: {status!r}")
     client.expect_ok("drain")
     status = client.expect_ok("status")
     for name, (_, tests) in JOBS.items():
@@ -214,9 +232,11 @@ def main():
     done = [e for e in ref_events if e["event"] == "done"]
     if {e["job"] for e in done} != set(JOBS):
         fail(f"reference run missing done events: {done}")
+    if any(e.get("job") == BAD_JOB for e in ref_events):
+        fail(f"refused job {BAD_JOB} emitted events")
     reference = read_artifacts(ref_dir)
     print(f"service_smoke: reference OK ({len(ref_events)} events, "
-          "over-long line refused)")
+          "arms=0 and over-long line refused)")
     check_stdin_line_cap(cli)
     print("service_smoke: stdin over-long line skipped")
 
