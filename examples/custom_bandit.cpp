@@ -1,6 +1,7 @@
-// Extending MABFuzz with a custom bandit — the ~30-line recipe:
+// Extending MABFuzz with a custom bandit — the ~40-line recipe:
 //
-//   1. implement mab::Bandit (select / update / reset_arm),
+//   1. implement mab::Bandit (select / update / reset_arm, and the
+//      save_state / restore_state pair checkpoints resume from),
 //   2. register a factory under a name in mab::BanditRegistry.
 //
 // Every bandit name is a fuzzer name (MABFuzz over that bandit), so from
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -65,6 +67,25 @@ class SoftmaxBandit final : public mab::Bandit {
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "softmax";
+  }
+
+  // Every mutable field, in a fixed order; restore_state reads them back.
+  void save_state(std::string& out) const override {
+    mab::state_put_u64(out, t_);
+    for (std::size_t a = 0; a < num_arms(); ++a) {
+      mab::state_put_f64(out, q_[a]);
+      mab::state_put_u64(out, n_[a]);
+    }
+    mab::state_put_rng(out, rng_);
+  }
+
+  void restore_state(common::ByteReader& in) override {
+    t_ = in.u64("softmax total pulls");
+    for (std::size_t a = 0; a < num_arms(); ++a) {
+      q_[a] = in.f64("softmax value estimate");
+      n_[a] = in.u64("softmax pull count");
+    }
+    rng_ = in.rng("softmax rng");
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
 namespace mabfuzz::common {
 
@@ -21,6 +22,14 @@ Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x1ULL;
   }
+}
+
+void Xoshiro256StarStar::set_state(const std::array<std::uint64_t, 4>& state) {
+  if ((state[0] | state[1] | state[2] | state[3]) == 0) {
+    throw std::invalid_argument(
+        "the all-zero xoshiro256** state is a fixed point, not a stream");
+  }
+  state_ = state;
 }
 
 std::uint64_t Xoshiro256StarStar::next() noexcept {

@@ -79,6 +79,11 @@ class Xoshiro256StarStar {
     return state_;
   }
 
+  /// Continues the stream from a state() image (checkpoint restore).
+  /// Throws std::invalid_argument for the all-zero state, xoshiro's fixed
+  /// point, which no seeded stream ever reaches.
+  void set_state(const std::array<std::uint64_t, 4>& state);
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {

@@ -16,6 +16,7 @@
 // paper's original formulation stays the default behaviour.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mab/bandit.hpp"
@@ -33,6 +34,12 @@ class MabOperatorPolicy final : public mutation::OperatorPolicy {
 
   [[nodiscard]] mutation::Op choose(common::Xoshiro256StarStar& rng) override;
   void feedback(mutation::Op op, double reward) override;
+
+  /// The bandit's state.
+  void save_state(std::string& out) const override { bandit_->save_state(out); }
+  void restore_state(common::ByteReader& in) override {
+    bandit_->restore_state(in);
+  }
 
   [[nodiscard]] const mab::Bandit& bandit() const noexcept { return *bandit_; }
 
@@ -58,6 +65,10 @@ class SeedLengthPolicy {
     return choices_;
   }
   [[nodiscard]] const mab::Bandit& bandit() const noexcept { return *bandit_; }
+
+  /// The bandit's state; the choices are configuration.
+  void save_state(std::string& out) const { bandit_->save_state(out); }
+  void restore_state(common::ByteReader& in) { bandit_->restore_state(in); }
 
  private:
   std::vector<unsigned> choices_;

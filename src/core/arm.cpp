@@ -23,4 +23,22 @@ void Arm::reset(fuzz::TestCase new_seed) {
   ++resets_;
 }
 
+void Arm::save_state(std::string& out) const {
+  fuzz::put_test(out, seed_);
+  pool_.save_state(out);
+  coverage_.save_state(out);
+  monitor_.save_state(out);
+  common::put_u64(out, pulls_);
+  common::put_u64(out, resets_);
+}
+
+void Arm::restore_state(common::ByteReader& in) {
+  seed_ = fuzz::read_test(in);
+  pool_.restore_state(in);
+  coverage_.restore_state(in);
+  monitor_.restore_state(in);
+  pulls_ = in.u64("arm pulls");
+  resets_ = in.u64("arm resets");
+}
+
 }  // namespace mabfuzz::core

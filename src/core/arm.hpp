@@ -5,7 +5,9 @@
 // (paper Sec. III-C).
 
 #include <cstdint>
+#include <string>
 
+#include "common/bytes.hpp"
 #include "coverage/map.hpp"
 #include "coverage/monitor.hpp"
 #include "fuzz/pool.hpp"
@@ -39,6 +41,12 @@ class Arm {
   }
   [[nodiscard]] std::uint64_t pulls() const noexcept { return pulls_; }
   [[nodiscard]] std::uint64_t resets() const noexcept { return resets_; }
+
+  /// The seed, the pool (queued tests and dropped count), the arm map,
+  /// the monitor's counters, pulls and resets. restore_state() is the
+  /// exact inverse into an arm built with the same universe, gamma and cap.
+  void save_state(std::string& out) const;
+  void restore_state(common::ByteReader& in);
 
  private:
   fuzz::TestCase seed_;

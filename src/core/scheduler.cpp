@@ -112,4 +112,38 @@ void MabScheduler::append_state(std::string& out) const {
   bandit_->save_state(out);
 }
 
+void MabScheduler::save_state(std::string& out) const {
+  common::put_u64(out, steps_);
+  common::put_u64(out, total_resets_);
+  bandit_->save_state(out);
+  common::put_u64(out, arms_.size());
+  for (std::size_t a = 0; a < arms_.size(); ++a) {
+    arms_[a].save_state(out);
+    common::put_u32(out, pending_seed_length_[a]);
+  }
+  global_.save_state(out);
+  if (config_.length_policy) {
+    config_.length_policy->save_state(out);
+  }
+}
+
+void MabScheduler::restore_state(common::ByteReader& in) {
+  steps_ = in.u64("scheduler steps");
+  total_resets_ = in.u64("scheduler resets");
+  bandit_->restore_state(in);
+  const std::uint64_t num_arms = in.u64("scheduler arm count");
+  if (num_arms != arms_.size()) {
+    in.fail("scheduler arm count " + std::to_string(num_arms) +
+            " does not match the bandit's " + std::to_string(arms_.size()));
+  }
+  for (std::size_t a = 0; a < arms_.size(); ++a) {
+    arms_[a].restore_state(in);
+    pending_seed_length_[a] = in.u32("pending seed length");
+  }
+  global_.restore_state(in);
+  if (config_.length_policy) {
+    config_.length_policy->restore_state(in);
+  }
+}
+
 }  // namespace mabfuzz::core

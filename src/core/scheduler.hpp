@@ -51,6 +51,12 @@ class MabScheduler final : public fuzz::Fuzzer {
   [[nodiscard]] const mab::Bandit& bandit() const noexcept { return *bandit_; }
   [[nodiscard]] std::uint64_t total_resets() const noexcept { return total_resets_; }
 
+  /// Steps, resets and the bandit; every arm's state with its pending
+  /// seed length; the global map; and the seed-length policy's bandit
+  /// when adaptive length is on.
+  void save_state(std::string& out) const override;
+  void restore_state(common::ByteReader& in) override;
+
   /// Checkpoint state witness: steps, resets, and the bandit's full state.
   void append_state(std::string& out) const override;
 

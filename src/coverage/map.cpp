@@ -116,6 +116,27 @@ void Map::assign_words(std::size_t num_points,
   words_.assign(words.begin(), words.end());
 }
 
+void Map::save_state(std::string& out) const {
+  common::put_u64(out, words_.size());
+  common::put_words(out, std::span<const std::uint64_t>(words_));
+}
+
+void Map::restore_state(common::ByteReader& in) {
+  const std::uint64_t count = in.u64("coverage map word count");
+  if (count != words_.size()) {
+    in.fail("coverage map word count " + std::to_string(count) +
+            " does not match the " + std::to_string(num_points_) +
+            "-point universe's " + std::to_string(words_.size()));
+  }
+  std::vector<std::uint64_t> words(words_.size());
+  in.words("coverage map words", std::span<std::uint64_t>(words));
+  try {
+    assign_words(num_points_, words);
+  } catch (const std::invalid_argument& e) {
+    in.fail(std::string("coverage map: ") + e.what());
+  }
+}
+
 std::size_t Accumulator::absorb(const Map& test_map) {
   const std::size_t fresh = test_map.count_new(global_);
   if (fresh > 0) {

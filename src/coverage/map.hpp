@@ -6,9 +6,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "coverage/registry.hpp"
 
 namespace mabfuzz::coverage {
@@ -106,6 +108,14 @@ class Map {
   /// std::invalid_argument otherwise — a corrupt artifact fails loudly).
   void assign_words(std::size_t num_points, std::span<const std::uint64_t> words);
 
+  /// Appends the backing words (u64 count, then the words) to a state
+  /// image. restore_state() reads them back into this map, whose
+  /// universe stays: the stored word count must be exactly its storage
+  /// size and no bit may lie beyond it, else std::runtime_error through
+  /// `in`.
+  void save_state(std::string& out) const;
+  void restore_state(common::ByteReader& in);
+
   /// O(1) storage exchange; the scratch-recycling primitive.
   void swap(Map& other) noexcept {
     std::swap(num_points_, other.num_points_);
@@ -139,6 +149,10 @@ class Accumulator {
 
   /// Covered fraction in [0,1]; 0 for an empty universe.
   [[nodiscard]] double fraction() const noexcept;
+
+  /// The global map's save_state / restore_state.
+  void save_state(std::string& out) const { global_.save_state(out); }
+  void restore_state(common::ByteReader& in) { global_.restore_state(in); }
 
  private:
   Map global_;

@@ -28,4 +28,16 @@ void GammaWindowMonitor::reset() noexcept {
   observations_ = 0;
 }
 
+void GammaWindowMonitor::save_state(std::string& out) const {
+  common::put_u64(out, zero_streak_);
+  common::put_u64(out, observations_);
+  common::put_u64(out, depletion_events_);
+}
+
+void GammaWindowMonitor::restore_state(common::ByteReader& in) {
+  zero_streak_ = static_cast<std::size_t>(in.u64("monitor zero streak"));
+  observations_ = in.u64("monitor observations");
+  depletion_events_ = in.u64("monitor depletion events");
+}
+
 }  // namespace mabfuzz::coverage

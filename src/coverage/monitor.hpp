@@ -5,6 +5,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+
+#include "common/bytes.hpp"
 
 namespace mabfuzz::coverage {
 
@@ -37,6 +40,11 @@ class GammaWindowMonitor {
 
   /// Forgets history (called when the arm is reset to a fresh seed).
   void reset() noexcept;
+
+  /// The three counters (streak, observations, depletion events); gamma
+  /// is configuration. restore_state() is the exact inverse.
+  void save_state(std::string& out) const;
+  void restore_state(common::ByteReader& in);
 
  private:
   std::size_t gamma_;

@@ -72,4 +72,18 @@ TestCase Backend::make_mutant(const TestCase& parent) {
   return test;
 }
 
+void Backend::save_state(std::string& out) const {
+  seedgen_.save_state(out);
+  mutation_.save_state(out);
+  common::put_u64(out, next_test_id_);
+  common::put_u64(out, tests_executed_);
+}
+
+void Backend::restore_state(common::ByteReader& in) {
+  seedgen_.restore_state(in);
+  mutation_.restore_state(in);
+  next_test_id_ = in.u64("next test id");
+  tests_executed_ = in.u64("backend tests executed");
+}
+
 }  // namespace mabfuzz::fuzz

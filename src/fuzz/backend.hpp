@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "coverage/map.hpp"
 #include "fuzz/oracle.hpp"
@@ -105,6 +106,15 @@ class Backend {
   [[nodiscard]] const ExecutionContext& execution_context() const noexcept {
     return scratch_;
   }
+
+  /// Appends the backend's complete mutable state: both RNG streams (seed
+  /// generation, mutation), the operator counts, the operator policy, the
+  /// next test id and the tests executed. The simulators are not state
+  /// (both start every test from a cold reset), nor is the decode cache
+  /// (its contents never change a result, only its hit counters).
+  /// restore_state() is the exact inverse (checkpoint resume).
+  void save_state(std::string& out) const;
+  void restore_state(common::ByteReader& in);
 
  private:
   BackendConfig config_;

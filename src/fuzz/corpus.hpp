@@ -55,6 +55,9 @@ class Corpus {
  public:
   static constexpr std::string_view kSchema = "mabfuzz-corpus-v2";
   static constexpr std::uint32_t kVersion = 2;
+  /// Bound on a binary image embedded in another file (checkpoints and
+  /// the reuse fuzzer's state): 64 MiB, far above any real store.
+  static constexpr std::uint64_t kMaxImageBytes = 1u << 26;
 
   /// An empty corpus bound to one DUT configuration: `core` is the
   /// soc::core_name the tests were executed on and `coverage_universe` the

@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bytes.hpp"
 #include "coverage/map.hpp"
 #include "fuzz/backend.hpp"
 
@@ -42,12 +43,24 @@ class Fuzzer {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Appends a deterministic fingerprint of the policy's mutable state
-  /// (bandit statistics, RNG stream positions, reset counters) to `out` —
-  /// the divergence witness harness/checkpoint.hpp compares after a
-  /// resume replay. Policies whose state is fully reconstructed by
-  /// replay anyway may keep the empty default; the bandit-backed
-  /// schedulers serialize their mab::Bandit state.
+  /// Appends the policy's complete mutable state to `out`: everything a
+  /// freshly constructed policy of the same config needs, besides the
+  /// backend's own state and the campaign's shared corpus, to continue
+  /// exactly where this one is. A checkpoint resume (harness/checkpoint.hpp)
+  /// restores from these bytes instead of replaying the campaign.
+  virtual void save_state(std::string& out) const = 0;
+
+  /// The exact inverse of save_state(), applied to a policy constructed
+  /// from the same config. Every count is bounded before anything is
+  /// allocated; a truncated or inconsistent image throws
+  /// std::runtime_error naming the field.
+  virtual void restore_state(common::ByteReader& in) = 0;
+
+  /// Appends a compact witness of the decision state (steps, resets,
+  /// the bandit's save_state) to `out`. Checkpoints store it, and a
+  /// resume requires the restored policy to reproduce it byte for byte;
+  /// the campaign benchmark's replicas compare it too, so its bytes are
+  /// fixed. Policies without a bandit keep the empty default.
   virtual void append_state(std::string& out) const { (void)out; }
 };
 

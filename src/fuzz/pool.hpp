@@ -14,6 +14,9 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <string>
+
+#include "common/bytes.hpp"
 
 #include "fuzz/test_case.hpp"
 
@@ -37,6 +40,12 @@ class TestPool {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
   void clear() noexcept { queue_.clear(); }
+
+  /// The queued tests (oldest first) and the dropped count. The cap is
+  /// configuration: restore_state() refuses more queued tests than the
+  /// pool can hold.
+  void save_state(std::string& out) const;
+  void restore_state(common::ByteReader& in);
 
  private:
   std::size_t max_size_;

@@ -32,6 +32,16 @@ class RandomFuzzer final : public Fuzzer {
     return "RandomRegression";
   }
 
+  /// The coverage map and steps; every test is a fresh backend seed.
+  void save_state(std::string& out) const override {
+    accumulated_.save_state(out);
+    common::put_u64(out, steps_);
+  }
+  void restore_state(common::ByteReader& in) override {
+    accumulated_.restore_state(in);
+    steps_ = in.u64("random steps");
+  }
+
  private:
   Backend& backend_;
   coverage::Accumulator accumulated_;

@@ -1,10 +1,8 @@
 #include "fuzz/registry.hpp"
 
-#include "fuzz/corpus.hpp"
 #include "fuzz/random_fuzzer.hpp"
 #include "fuzz/reuse_fuzzer.hpp"
 #include "mab/registry.hpp"
-#include "soc/cores.hpp"
 
 namespace mabfuzz::fuzz {
 
@@ -36,19 +34,11 @@ const FuzzerRegistration kRandomRegistration{
 const FuzzerRegistration kReuseRegistration{
     "reuse",
     [](Backend& backend, const PolicyConfig& config) -> std::unique_ptr<Fuzzer> {
-      // Usually the campaign materialised the shared store (corpus-in /
-      // corpus-out); a bare construction gets a campaign-private one.
-      std::shared_ptr<Corpus> corpus = config.corpus;
-      if (!corpus) {
-        corpus = std::make_shared<Corpus>(
-            std::string(soc::core_name(backend.config().core)),
-            backend.coverage_universe(), config.corpus_cap);
-      }
-      auto bandit =
+      return std::make_unique<ReuseFuzzer>(
+          backend,
           mab::BanditRegistry::instance().create(config.reuse_bandit,
-                                                 config.bandit);
-      return std::make_unique<ReuseFuzzer>(backend, std::move(corpus),
-                                           std::move(bandit), config.gamma);
+                                                 config.bandit),
+          config);
     }};
 
 }  // namespace

@@ -2,16 +2,26 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <utility>
+
+#include "fuzz/registry.hpp"
+#include "soc/cores.hpp"
 
 namespace mabfuzz::fuzz {
 
-ReuseFuzzer::ReuseFuzzer(Backend& backend, std::shared_ptr<Corpus> corpus,
-                         std::unique_ptr<mab::Bandit> bandit, std::size_t gamma)
-    : backend_(backend), corpus_(std::move(corpus)), bandit_(std::move(bandit)),
+ReuseFuzzer::ReuseFuzzer(Backend& backend, std::unique_ptr<mab::Bandit> bandit,
+                         const PolicyConfig& policy)
+    : backend_(backend), corpus_(policy.corpus),
+      private_store_(policy.corpus == nullptr), bandit_(std::move(bandit)),
       global_(backend.coverage_universe()) {
-  if (!corpus_ || !bandit_ || bandit_->num_arms() == 0) {
+  if (!bandit_ || bandit_->num_arms() == 0) {
     std::abort();  // mis-wired construction is a programming error
+  }
+  if (private_store_) {
+    corpus_ = std::make_shared<Corpus>(
+        std::string(soc::core_name(backend_.config().core)),
+        backend_.coverage_universe(), policy.corpus_cap);
   }
 
   // Rank the start-of-campaign corpus snapshot best-novelty first (ties:
@@ -31,7 +41,7 @@ ReuseFuzzer::ReuseFuzzer(Backend& backend, std::shared_ptr<Corpus> corpus,
   arms_.reserve(num_arms);
   for (std::size_t a = 0; a < num_arms; ++a) {
     ArmState arm;
-    arm.monitor = coverage::GammaWindowMonitor(gamma);
+    arm.monitor = coverage::GammaWindowMonitor(policy.gamma);
     if (a < ranked.size()) {
       arm.parent = ranked[a]->test;
       ++arms_from_corpus_;
@@ -113,6 +123,60 @@ void ReuseFuzzer::append_state(std::string& out) const {
   mab::state_put_u64(out, total_resets_);
   mab::state_put_u64(out, reserve_cursor_);
   bandit_->save_state(out);
+}
+
+void ReuseFuzzer::save_state(std::string& out) const {
+  common::put_u64(out, arms_.size());
+  for (const ArmState& arm : arms_) {
+    put_test(out, arm.parent);
+    out.push_back(arm.executed ? '\1' : '\0');
+    arm.monitor.save_state(out);
+  }
+  common::put_u64(out, reserve_cursor_);
+  global_.save_state(out);
+  common::put_u64(out, steps_);
+  common::put_u64(out, total_resets_);
+  bandit_->save_state(out);
+  if (private_store_) {
+    std::ostringstream image;
+    corpus_->save(image);
+    common::put_blob(out, std::move(image).str());
+  }
+}
+
+void ReuseFuzzer::restore_state(common::ByteReader& in) {
+  const std::uint64_t num_arms = in.u64("reuse arm count");
+  if (num_arms != arms_.size()) {
+    in.fail("reuse arm count " + std::to_string(num_arms) +
+            " does not match the bandit's " + std::to_string(arms_.size()));
+  }
+  for (ArmState& arm : arms_) {
+    arm.parent = read_test(in);
+    const std::uint8_t executed = in.u8("reuse arm executed flag");
+    if (executed > 1) {
+      in.fail("reuse arm executed flag must be 0 or 1");
+    }
+    arm.executed = executed == 1;
+    arm.monitor.restore_state(in);
+  }
+  reserve_cursor_ = static_cast<std::size_t>(
+      in.count("reuse reserve cursor", reserve_.size()));
+  global_.restore_state(in);
+  steps_ = in.u64("reuse steps");
+  total_resets_ = in.u64("reuse resets");
+  bandit_->restore_state(in);
+  if (private_store_) {
+    std::istringstream image(
+        in.blob("reuse corpus image", Corpus::kMaxImageBytes));
+    Corpus store = Corpus::load(image);
+    if (store.core() != corpus_->core() ||
+        store.universe() != corpus_->universe()) {
+      in.fail("reuse corpus image was recorded on '" + store.core() +
+              "' with universe " + std::to_string(store.universe()) +
+              ", not this campaign's DUT");
+    }
+    *corpus_ = std::move(store);
+  }
 }
 
 }  // namespace mabfuzz::fuzz

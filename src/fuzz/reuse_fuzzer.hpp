@@ -34,15 +34,19 @@
 
 namespace mabfuzz::fuzz {
 
+struct PolicyConfig;  // fuzz/registry.hpp
+
 class ReuseFuzzer final : public Fuzzer {
  public:
-  /// `bandit->num_arms()` fixes the arm count. The corpus supplies the
-  /// initial arm seeds (best-novelty first); missing arms start from fresh
-  /// random seeds — an empty corpus degrades to a cold-start mutational
-  /// fuzzer whose discoveries populate the store. `gamma` is the per-arm
+  /// `bandit->num_arms()` fixes the arm count. The store is the campaign's
+  /// shared `policy.corpus`, or a private one of `policy.corpus_cap`
+  /// entries when that is null. The corpus supplies the initial arm seeds
+  /// (best-novelty first); missing arms start from fresh random seeds —
+  /// an empty corpus degrades to a cold-start mutational fuzzer whose
+  /// discoveries populate the store. `policy.gamma` is the per-arm
   /// depletion threshold; 0 disables arm replacement (paper Sec. III-C).
-  ReuseFuzzer(Backend& backend, std::shared_ptr<Corpus> corpus,
-              std::unique_ptr<mab::Bandit> bandit, std::size_t gamma);
+  ReuseFuzzer(Backend& backend, std::unique_ptr<mab::Bandit> bandit,
+              const PolicyConfig& policy);
 
   StepResult step() override;
 
@@ -66,6 +70,13 @@ class ReuseFuzzer final : public Fuzzer {
     return total_resets_;
   }
 
+  /// Per arm the parent, whether it ran and the monitor; the reserve
+  /// cursor (construction rebuilds the reserve list), the coverage map,
+  /// steps, resets and the bandit; and the store's corpus-v2 image when it
+  /// is private (a shared store travels with the checkpoint itself).
+  void save_state(std::string& out) const override;
+  void restore_state(common::ByteReader& in) override;
+
   /// Checkpoint state witness: steps, resets, reserve cursor, and the
   /// seed-selection bandit's full state.
   void append_state(std::string& out) const override;
@@ -83,6 +94,7 @@ class ReuseFuzzer final : public Fuzzer {
 
   Backend& backend_;
   std::shared_ptr<Corpus> corpus_;
+  bool private_store_;  // corpus_ is this fuzzer's own, not the campaign's
   std::unique_ptr<mab::Bandit> bandit_;
   std::vector<ArmState> arms_;
   std::vector<TestCase> reserve_;  // unused corpus entries, best-first

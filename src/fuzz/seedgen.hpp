@@ -5,8 +5,10 @@
 // enter the population only through mutation.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "fuzz/test_case.hpp"
 #include "isa/opcode.hpp"
@@ -41,6 +43,11 @@ class SeedGenerator {
   [[nodiscard]] std::vector<isa::Word> next_program(unsigned length);
 
   [[nodiscard]] const SeedGenConfig& config() const noexcept { return config_; }
+
+  /// The RNG stream is the generator's only state between programs (the
+  /// register and store-site lists restart with every program).
+  void save_state(std::string& out) const { common::put_rng(out, rng_); }
+  void restore_state(common::ByteReader& in) { rng_ = in.rng("seedgen rng"); }
 
  private:
   isa::Instruction random_alu();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "isa/fields.hpp"
 
 namespace mabfuzz::fuzz {
@@ -28,5 +29,14 @@ struct TestCase {
 
 /// Multi-line disassembly listing of the test (for reports and examples).
 [[nodiscard]] std::string to_listing(const TestCase& test);
+
+/// Appends `test` to a state image (save_state of the pools and
+/// policies that hold tests).
+void put_test(std::string& out, const TestCase& test);
+
+/// put_test's inverse. The program and operator lists are bounded like
+/// a mabfuzz-corpus-v2 entry's (1..2^20 words, at most 2^20 operators);
+/// a violation throws std::runtime_error through `in`.
+[[nodiscard]] TestCase read_test(common::ByteReader& in);
 
 }  // namespace mabfuzz::fuzz

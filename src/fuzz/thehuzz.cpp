@@ -66,4 +66,30 @@ StepResult TheHuzz::step() {
   return result;
 }
 
+void TheHuzz::save_state(std::string& out) const {
+  pool_.save_state(out);
+  common::put_u64(out, database_.size());
+  for (const TestCase& test : database_) {
+    put_test(out, test);
+  }
+  common::put_u64(out, db_cursor_);
+  accumulated_.save_state(out);
+  common::put_u64(out, steps_);
+}
+
+void TheHuzz::restore_state(common::ByteReader& in) {
+  pool_.restore_state(in);
+  // step() evicts only from a non-empty database, so a cap of 0 holds one.
+  const std::uint64_t size = in.count(
+      "database size", std::max<std::size_t>(config_.database_cap, 1));
+  database_.clear();
+  for (std::uint64_t i = 0; i < size; ++i) {
+    database_.push_back(read_test(in));
+  }
+  db_cursor_ = static_cast<std::size_t>(
+      in.count("database cursor", std::max<std::uint64_t>(size, 1) - 1));
+  accumulated_.restore_state(in);
+  steps_ = in.u64("thehuzz steps");
+}
+
 }  // namespace mabfuzz::fuzz

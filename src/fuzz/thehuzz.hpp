@@ -45,6 +45,10 @@ class TheHuzz final : public Fuzzer {
     return database_.size();
   }
 
+  /// The pool, the database and its cursor, the coverage map and steps.
+  void save_state(std::string& out) const override;
+  void restore_state(common::ByteReader& in) override;
+
  private:
   void refill_from_database();
 

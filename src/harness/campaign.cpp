@@ -556,6 +556,11 @@ Campaign::Campaign(const CampaignConfig& config) : config_(config) {
   fuzzer_ = make_fuzzer(config_.fuzzer, *backend_, config_.policy);
 }
 
+void Campaign::save_state(std::string& out) const {
+  backend_->save_state(out);
+  fuzzer_->save_state(out);
+}
+
 bool Campaign::save_corpus() const {
   if (!corpus_ || config_.corpus_out.empty()) {
     return false;

@@ -97,7 +97,7 @@ struct CampaignConfig {
   known_keys();
 
   /// Serializes every known key as "key=value" in declaration order (the
-  /// checkpoint-v2 config section and the wire echo format). Values are
+  /// checkpoint config section and the wire echo format). Values are
   /// canonical: doubles print shortest-round-trip, the bug set prints as
   /// an explicit name list ("none" when empty), so
   /// from_pairs(to_pairs()) reconstructs an equivalent config and
@@ -120,6 +120,7 @@ struct CampaignConfig {
 void validate_output_directory(const std::string& path, std::string_view what);
 
 class Campaign;
+struct Checkpoint;  // harness/checkpoint.hpp
 
 /// Why a run_until() returned.
 enum class StopReason : std::uint8_t {
@@ -236,10 +237,8 @@ class Campaign {
   /// run_until (trailing snapshot + on_stop) and the engaged result is
   /// returned; when the quantum is exhausted first, no finalization
   /// happens and std::nullopt is returned — call again to continue. The
-  /// campaign-service scheduler interleaves jobs through this, and
-  /// checkpoint resume replays through it (stop that never fires,
-  /// quantum = checkpointed steps), so sliced, resumed and uninterrupted
-  /// runs all produce identical snapshots and artifacts.
+  /// campaign-service scheduler interleaves jobs through this, so sliced
+  /// and uninterrupted runs produce identical snapshots and artifacts.
   std::optional<RunResult> run_slice(const StopCondition& stop,
                                      std::uint64_t quantum);
 
@@ -247,6 +246,12 @@ class Campaign {
   RunResult run();
 
   void add_observer(CampaignObserver& observer);
+
+  /// Appends the engine's complete mutable state — the backend's, then
+  /// the fuzzer's save_state — to `out`: a checkpoint's state section.
+  /// The campaign's own counters, snapshots and shared corpus travel in
+  /// the checkpoint's other fields (harness/checkpoint.hpp).
+  void save_state(std::string& out) const;
 
   [[nodiscard]] fuzz::Fuzzer& fuzzer() noexcept { return *fuzzer_; }
   [[nodiscard]] const fuzz::Fuzzer& fuzzer() const noexcept { return *fuzzer_; }
@@ -293,6 +298,10 @@ class Campaign {
   [[nodiscard]] bool all_enabled_bugs_detected() const noexcept;
 
  private:
+  // Checkpoint capture and resume read and overwrite the private state.
+  friend struct Checkpoint;
+  friend std::unique_ptr<Campaign> resume_campaign(const Checkpoint&);
+
   void take_snapshot();
 
   CampaignConfig config_;
@@ -310,6 +319,11 @@ class Campaign {
   // detlint:allow(nondet-source)
   std::chrono::steady_clock::time_point started_{};
   bool timing_started_ = false;
+  /// The checkpoint fingerprint of this campaign's config and code,
+  /// computed by the first Checkpoint::capture (a probe campaign's first
+  /// test) or verified by resume_campaign; cached because every periodic
+  /// checkpoint of a job stores the same value.
+  mutable std::optional<std::uint64_t> fingerprint_;
 };
 
 }  // namespace mabfuzz::harness

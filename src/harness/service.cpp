@@ -246,7 +246,8 @@ std::string CampaignService::resume_from_checkpoint(const std::string& path) {
   job->spec.tenant = checkpoint.tenant;
   job->spec.name = checkpoint.job_name;
   job->spec.artifact_out = checkpoint.artifact_out;
-  // Verified deterministic replay up to the checkpointed step.
+  // State restore: one probe test checked against the checkpoint's
+  // fingerprint, then the captured state and its round-trip checks.
   job->campaign = resume_campaign(checkpoint);
   job->spec.config = job->campaign->config();
   job->observer = std::make_unique<JobObserver>(*this, *job);
@@ -378,6 +379,9 @@ void CampaignService::drain() {
 void CampaignService::stop() {
   {
     const std::lock_guard<std::mutex> guard(mutex_);
+    if (stopping_) {
+      return;  // lanes already joined, final checkpoints already written
+    }
     stopping_ = true;
   }
   work_cv_.notify_all();

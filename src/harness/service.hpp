@@ -14,7 +14,8 @@
 // writes a harness::Checkpoint every checkpoint_every tests (atomic
 // tmp+rename), stop() writes a final checkpoint for every unfinished
 // job, and resume_from_checkpoint() re-admits a job from its snapshot
-// (deterministic replay + witness verification; harness/checkpoint.hpp).
+// (state restore after one fingerprinted probe test, then round-trip
+// and witness verification; harness/checkpoint.hpp).
 //
 // Observability: every lifecycle transition and every interesting step
 // (new coverage, mismatch, checkpoint) streams as one line of compact
@@ -115,9 +116,11 @@ class CampaignService {
   /// Callable before start() (jobs queue up) and while running.
   void submit(JobSpec spec);
 
-  /// Loads `path`, rebuilds the job by verified replay and enqueues it
-  /// to continue from its checkpointed step. Same admission checks as
-  /// submit(). Returns the job name.
+  /// Loads `path`, rebuilds the job by restoring its checkpointed state
+  /// (one probe test, not a replay of its history; see
+  /// harness/checkpoint.hpp) and enqueues it to continue from its
+  /// checkpointed step. Same admission checks as submit(). Returns the
+  /// job name.
   std::string resume_from_checkpoint(const std::string& path);
 
   /// Request a state change; applied at the job's next slice boundary.
@@ -140,7 +143,8 @@ class CampaignService {
 
   /// Graceful shutdown: lanes finish their current slice and exit, then
   /// the calling thread writes a final checkpoint for every unfinished
-  /// job (when checkpointing is enabled). Idempotent; implied by the
+  /// job (when checkpointing is enabled). Idempotent: a second call (the
+  /// destructor's, say) returns without touching any job. Implied by the
   /// destructor.
   void stop();
 

@@ -12,38 +12,33 @@
 //    coverage reward by |C| (Algorithm 2, line 6).
 //  - save_state() appends the algorithm's complete mutable state (value
 //    estimates, pull counts, weights, RNG stream position) as
-//    deterministic little-endian bytes — the bandit half of the
-//    checkpoint-v2 state witness (harness/checkpoint.hpp): two bandits
-//    with equal blobs will select identical arm sequences forever.
+//    deterministic little-endian bytes (common/bytes.hpp), and
+//    restore_state() reads exactly those bytes back: a checkpoint resume
+//    (harness/checkpoint.hpp) continues the bandit from them, and two
+//    bandits with equal blobs select identical arm sequences forever.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 
 namespace mabfuzz::mab {
 
-/// Little-endian byte appenders shared by every save_state()
-/// implementation (doubles travel as their IEEE-754 bit patterns, so the
-/// blob is bit-exact, not round-tripped through decimal).
+/// The byte appenders of every save_state() implementation.
 inline void state_put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  common::put_u64(out, v);
 }
 
 inline void state_put_f64(std::string& out, double v) {
-  state_put_u64(out, std::bit_cast<std::uint64_t>(v));
+  common::put_f64(out, v);
 }
 
 inline void state_put_rng(std::string& out,
                           const common::Xoshiro256StarStar& rng) {
-  for (const std::uint64_t word : rng.state()) {
-    state_put_u64(out, word);
-  }
+  common::put_rng(out, rng);
 }
 
 class Bandit {
@@ -59,12 +54,17 @@ class Bandit {
   }
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Appends the algorithm's mutable state to `out` (see the file
-  /// comment). The default appends nothing — a custom bandit that skips
-  /// this still checkpoints and resumes correctly (resume replays the
-  /// campaign deterministically); it merely contributes a weaker
-  /// divergence witness. All four built-ins implement it.
-  virtual void save_state(std::string& out) const { (void)out; }
+  /// Appends the algorithm's complete mutable state to `out` (see the
+  /// file comment). A checkpoint resume restores the bandit from these
+  /// bytes instead of replaying the campaign, so a bandit that leaves
+  /// any state out resumes wrong — the resume's round-trip check then
+  /// refuses it.
+  virtual void save_state(std::string& out) const = 0;
+
+  /// The exact inverse of save_state(): reads the bytes it appended and
+  /// overwrites this bandit's state with them. Throws std::runtime_error
+  /// (through `in`) on a truncated image.
+  virtual void restore_state(common::ByteReader& in) = 0;
 
   [[nodiscard]] std::size_t num_arms() const noexcept { return num_arms_; }
 

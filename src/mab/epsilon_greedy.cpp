@@ -30,6 +30,14 @@ void EpsilonGreedy::save_state(std::string& out) const {
   state_put_rng(out, rng_);
 }
 
+void EpsilonGreedy::restore_state(common::ByteReader& in) {
+  for (std::size_t a = 0; a < num_arms(); ++a) {
+    q_[a] = in.f64("epsilon-greedy value estimate");
+    n_[a] = in.u64("epsilon-greedy pull count");
+  }
+  rng_ = in.rng("epsilon-greedy rng");
+}
+
 void EpsilonGreedy::reset_arm(std::size_t arm) {
   if (arm >= num_arms()) {
     return;

@@ -28,6 +28,7 @@ class EpsilonGreedy final : public Bandit {
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
 
   void save_state(std::string& out) const override;
+  void restore_state(common::ByteReader& in) override;
 
  private:
   double epsilon_;

@@ -69,6 +69,15 @@ void Exp3::save_state(std::string& out) const {
   state_put_rng(out, rng_);
 }
 
+void Exp3::restore_state(common::ByteReader& in) {
+  for (std::size_t a = 0; a < num_arms(); ++a) {
+    w_[a] = in.f64("exp3 weight");
+  }
+  last_selected_ = static_cast<std::size_t>(in.u64("exp3 last selection"));
+  last_prob_ = in.f64("exp3 last probability");
+  rng_ = in.rng("exp3 rng");
+}
+
 void Exp3::renormalize_if_needed() {
   const double max_w = *std::max_element(w_.begin(), w_.end());
   if (max_w > 1e100) {

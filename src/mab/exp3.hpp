@@ -29,6 +29,7 @@ class Exp3 final : public Bandit {
   [[nodiscard]] double eta() const noexcept { return eta_; }
 
   void save_state(std::string& out) const override;
+  void restore_state(common::ByteReader& in) override;
 
   /// Current sampling distribution (exposed for tests).
   [[nodiscard]] std::vector<double> probabilities() const;

@@ -47,6 +47,14 @@ void Thompson::save_state(std::string& out) const {
   state_put_rng(out, rng_);
 }
 
+void Thompson::restore_state(common::ByteReader& in) {
+  for (std::size_t a = 0; a < num_arms(); ++a) {
+    mean_[a] = in.f64("thompson posterior mean");
+    n_[a] = in.u64("thompson pull count");
+  }
+  rng_ = in.rng("thompson rng");
+}
+
 void Thompson::reset_arm(std::size_t arm) {
   if (arm >= num_arms()) {
     return;

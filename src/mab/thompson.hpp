@@ -28,6 +28,7 @@ class Thompson final : public Bandit {
   [[nodiscard]] std::uint64_t n(std::size_t arm) const { return n_.at(arm); }
 
   void save_state(std::string& out) const override;
+  void restore_state(common::ByteReader& in) override;
 
  private:
   [[nodiscard]] double gaussian();

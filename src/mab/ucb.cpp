@@ -38,6 +38,15 @@ void Ucb::save_state(std::string& out) const {
   state_put_rng(out, rng_);
 }
 
+void Ucb::restore_state(common::ByteReader& in) {
+  t_ = in.u64("ucb total pulls");
+  for (std::size_t a = 0; a < num_arms(); ++a) {
+    q_[a] = in.f64("ucb value estimate");
+    n_[a] = in.u64("ucb pull count");
+  }
+  rng_ = in.rng("ucb rng");
+}
+
 void Ucb::reset_arm(std::size_t arm) {
   if (arm >= num_arms()) {
     return;

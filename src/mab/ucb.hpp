@@ -26,6 +26,7 @@ class Ucb final : public Bandit {
   [[nodiscard]] std::uint64_t t() const noexcept { return t_; }
 
   void save_state(std::string& out) const override;
+  void restore_state(common::ByteReader& in) override;
 
  private:
   common::Xoshiro256StarStar rng_;

@@ -34,4 +34,20 @@ std::vector<isa::Word> Engine::mutate(const std::vector<isa::Word>& parent,
   return mutant;
 }
 
+void Engine::save_state(std::string& out) const {
+  common::put_rng(out, rng_);
+  for (const std::uint64_t count : op_counts_) {
+    common::put_u64(out, count);
+  }
+  policy_->save_state(out);
+}
+
+void Engine::restore_state(common::ByteReader& in) {
+  rng_ = in.rng("mutation rng");
+  for (std::uint64_t& count : op_counts_) {
+    count = in.u64("mutation operator count");
+  }
+  policy_->restore_state(in);
+}
+
 }  // namespace mabfuzz::mutation

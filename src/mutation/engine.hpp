@@ -8,8 +8,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "mutation/operators.hpp"
 #include "mutation/policy.hpp"
@@ -60,6 +62,11 @@ class Engine {
   }
 
   [[nodiscard]] OperatorPolicy& policy() noexcept { return *policy_; }
+
+  /// The RNG stream, the operator counts and the operator policy's state;
+  /// restore_state() is the exact inverse.
+  void save_state(std::string& out) const;
+  void restore_state(common::ByteReader& in);
 
  private:
   EngineConfig config_;

@@ -10,7 +10,9 @@
 
 #include <array>
 #include <memory>
+#include <string>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "mutation/operators.hpp"
 
@@ -27,6 +29,11 @@ class OperatorPolicy {
   /// 1 when the mutant covered new points for its arm, else 0. Policies
   /// that do not learn ignore it.
   virtual void feedback(Op op, double reward);
+
+  /// Appends the policy's learned state to `out`; restore_state() reads
+  /// exactly those bytes back (checkpoint resume, harness/checkpoint.hpp).
+  virtual void save_state(std::string& out) const = 0;
+  virtual void restore_state(common::ByteReader& in) = 0;
 };
 
 /// TheHuzz's static profiled operator distribution.
@@ -36,6 +43,10 @@ class StaticPolicy final : public OperatorPolicy {
       : weights_(weights) {}
 
   [[nodiscard]] Op choose(common::Xoshiro256StarStar& rng) override;
+
+  /// Static weights learn nothing: no state.
+  void save_state(std::string& /*out*/) const override {}
+  void restore_state(common::ByteReader& /*in*/) override {}
 
  private:
   std::array<double, kNumOps> weights_;

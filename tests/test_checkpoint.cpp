@@ -1,21 +1,27 @@
-// Checkpoint-v2 tests: struct round-trip through the binary format,
+// Checkpoint-v3 tests: struct round-trip through the binary format,
 // corruption rejection (truncation at every byte boundary, bit flips,
-// bad magic/version — always a descriptive throw, never partial state),
-// verified-replay resume equivalence (a resumed campaign finishes with
-// exactly the state of an uninterrupted one), divergence detection when
-// the config or the warm-start corpus drifted under a checkpoint, and a
-// clean refusal (not an abort) of a checkpoint whose config cannot run.
+// bad magic/version — always a descriptive throw, never partial state;
+// mutated state sections are refused or resume consistently), restore
+// equivalence (a resumed campaign of every built-in policy finishes with
+// exactly the state of an uninterrupted one, and a resume runs one probe
+// test, not the history), divergence detection when the config or the
+// warm-start corpus drifted under a checkpoint, and a clean refusal (not
+// an abort) of a checkpoint whose config cannot run.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "core/scheduler.hpp"
 #include "fuzz/corpus.hpp"
+#include "fuzz/reuse_fuzzer.hpp"
 #include "harness/campaign.hpp"
 #include "harness/checkpoint.hpp"
 
@@ -76,6 +82,10 @@ TEST(CheckpointFormatTest, SaveLoadRoundTripPreservesEveryField) {
   EXPECT_EQ(after.coverage_words, before.coverage_words);
   EXPECT_EQ(after.has_corpus, before.has_corpus);
   EXPECT_EQ(after.corpus_image, before.corpus_image);
+  EXPECT_NE(before.fingerprint, 0u);
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+  EXPECT_FALSE(before.state.empty());
+  EXPECT_EQ(after.state, before.state);
 }
 
 TEST(CheckpointFormatTest, CaptureRecordsMidRunState) {
@@ -193,6 +203,82 @@ TEST(CheckpointCorruptionTest, ErrorsAreDescriptive) {
     EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
               std::string::npos)
         << e.what();
+  }
+}
+
+/// A byte-level mutation of a state section: a byte flip, a truncation,
+/// an extension, or a count-like u64 (1..4096) set to 2^63.
+std::string mutate_state(std::string bytes, common::Xoshiro256StarStar& rng) {
+  switch (rng.next_index(4)) {
+    case 0: {
+      const std::size_t at = rng.next_index(bytes.size());
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.next_index(255)));
+      break;
+    }
+    case 1:
+      bytes.resize(rng.next_index(bytes.size()));
+      break;
+    case 2: {
+      const std::size_t extra = 1 + rng.next_index(16);
+      for (std::size_t i = 0; i < extra; ++i) {
+        bytes.push_back(static_cast<char>(rng.next_index(256)));
+      }
+      break;
+    }
+    default: {
+      std::vector<std::size_t> counts;
+      for (std::size_t at = 0; at + 8 <= bytes.size(); ++at) {
+        std::uint64_t value = 0;
+        for (int i = 0; i < 8; ++i) {
+          value |= static_cast<std::uint64_t>(
+                       static_cast<unsigned char>(bytes[at + i]))
+                   << (8 * i);
+        }
+        if (value >= 1 && value <= 4096) {
+          counts.push_back(at);
+        }
+      }
+      const std::size_t at = counts.empty()
+                                 ? rng.next_index(bytes.size() - 7)
+                                 : counts[rng.next_index(counts.size())];
+      for (int i = 0; i < 8; ++i) {
+        bytes[at + i] = static_cast<char>(i == 7 ? 0x80 : 0);
+      }
+      break;
+    }
+  }
+  return bytes;
+}
+
+TEST(CheckpointCorruptionTest, MutatedStateIsRefusedOrConsistent) {
+  // The state section is checksummed like the rest of the file, so these
+  // mutants model a writer bug or a forged checksum: every count must be
+  // bounded before it allocates, and whatever passes the round-trip check
+  // must be a campaign that runs.
+  common::Xoshiro256StarStar rng = common::make_stream(18, 0, "state-mutants");
+  for (const char* fuzzer : {"thehuzz", "ucb"}) {
+    SCOPED_TRACE(fuzzer);
+    Campaign campaign(tiny(fuzzer, 400));
+    advance(campaign, 120);
+    const Checkpoint original = Checkpoint::capture(campaign);
+    ASSERT_GT(original.state.size(), 64u);
+    std::size_t refused = 0;
+    for (int i = 0; i < 300; ++i) {
+      Checkpoint mutant = original;
+      mutant.state = mutate_state(original.state, rng);
+      std::unique_ptr<Campaign> resumed;
+      try {
+        resumed = resume_campaign(mutant);
+      } catch (const std::runtime_error&) {
+        ++refused;
+        continue;
+      }
+      advance(*resumed, 20);
+      EXPECT_EQ(resumed->tests_executed(), 140u) << "mutant " << i;
+    }
+    // Both outcomes occur: flips inside test words or RNG words resume.
+    EXPECT_GT(refused, 0u);
+    EXPECT_LT(refused, 300u);
   }
 }
 
@@ -337,6 +423,133 @@ TEST(CheckpointResumeTest, ZeroStepCheckpointResumesToFreshCampaign) {
   const RunResult ref = reference.run();
   EXPECT_EQ(run.covered, ref.covered);
   EXPECT_EQ(resumed->snapshots(), reference.snapshots());
+}
+
+/// What a finished campaign leaves behind, compared bit for bit.
+struct FinalState {
+  std::vector<BatchSnapshot> snapshots;
+  std::size_t covered = 0;
+  std::uint64_t mismatches = 0;
+  std::vector<std::uint64_t> first_detection;
+  std::string witness;  // Fuzzer::append_state
+  std::string corpus;   // shared-corpus image; empty without one
+  std::string state;    // Campaign::save_state
+
+  friend bool operator==(const FinalState&, const FinalState&) = default;
+};
+
+FinalState final_state(const Campaign& campaign) {
+  FinalState out;
+  out.snapshots = campaign.snapshots();
+  out.covered = campaign.covered();
+  out.mismatches = campaign.mismatches();
+  for (const soc::BugInfo& info : soc::all_bugs()) {
+    out.first_detection.push_back(campaign.first_detection_test(info.id));
+  }
+  campaign.fuzzer().append_state(out.witness);
+  if (campaign.corpus() != nullptr) {
+    std::ostringstream image;
+    campaign.corpus()->save(image);
+    out.corpus = std::move(image).str();
+  }
+  campaign.save_state(out.state);
+  return out;
+}
+
+/// Arm resets so far; nullopt for policies without arms.
+std::optional<std::uint64_t> resets_of(const Campaign& campaign) {
+  if (const auto* mab =
+          dynamic_cast<const core::MabScheduler*>(&campaign.fuzzer())) {
+    return mab->total_resets();
+  }
+  if (const auto* reuse =
+          dynamic_cast<const fuzz::ReuseFuzzer*>(&campaign.fuzzer())) {
+    return reuse->total_resets();
+  }
+  return std::nullopt;
+}
+
+TEST(CheckpointResumeTest, EveryPolicyResumesBitExact) {
+  const std::string dir = testing::TempDir();
+  const std::string store = dir + "bit-exact-store.bin";
+  {
+    CampaignConfig seeder = tiny("ucb", 60);
+    seeder.corpus_out = store;
+    Campaign campaign(seeder);
+    (void)campaign.run();
+    ASSERT_TRUE(campaign.save_corpus());
+  }
+  CampaignConfig base = tiny("thehuzz", 320);
+  base.bugs = soc::default_bugs(base.core);
+
+  const std::vector<std::vector<std::string>> variants = {
+      {"fuzzer=thehuzz"},
+      {"fuzzer=random"},
+      {"fuzzer=reuse"},
+      {"fuzzer=reuse", "corpus-out=" + dir + "bit-exact-out.bin"},
+      {"fuzzer=reuse", "corpus-in=" + store},
+      {"fuzzer=ucb"},
+      {"fuzzer=exp3"},
+      {"fuzzer=thompson"},
+      {"fuzzer=epsilon-greedy", "adaptive-ops=true", "adaptive-length=true"},
+  };
+  for (const std::vector<std::string>& pairs : variants) {
+    const CampaignConfig config = CampaignConfig::from_pairs(pairs, base);
+    SCOPED_TRACE(config.to_pairs().front() + " " + config.corpus_in +
+                 config.corpus_out);
+    Campaign reference(config);
+    (void)reference.run();
+    const FinalState expected = final_state(reference);
+
+    // The last checkpoint lands right after the first arm reset.
+    std::uint64_t after_reset = config.max_tests - 10;
+    {
+      Campaign scout(config);
+      if (resets_of(scout).has_value()) {
+        while (resets_of(scout).value_or(0) == 0 &&
+               scout.tests_executed() < config.max_tests) {
+          (void)scout.step();
+        }
+        ASSERT_GT(resets_of(scout).value_or(0), 0u);
+        after_reset = scout.tests_executed();
+      }
+    }
+    for (const std::uint64_t at :
+         {std::uint64_t{0}, std::uint64_t{1}, config.max_tests / 2,
+          after_reset}) {
+      SCOPED_TRACE("checkpoint at " + std::to_string(at));
+      Campaign interrupted(config);
+      advance(interrupted, at);
+      const std::string path = dir + "bit-exact.ckpt";
+      Checkpoint::capture(interrupted).save(path);
+      const std::unique_ptr<Campaign> resumed =
+          resume_campaign(Checkpoint::load(path));
+      ASSERT_EQ(resumed->tests_executed(), at);
+      if (at == after_reset && resets_of(*resumed).has_value()) {
+        EXPECT_GT(resets_of(*resumed).value_or(0), 0u);
+      }
+      (void)resumed->run();
+      EXPECT_EQ(final_state(*resumed), expected);
+    }
+  }
+}
+
+TEST(CheckpointResumeTest, ResumeRunsOneTestNotTheHistory) {
+  const CampaignConfig config = tiny("ucb", 1000);
+  Campaign interrupted(config);
+  advance(interrupted, 400);
+  const std::string path = testing::TempDir() + "one-test.ckpt";
+  Checkpoint::capture(interrupted).save(path);
+  const std::unique_ptr<Campaign> resumed =
+      resume_campaign(Checkpoint::load(path));
+  ASSERT_EQ(resumed->tests_executed(), 400u);
+
+  // Decode-cache lookups count every simulated fetch: a resume may cost
+  // what one test of a fresh campaign costs, not 400 tests' worth.
+  Campaign fresh(config);
+  (void)fresh.step();
+  EXPECT_LE(resumed->backend().execution_context().decoded.lookups(),
+            fresh.backend().execution_context().decoded.lookups());
 }
 
 }  // namespace

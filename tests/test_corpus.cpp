@@ -21,6 +21,7 @@
 
 #include "fuzz/backend.hpp"
 #include "fuzz/corpus.hpp"
+#include "fuzz/registry.hpp"
 #include "fuzz/reuse_fuzzer.hpp"
 #include "harness/campaign.hpp"
 #include "harness/experiment.hpp"
@@ -622,9 +623,11 @@ TEST(ReuseFuzzer, ColdStartStepsAndAccumulates) {
   auto corpus = std::make_shared<Corpus>("rocket", backend.coverage_universe(), 64);
   mab::BanditConfig bandit_config;
   bandit_config.num_arms = 4;
-  fuzz::ReuseFuzzer fuzzer(backend, corpus,
-                           mab::make_bandit("thompson", bandit_config),
-                           /*gamma=*/3);
+  fuzz::PolicyConfig policy;
+  policy.corpus = corpus;
+  policy.gamma = 3;
+  fuzz::ReuseFuzzer fuzzer(backend, mab::make_bandit("thompson", bandit_config),
+                           policy);
   EXPECT_EQ(fuzzer.name(), "Reuse:thompson");
   EXPECT_EQ(fuzzer.arms_from_corpus(), 0u);
   for (int i = 0; i < 80; ++i) {
@@ -648,9 +651,11 @@ TEST(ReuseFuzzer, WarmStartSeedsArmsFromTheCorpus) {
   fuzz::Backend backend(config);
   mab::BanditConfig bandit_config;
   bandit_config.num_arms = 4;
-  fuzz::ReuseFuzzer fuzzer(backend, corpus,
-                           mab::make_bandit("thompson", bandit_config),
-                           /*gamma=*/3);
+  fuzz::PolicyConfig policy;
+  policy.corpus = corpus;
+  policy.gamma = 3;
+  fuzz::ReuseFuzzer fuzzer(backend, mab::make_bandit("thompson", bandit_config),
+                           policy);
   EXPECT_EQ(fuzzer.arms_from_corpus(), 4u);
 
   // Arms are the highest-novelty corpus entries, best first.

@@ -1,8 +1,9 @@
 // CampaignService tests: admission control (duplicate names, job names
 // that are not plain file names, queue and per-tenant caps, bad configs),
 // FIFO completion order, pause / resume / cancel at slice boundaries,
-// interrupt-and-resume byte-identity of every artifact, and byte-identity
-// across lane counts.
+// interrupt-and-resume byte-identity of every artifact, one final
+// checkpoint per shutdown however often stop() is called, and
+// byte-identity across lane counts.
 
 #include <gtest/gtest.h>
 
@@ -323,6 +324,45 @@ TEST(ServiceResumeTest, InterruptAndResumeIsByteIdentical) {
   std::remove((artifact + ".json").c_str());
   std::remove((artifact + ".csv").c_str());
   std::remove(corpus.c_str());
+}
+
+// --- shutdown -------------------------------------------------------------------
+
+/// stop() is idempotent: the destructor's second stop() must not write
+/// the unfinished job's final checkpoint again.
+TEST(ServiceShutdownTest, StopThenDestructionWritesOneFinalCheckpoint) {
+  const std::string dir = testing::TempDir();
+  const std::string path = dir + "stop-once.ckpt";
+  std::ostringstream events;
+  auto checkpoint_events = [&] {
+    const std::string log = events.str();
+    std::size_t count = 0;
+    for (std::size_t at = log.find("\"event\":\"checkpoint\"");
+         at != std::string::npos;
+         at = log.find("\"event\":\"checkpoint\"", at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    config.checkpoint_dir = dir;
+    CampaignService service(config, &events);
+    service.submit(job("stop-once", tiny(1'000'000)));
+    service.start();
+    wait_until(
+        [&] { return service.status("stop-once")->tests_executed > 0; },
+        "mid-run progress");
+    service.stop();
+    EXPECT_EQ(checkpoint_events(), 1u);
+    ASSERT_FALSE(read_file(path).empty());
+    // Any further write would recreate the file.
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(checkpoint_events(), 1u);
+  EXPECT_TRUE(read_file(path).empty())
+      << "destruction wrote the final checkpoint a second time";
 }
 
 // --- lane count -----------------------------------------------------------------

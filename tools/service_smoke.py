@@ -4,18 +4,22 @@
 Drives the campaign service daemon over its Unix socket the way an
 operator would — and the way no unit test can: with a real SIGKILL.
 
-  1. Reference: serve, submit two campaigns, drain, shutdown. Record the
+  1. Reference: serve, submit four campaigns, drain, shutdown. Record the
      artifact bytes of an uninterrupted run.
-  2. Victim: serve with periodic checkpointing, submit the same two
-     campaigns, wait until both have streamed a `checkpoint` event, then
+  2. Victim: serve with periodic checkpointing, submit the same four
+     campaigns, wait until each has streamed a `checkpoint` event, then
      SIGKILL the server mid-run.
-  3. Recovery: start a fresh server, `resume-checkpoint` both jobs from
+  3. Recovery: start a fresh server, `resume-checkpoint` every job from
      the files the dead server left behind, drain, shutdown.
 
-Validated along the way: every stdout line of every server is one
-parseable JSON event object, replies follow the ok/error wire protocol,
-and the recovered run's artifacts are byte-identical to the reference —
-the determinism contract surviving a kill -9. During the reference run a
+The four jobs cover the policies whose state a resume restores: the
+MABFuzz scheduler (ucb), TheHuzz, the reuse fuzzer with a shared corpus
+(corpus-out), and epsilon-greedy with the adaptive operator and
+seed-length bandits. Validated along the way: every stdout line of every
+server is one parseable JSON event object, replies follow the ok/error
+wire protocol, and the recovered run's artifacts (JSON, CSV, and the
+reuse job's corpus file with its manifest) are byte-identical to the
+reference — the determinism contract surviving a kill -9. During the reference run a
 second connection floods 1 MiB without a newline: it must get exactly
 one over-long-line error and be disconnected while the first client keeps
 being served. The same flood on stdin must be skipped through its newline.
@@ -38,11 +42,18 @@ import tempfile
 import time
 
 JOBS = {
-    # name -> (campaign pairs, max_tests). Two different policies and cores
-    # so the two jobs exercise different code paths concurrently.
+    # name -> (campaign pairs, max_tests). Different policies and cores so
+    # the jobs exercise different code paths concurrently.
     "smoke-ucb": ("fuzzer=ucb core=rocket tests=20000 seed=7", 20000),
     "smoke-huzz": ("fuzzer=thehuzz core=cva6 tests=15000 seed=3", 15000),
+    "smoke-reuse": ("fuzzer=reuse core=boom tests=15000 seed=5 "
+                    "corpus-out=smoke-reuse.corpus", 15000),
+    "smoke-adaptive": ("fuzzer=epsilon-greedy core=cva6 adaptive-ops=true "
+                       "adaptive-length=true tests=15000 seed=9", 15000),
 }
+# Corpus files the jobs write (relative to the server's cwd); compared
+# byte for byte like the JSON/CSV artifacts, manifest included.
+CORPORA = ["smoke-reuse.corpus", "smoke-reuse.corpus.json"]
 CHECKPOINT_EVERY = 1000
 DEADLINE = 120.0  # seconds; every wait below shares this cap
 MAX_LINE = 64 * 1024  # the serve loop's cap on an unterminated line
@@ -176,13 +187,13 @@ def check_stdin_line_cap(cli):
 
 
 def read_artifacts(directory):
+    files = [name + ext for name in JOBS for ext in (".json", ".csv")]
     out = {}
-    for name in JOBS:
-        for ext in (".json", ".csv"):
-            path = pathlib.Path(directory) / (name + ext)
-            if not path.is_file():
-                fail(f"missing artifact {path}")
-            out[name + ext] = path.read_bytes()
+    for file in files + CORPORA:
+        path = pathlib.Path(directory) / file
+        if not path.is_file():
+            fail(f"missing artifact {path}")
+        out[file] = path.read_bytes()
     return out
 
 
@@ -272,9 +283,10 @@ def main():
     for name, path in checkpoints.items():
         if not path.is_file():
             fail(f"no checkpoint file for {name} after SIGKILL")
-    print("service_smoke: victim SIGKILLed with both jobs checkpointed")
+    print(f"service_smoke: victim SIGKILLed with all {len(JOBS)} jobs "
+          "checkpointed")
 
-    # --- 3. recovery: resume both checkpoints in a fresh server ---------------
+    # --- 3. recovery: resume every checkpoint in a fresh server --------------
     server, events_file = start_server(cli, kill_dir / "recovery.jsonl",
                                        kill_dir / "ctl.sock", ckpt_dir)
     client = ServeClient(kill_dir / "ctl.sock", deadline)
@@ -294,7 +306,7 @@ def main():
     events_file.close()
     recovery_events = parse_events(kill_dir / "recovery.jsonl", "recovery")
     if {e["job"] for e in recovery_events if e["event"] == "done"} != set(JOBS):
-        fail("recovery run did not finish both jobs")
+        fail("recovery run did not finish every job")
     for name, path in checkpoints.items():
         if path.exists():
             fail(f"settled job {name} left its checkpoint behind: {path}")
