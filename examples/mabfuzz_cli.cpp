@@ -53,19 +53,15 @@
 //   Runs a persistent harness::CampaignService. Commands arrive as lines
 //   on the Unix domain socket (--socket) or on stdin; JSON events stream
 //   to stdout (one object per line); command replies go to the issuing
-//   connection (socket mode) or stderr (stdin mode). Commands:
-//     submit tenant=T job=NAME artifact-out=PREFIX KEY=VALUE...
-//     resume-checkpoint PATH
-//     pause NAME | resume NAME | cancel NAME
-//     status | drain | shutdown
-//   A line longer than 64 KiB gets one error reply; socket mode then
-//   closes the connection, stdin mode skips input through the next '\n'.
+//   connection (socket mode) or stderr (stdin mode). harness/serve.hpp
+//   has the commands and replies. A line longer than 64 KiB gets one
+//   error reply; socket mode then closes the connection, stdin mode
+//   skips input through the next '\n'.
 //   SIGTERM/SIGINT trigger a graceful stop: every unfinished job is
 //   parked in a final checkpoint (when --checkpoint-dir is set), exit 0.
 
 #include <algorithm>
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string_view>
@@ -75,6 +71,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/bytes.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "coverage/summary.hpp"
@@ -82,7 +79,7 @@
 #include "fuzz/registry.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "harness/service.hpp"
+#include "harness/serve.hpp"
 #include "mab/registry.hpp"
 
 namespace {
@@ -199,134 +196,6 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void serve_signal_handler(int) { g_serve_stop = 1; }
 
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens = common::split(line, ' ');
-  std::erase(tokens, "");
-  return tokens;
-}
-
-/// Executes one control command; every command yields exactly one reply
-/// line ("ok ..." / "error ..."). `shutdown` is set by the shutdown verb.
-std::string handle_serve_command(harness::CampaignService& service,
-                                 const std::string& line, bool& shutdown) {
-  const std::vector<std::string> tokens = split_tokens(line);
-  if (tokens.empty()) {
-    return "error: empty command";
-  }
-  const std::string& verb = tokens.front();
-  try {
-    if (verb == "submit") {
-      harness::JobSpec spec;
-      spec.tenant = "default";
-      std::vector<std::string> pairs;
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const std::string& token = tokens[i];
-        const auto eq = token.find('=');
-        if (eq == std::string::npos) {
-          return "error: expected key=value, got '" + token + "'";
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "tenant") {
-          spec.tenant = value;
-        } else if (key == "job") {
-          spec.name = value;
-        } else if (key == "artifact-out") {
-          spec.artifact_out = value;
-        } else {
-          pairs.push_back(token);  // campaign vocabulary
-        }
-      }
-      if (spec.name.empty()) {
-        return "error: submit requires job=<name>";
-      }
-      spec.config = harness::CampaignConfig::from_pairs(pairs);
-      std::string name = spec.name;
-      service.submit(std::move(spec));
-      return "ok submitted " + name;
-    }
-    if (verb == "resume-checkpoint") {
-      if (tokens.size() != 2) {
-        return "error: usage: resume-checkpoint PATH";
-      }
-      return "ok resumed " + service.resume_from_checkpoint(tokens[1]);
-    }
-    if (verb == "pause" || verb == "resume" || verb == "cancel") {
-      if (tokens.size() != 2) {
-        return "error: usage: " + verb + " NAME";
-      }
-      const bool applied = verb == "pause"    ? service.pause(tokens[1])
-                           : verb == "resume" ? service.resume(tokens[1])
-                                              : service.cancel(tokens[1]);
-      return applied ? "ok " + verb + " requested"
-                     : "error: job '" + tokens[1] +
-                           "' is unknown or already terminal";
-    }
-    if (verb == "status") {
-      std::string reply = "ok";
-      for (const harness::JobStatus& job : service.jobs()) {
-        reply += ' ';
-        reply += job.name;
-        reply += ':';
-        reply += harness::job_state_name(job.state);
-        reply += ':';
-        reply += std::to_string(job.tests_executed);
-        reply += '/';
-        reply += std::to_string(job.max_tests);
-      }
-      return reply;
-    }
-    if (verb == "drain") {
-      service.drain();
-      return "ok drained";
-    }
-    if (verb == "shutdown") {
-      shutdown = true;
-      return "ok shutting down";
-    }
-    return "error: unknown command '" + verb +
-           "' (submit, resume-checkpoint, pause, resume, cancel, status, "
-           "drain, shutdown)";
-  } catch (const std::exception& e) {
-    return std::string("error: ") + e.what();
-  }
-}
-
-/// Longest unterminated command line a serve connection may buffer. A full
-/// `submit` line is well under 2 KiB; without the cap, a client that never
-/// sends '\n' would grow the daemon's memory without limit.
-constexpr std::size_t kMaxCommandLine = 64 * 1024;
-
-std::string line_too_long_reply() {
-  return "error: command line longer than " +
-         std::to_string(kMaxCommandLine) + " bytes";
-}
-
-/// Pulls complete lines out of a connection buffer, handling each.
-/// Returns the replies, one per completed line. Whatever remains in
-/// `buffer` is the unterminated tail; callers enforce kMaxCommandLine on it.
-std::vector<std::string> drain_command_buffer(
-    harness::CampaignService& service, std::string& buffer, bool& shutdown) {
-  std::vector<std::string> replies;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = buffer.find('\n', start);
-    if (nl == std::string::npos) {
-      break;
-    }
-    std::string line = buffer.substr(start, nl - start);
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (!line.empty()) {
-      replies.push_back(handle_serve_command(service, line, shutdown));
-    }
-    start = nl + 1;
-  }
-  buffer.erase(0, start);
-  return replies;
-}
-
 int serve_socket_loop(harness::CampaignService& service,
                       const std::string& socket_path) {
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -388,15 +257,15 @@ int serve_socket_loop(harness::CampaignService& service,
           closed = true;
         } else {
           clients[i].buffer.append(chunk, static_cast<std::size_t>(n));
-          for (const std::string& reply : drain_command_buffer(
+          for (const std::string& reply : harness::drain_command_buffer(
                    service, clients[i].buffer, shutdown)) {
             const std::string line = reply + "\n";
             // Best-effort reply; a vanished client is dropped next round.
             (void)!::write(clients[i].fd, line.data(), line.size());
           }
-          if (clients[i].buffer.size() > kMaxCommandLine) {
+          if (clients[i].buffer.size() > harness::kMaxCommandLine) {
             // One error reply, then drop the connection.
-            const std::string line = line_too_long_reply() + "\n";
+            const std::string line = harness::line_too_long_reply() + "\n";
             (void)!::write(clients[i].fd, line.data(), line.size());
             closed = true;
           }
@@ -446,13 +315,13 @@ int serve_stdin_loop(harness::CampaignService& service) {
     }
     buffer.append(data);
     for (const std::string& reply :
-         drain_command_buffer(service, buffer, shutdown)) {
+         harness::drain_command_buffer(service, buffer, shutdown)) {
       // stdout carries the JSON event stream; replies go to stderr so the
       // event log stays machine-parseable.
       std::cerr << reply << "\n";
     }
-    if (buffer.size() > kMaxCommandLine) {
-      std::cerr << line_too_long_reply() << "\n";
+    if (buffer.size() > harness::kMaxCommandLine) {
+      std::cerr << harness::line_too_long_reply() << "\n";
       buffer.clear();
       discarding = true;
     }
@@ -576,15 +445,9 @@ int run_matrix(const common::CliArgs& args, harness::CampaignConfig config) {
     if (json_path == "-") {
       harness::write_experiment_json(std::cout, result);
     } else {
-      std::ofstream out(json_path);
-      if (out) {
-        harness::write_experiment_json(out, result);
-        out.flush();
-      }
-      if (!out) {  // open or mid-write failure: the artifact is unusable
-        std::cerr << "error: failed writing '" << json_path << "'\n";
-        return 1;
-      }
+      std::ostringstream json;
+      harness::write_experiment_json(json, result);
+      common::write_file_atomic(json_path, json.str());
       std::cout << "\nwrote " << json_path << "\n";
     }
   }

@@ -1,10 +1,12 @@
 #pragma once
 // Little-endian byte images: the writers and the bounds-checked reader
-// behind the checkpoint payload (harness/checkpoint.hpp) and every
-// save_state / restore_state pair of the engine's stateful components.
-// Doubles travel as their IEEE-754 bit patterns and RNG streams as their
-// raw 256-bit state, so an image is bit-exact, never round-tripped
-// through decimal.
+// behind the checkpoint payload (harness/checkpoint.hpp), the corpus-v2
+// store (fuzz/corpus.hpp) and every save_state / restore_state pair of
+// the engine's stateful components. Doubles travel as their IEEE-754 bit
+// patterns and RNG streams as their raw 256-bit state, so an image is
+// bit-exact, never round-tripped through decimal. The two whole-file
+// helpers at the end are the one path every artifact file takes to and
+// from disk.
 
 #include <array>
 #include <bit>
@@ -167,7 +169,7 @@ class ByteReader {
       fail(std::string(what) + " length " + std::to_string(n) +
            " exceeds the sanity bound");
     }
-    return take(n, what);
+    return std::string(bytes(what, n));
   }
 
   /// put_blob's inverse; lengths above `max` are refused.
@@ -177,7 +179,18 @@ class ByteReader {
       fail(std::string(what) + " length " + std::to_string(n) +
            " exceeds the sanity bound");
     }
-    return take(n, what);
+    return std::string(bytes(what, n));
+  }
+
+  /// The next `n` bytes, not copied: valid as long as the image is.
+  std::string_view bytes(std::string_view what, std::uint64_t n) {
+    if (n > bytes_.size() - pos_) {
+      fail("truncated payload (" + std::string(what) + ")");
+    }
+    const std::string_view out =
+        bytes_.substr(pos_, static_cast<std::size_t>(n));
+    pos_ += out.size();
+    return out;
   }
 
   [[nodiscard]] bool exhausted() const noexcept {
@@ -197,18 +210,21 @@ class ByteReader {
     return static_cast<std::uint8_t>(bytes_[pos_++]);
   }
 
-  std::string take(std::uint64_t n, std::string_view what) {
-    if (n > bytes_.size() - pos_) {
-      fail("truncated payload (" + std::string(what) + ")");
-    }
-    std::string out(bytes_.substr(pos_, static_cast<std::size_t>(n)));
-    pos_ += static_cast<std::size_t>(n);
-    return out;
-  }
-
   std::string_view bytes_;
   std::string context_;
   std::size_t pos_ = 0;
 };
+
+/// Writes `bytes` to "<path>.tmp", flushes it and renames it onto `path`,
+/// so an interrupted or failed write leaves the previous file intact (no
+/// fsync: a crash of the process is covered, a crash of the host is not).
+/// Throws std::runtime_error naming the file and the OS reason.
+void write_file_atomic(const std::string& path, std::string_view bytes);
+
+/// The whole file at `path`. A file larger than `max_bytes` is refused
+/// before anything is allocated. Throws std::runtime_error naming the
+/// file and the OS reason or the bound.
+[[nodiscard]] std::string read_file(const std::string& path,
+                                    std::uint64_t max_bytes);
 
 }  // namespace mabfuzz::common

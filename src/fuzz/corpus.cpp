@@ -1,22 +1,20 @@
 #include "fuzz/corpus.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <limits>
 #include <ostream>
+#include <span>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/json.hpp"
 
 namespace mabfuzz::fuzz {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'A', 'B', 'F', 'U', 'Z', 'Z', 'C'};
+constexpr std::string_view kMagic("MABFUZZC", 8);
 
 /// Guard against absurd length fields in corrupt files: no real corpus
 /// entry carries a megaword program or a megabyte of operator history.
@@ -27,100 +25,6 @@ constexpr std::uint64_t kMaxFieldLength = 1u << 20;
 /// ~10^4 points; 2^26 (a 1 MiB map) is orders of magnitude of headroom.
 constexpr std::uint64_t kMaxUniverse = 1u << 26;
 constexpr std::uint64_t kMaxEntries = kMaxFieldLength;
-
-// Explicit little-endian byte I/O: the artifact is bit-identical across
-// platforms regardless of host endianness.
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  os.write(bytes, 4);
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  os.write(bytes, 8);
-}
-
-void put_bytes(std::ostream& os, const std::vector<std::uint8_t>& bytes) {
-  put_u32(os, static_cast<std::uint32_t>(bytes.size()));
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-}
-
-[[noreturn]] void fail(std::string_view what) {
-  throw std::runtime_error("corpus load: " + std::string(what));
-}
-
-/// File-level I/O failure with the OS reason attached, so a full disk is
-/// distinguishable from a misspelled path. errno is captured before the
-/// message strings allocate (allocation may clobber it).
-[[noreturn]] void fail_io(std::string_view action, const std::string& path) {
-  const int saved_errno = errno;
-  throw std::runtime_error(std::string(action) + " '" + path +
-                           "': " + std::strerror(saved_errno));
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  char bytes[4];
-  if (!is.read(bytes, 4)) {
-    fail("truncated file (u32)");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  char bytes[8];
-  if (!is.read(bytes, 8)) {
-    fail("truncated file (u64)");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_length(std::istream& is, std::string_view what) {
-  const std::uint32_t n = get_u32(is);
-  if (n > kMaxFieldLength) {
-    fail(std::string(what) + " length " + std::to_string(n) +
-         " exceeds the sanity bound");
-  }
-  return n;
-}
-
-/// Reads one u64-counted coverage-word block (per-entry maps and the
-/// accumulated map share the layout) into `map`, validating the length
-/// against both the sanity bound and the declared universe.
-void get_map(std::istream& is, std::string_view what, std::uint64_t universe,
-             coverage::Map& map) {
-  const std::uint64_t word_count = get_u64(is);
-  if (word_count > kMaxFieldLength) {
-    fail(std::string(what) + " length exceeds the sanity bound");
-  }
-  std::vector<std::uint64_t> words;
-  words.reserve(static_cast<std::size_t>(word_count));
-  for (std::uint64_t w = 0; w < word_count; ++w) {
-    words.push_back(get_u64(is));
-  }
-  try {
-    map.assign_words(static_cast<std::size_t>(universe), words);
-  } catch (const std::invalid_argument& e) {
-    fail(std::string(what) + ": " + e.what());
-  }
-}
 
 /// The canonical federation order merge() re-offers candidates in:
 /// novelty descending (the highest-yield tests re-enter the gate first,
@@ -290,63 +194,43 @@ std::size_t Corpus::distill() {
 
 // --- serialization --------------------------------------------------------------
 
-void Corpus::save(std::ostream& os) const {
-  os.write(kMagic, sizeof kMagic);
-  put_u32(os, kVersion);
-  put_u32(os, static_cast<std::uint32_t>(core_.size()));
-  os.write(core_.data(), static_cast<std::streamsize>(core_.size()));
-  put_u64(os, universe());
-  put_u64(os, max_entries_);
-  put_u64(os, admitted_);
-  put_u64(os, rejected_);
-  put_u64(os, evicted_);
-  put_u64(os, next_order_);
-  put_u64(os, entries_.size());
+std::string Corpus::image() const {
+  std::string out(kMagic);
+  common::put_u32(out, kVersion);
+  common::put_str(out, core_);
+  common::put_u64(out, universe());
+  common::put_u64(out, max_entries_);
+  common::put_u64(out, admitted_);
+  common::put_u64(out, rejected_);
+  common::put_u64(out, evicted_);
+  common::put_u64(out, next_order_);
+  common::put_u64(out, entries_.size());
   for (const CorpusEntry& entry : entries_) {
-    put_u64(os, entry.test.id);
-    put_u64(os, entry.test.seed_id);
-    put_u64(os, entry.test.parent_id);
-    put_u32(os, entry.test.generation);
-    put_u64(os, entry.novelty);
-    put_u64(os, entry.order);
-    put_bytes(os, entry.test.mutation_ops);
-    put_u32(os, static_cast<std::uint32_t>(entry.test.words.size()));
-    for (const isa::Word word : entry.test.words) {
-      put_u32(os, word);
-    }
-    const auto map_words = entry.map.words();
-    put_u64(os, map_words.size());
-    for (const std::uint64_t word : map_words) {
-      put_u64(os, word);
-    }
+    const TestCase& test = entry.test;
+    common::put_u64(out, test.id);
+    common::put_u64(out, test.seed_id);
+    common::put_u64(out, test.parent_id);
+    common::put_u32(out, test.generation);
+    common::put_u64(out, entry.novelty);
+    common::put_u64(out, entry.order);
+    common::put_str(out, std::string_view(reinterpret_cast<const char*>(
+                                              test.mutation_ops.data()),
+                                          test.mutation_ops.size()));
+    common::put_u32(out, static_cast<std::uint32_t>(test.words.size()));
+    common::put_words(out, std::span<const isa::Word>(test.words));
+    entry.map.save_state(out);
   }
-  const auto words = accumulated_.words();
-  put_u64(os, words.size());
-  for (const std::uint64_t word : words) {
-    put_u64(os, word);
-  }
+  accumulated_.save_state(out);
+  return out;
 }
 
+void Corpus::save(std::ostream& os) const { os << image(); }
+
 void Corpus::save(const std::string& path) const {
-  {
-    std::ofstream os(path, std::ios::binary);
-    if (os) {
-      save(os);
-      os.flush();
-    }
-    if (!os) {
-      fail_io("corpus save: cannot write", path);
-    }
-  }
-  const std::string manifest_path = path + ".json";
-  std::ofstream manifest(manifest_path);
-  if (manifest) {
-    write_manifest(manifest);
-    manifest.flush();
-  }
-  if (!manifest) {
-    fail_io("corpus save: cannot write", manifest_path);
-  }
+  common::write_file_atomic(path, image());
+  std::ostringstream manifest;
+  write_manifest(manifest);
+  common::write_file_atomic(path + ".json", manifest.str());
 }
 
 void Corpus::write_manifest(std::ostream& os) const {
@@ -380,87 +264,69 @@ void Corpus::write_manifest(std::ostream& os) const {
   os << '\n';
 }
 
-Corpus Corpus::load(std::istream& is) {
-  char magic[sizeof kMagic];
-  if (!is.read(magic, sizeof magic) ||
-      !std::equal(magic, magic + sizeof magic, kMagic)) {
-    fail("bad magic (not a mabfuzz-corpus file)");
+Corpus Corpus::from_image(std::string_view image) {
+  if (!image.starts_with(kMagic)) {
+    throw std::runtime_error(
+        "corpus load: bad magic (not a mabfuzz-corpus file)");
   }
-  const std::uint32_t version = get_u32(is);
+  common::ByteReader in(image.substr(kMagic.size()), "corpus load");
+  const std::uint32_t version = in.u32("version");
   if (version != kVersion) {
-    fail("unsupported version " + std::to_string(version) + " (this build reads " +
-         std::to_string(kVersion) + ")");
+    in.fail("unsupported version " + std::to_string(version) +
+            " (this build reads " + std::to_string(kVersion) + ")");
   }
-  const std::uint64_t core_len = get_length(is, "core name");
-  std::string core(core_len, '\0');
-  if (core_len != 0 && !is.read(core.data(), static_cast<std::streamsize>(core_len))) {
-    fail("truncated core name");
-  }
-  const std::uint64_t universe = get_u64(is);
-  if (universe > kMaxUniverse) {
-    fail("universe " + std::to_string(universe) + " exceeds the sanity bound");
-  }
-  const std::uint64_t stored_max_entries = get_u64(is);
-  if (stored_max_entries > kMaxEntries) {
-    fail("entry cap " + std::to_string(stored_max_entries) +
-         " exceeds the sanity bound");
-  }
+  std::string core = in.str("core name", kMaxFieldLength);
+  const std::uint64_t universe = in.count("universe", kMaxUniverse);
   // Clamp explicitly rather than through the constructor: a hand-edited or
   // foreign-tool file with max_entries=0 describes a corpus this class
   // forbids, and the load-side contract is "honor the stored cap, floored
   // at 1" — not "whatever the constructor happens to do".
-  const std::uint64_t max_entries = std::max<std::uint64_t>(1, stored_max_entries);
+  const std::uint64_t max_entries =
+      std::max<std::uint64_t>(1, in.count("entry cap", kMaxEntries));
 
   Corpus corpus(std::move(core), static_cast<std::size_t>(universe),
                 static_cast<std::size_t>(max_entries));
-  corpus.admitted_ = get_u64(is);
-  corpus.rejected_ = get_u64(is);
-  corpus.evicted_ = get_u64(is);
-  corpus.next_order_ = get_u64(is);
+  corpus.admitted_ = in.u64("admitted");
+  corpus.rejected_ = in.u64("rejected");
+  corpus.evicted_ = in.u64("evicted");
+  corpus.next_order_ = in.u64("next order");
 
-  const std::uint64_t entry_count = get_u64(is);
-  if (entry_count > corpus.max_entries_) {
-    fail("entry count " + std::to_string(entry_count) +
-         " exceeds the stored cap " + std::to_string(corpus.max_entries_));
-  }
+  const std::uint64_t entry_count = in.count("entry count", max_entries);
   corpus.entries_.reserve(static_cast<std::size_t>(entry_count));
   for (std::uint64_t i = 0; i < entry_count; ++i) {
     CorpusEntry entry;
-    entry.test.id = get_u64(is);
-    entry.test.seed_id = get_u64(is);
-    entry.test.parent_id = get_u64(is);
-    entry.test.generation = get_u32(is);
-    entry.novelty = get_u64(is);
-    entry.order = get_u64(is);
-    const std::uint64_t ops = get_length(is, "mutation_ops");
-    entry.test.mutation_ops.resize(static_cast<std::size_t>(ops));
-    if (ops != 0 &&
-        !is.read(reinterpret_cast<char*>(entry.test.mutation_ops.data()),
-                 static_cast<std::streamsize>(ops))) {
-      fail("truncated mutation_ops");
-    }
-    const std::uint64_t words = get_length(is, "program");
+    TestCase& test = entry.test;
+    test.id = in.u64("test id");
+    test.seed_id = in.u64("seed id");
+    test.parent_id = in.u64("parent id");
+    test.generation = in.u32("generation");
+    entry.novelty = in.u64("novelty");
+    entry.order = in.u64("order");
+    const std::string ops = in.str("mutation_ops", kMaxFieldLength);
+    test.mutation_ops.assign(ops.begin(), ops.end());
+    const std::uint32_t words = in.u32("program length");
     if (words == 0) {
-      fail("entry with an empty program");
+      in.fail("entry with an empty program");
     }
-    entry.test.words.reserve(static_cast<std::size_t>(words));
-    for (std::uint64_t w = 0; w < words; ++w) {
-      entry.test.words.push_back(get_u32(is));
+    if (words > kMaxFieldLength) {
+      in.fail("program length " + std::to_string(words) +
+              " exceeds the sanity bound");
     }
-    get_map(is, "entry coverage map", universe, entry.map);
+    test.words.resize(words);
+    in.words("program", std::span<isa::Word>(test.words));
+    entry.map = coverage::Map(static_cast<std::size_t>(universe));
+    entry.map.restore_state(in);
     corpus.entries_.push_back(std::move(entry));
   }
-
-  get_map(is, "accumulated coverage map", universe, corpus.accumulated_);
+  corpus.accumulated_.restore_state(in);
+  if (!in.exhausted()) {
+    in.fail("trailing bytes after the accumulated coverage map");
+  }
   return corpus;
 }
 
 Corpus Corpus::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    fail_io("corpus load: cannot open", path);
-  }
-  return load(is);
+  return from_image(common::read_file(path, kMaxImageBytes));
 }
 
 }  // namespace mabfuzz::fuzz

@@ -55,8 +55,10 @@ class Corpus {
  public:
   static constexpr std::string_view kSchema = "mabfuzz-corpus-v2";
   static constexpr std::uint32_t kVersion = 2;
-  /// Bound on a binary image embedded in another file (checkpoints and
-  /// the reuse fuzzer's state): 64 MiB, far above any real store.
+  /// Bound on a binary image, read from a store file or embedded in
+  /// another one (checkpoints and the reuse fuzzer's state): 64 MiB. A
+  /// store admits a test only for a fresh point, so it holds at most one
+  /// entry per universe point: about 40 MB on boom, the largest core.
   static constexpr std::uint64_t kMaxImageBytes = 1u << 26;
 
   /// An empty corpus bound to one DUT configuration: `core` is the
@@ -121,21 +123,30 @@ class Corpus {
 
   // --- serialization (mabfuzz-corpus-v2; format in docs/ARTIFACTS.md) ---
 
-  /// Writes the deterministic little-endian binary image.
+  /// The deterministic little-endian binary image.
+  [[nodiscard]] std::string image() const;
+
+  /// Writes image() to `os`.
   void save(std::ostream& os) const;
 
-  /// Writes the binary image to `path` and the JSON manifest to
-  /// `<path>.json`. Throws std::runtime_error (with the OS reason
-  /// appended) when either file cannot be written.
+  /// Writes the binary image to `path`, then the JSON manifest to
+  /// `<path>.json`, each as tmp + rename (common::write_file_atomic), so
+  /// an interrupted save leaves the previous store loadable. Throws
+  /// std::runtime_error (with the OS reason appended) when either file
+  /// cannot be written.
   void save(const std::string& path) const;
 
   /// The JSON manifest (schema, provenance, per-entry metadata — no test
   /// words; the binary is the single source of truth for reloading).
   void write_manifest(std::ostream& os) const;
 
-  /// Reads a binary image; throws std::runtime_error on a bad magic,
-  /// unsupported version, truncation or a structurally invalid payload.
-  [[nodiscard]] static Corpus load(std::istream& is);
+  /// Decodes an image(). Throws std::runtime_error("corpus load: ...") on
+  /// a bad magic, unsupported version, truncation, a field beyond its
+  /// bound, a structurally invalid payload or bytes after the
+  /// accumulated map.
+  [[nodiscard]] static Corpus from_image(std::string_view image);
+  /// from_image() of the file at `path`, which may hold at most
+  /// kMaxImageBytes.
   [[nodiscard]] static Corpus load(const std::string& path);
 
   friend bool operator==(const Corpus& a, const Corpus& b) noexcept {

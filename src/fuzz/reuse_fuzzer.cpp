@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "fuzz/registry.hpp"
@@ -138,9 +137,7 @@ void ReuseFuzzer::save_state(std::string& out) const {
   common::put_u64(out, total_resets_);
   bandit_->save_state(out);
   if (private_store_) {
-    std::ostringstream image;
-    corpus_->save(image);
-    common::put_blob(out, std::move(image).str());
+    common::put_blob(out, corpus_->image());
   }
 }
 
@@ -166,9 +163,8 @@ void ReuseFuzzer::restore_state(common::ByteReader& in) {
   total_resets_ = in.u64("reuse resets");
   bandit_->restore_state(in);
   if (private_store_) {
-    std::istringstream image(
+    Corpus store = Corpus::from_image(
         in.blob("reuse corpus image", Corpus::kMaxImageBytes));
-    Corpus store = Corpus::load(image);
     if (store.core() != corpus_->core() ||
         store.universe() != corpus_->universe()) {
       in.fail("reuse corpus image was recorded on '" + store.core() +

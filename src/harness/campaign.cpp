@@ -34,6 +34,18 @@ std::uint64_t parse_u64(std::string_view key, std::string_view value) {
   return out;
 }
 
+/// For 32-bit fields: a value above 2^32-1 is refused, never wrapped.
+std::uint32_t parse_u32(std::string_view key, std::string_view value) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t out = parse_u64(key, value);
+  if (out > kMax) {
+    throw std::invalid_argument("campaign key '" + std::string(key) + "': " +
+                                std::string(value) + " exceeds " +
+                                std::to_string(kMax));
+  }
+  return static_cast<std::uint32_t>(out);
+}
+
 double parse_f64(std::string_view key, std::string_view value) {
   try {
     std::size_t pos = 0;
@@ -107,7 +119,7 @@ soc::BugSet parse_bug_set(std::string_view value, soc::CoreKind core) {
 std::vector<unsigned> parse_lengths(std::string_view key, std::string_view value) {
   std::vector<unsigned> out;
   for (const std::string& token : common::split(value, ',')) {
-    out.push_back(static_cast<unsigned>(parse_u64(key, token)));
+    out.push_back(parse_u32(key, token));
   }
   if (out.empty()) {
     throw std::invalid_argument("campaign key '" + std::string(key) +
@@ -227,8 +239,7 @@ constexpr ConfigKey kConfigKeys[] = {
      [](const CampaignConfig& c) { return std::to_string(c.policy.gamma); }},
     {"mutants", "mutant burst per interesting test (paper: 5)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.mutants_per_interesting =
-           static_cast<unsigned>(parse_u64("mutants", v));
+       c.policy.mutants_per_interesting = parse_u32("mutants", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.mutants_per_interesting); }},
     {"pool-cap", "per-arm test pool capacity",
@@ -238,8 +249,7 @@ constexpr ConfigKey kConfigKeys[] = {
      [](const CampaignConfig& c) { return std::to_string(c.policy.arm_pool_cap); }},
     {"initial-seeds", "TheHuzz initial seed count",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.thehuzz.initial_seeds =
-           static_cast<unsigned>(parse_u64("initial-seeds", v));
+       c.policy.thehuzz.initial_seeds = parse_u32("initial-seeds", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.thehuzz.initial_seeds); }},
     {"feed-op-rewards", "feed operator-level rewards to the mutation policy",

@@ -1,11 +1,7 @@
 #include "harness/checkpoint.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -17,7 +13,7 @@ namespace mabfuzz::harness {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'A', 'B', 'F', 'U', 'Z', 'Z', 'K'};
+constexpr std::string_view kMagic("MABFUZZK", 8);
 
 /// Sanity bounds mirroring fuzz/corpus.cpp: every allocation a corrupt
 /// file could steer is capped before it happens. Strings (config pairs,
@@ -27,18 +23,9 @@ constexpr char kMagic[8] = {'M', 'A', 'B', 'F', 'U', 'Z', 'Z', 'K'};
 constexpr std::uint64_t kMaxString = 1u << 20;
 constexpr std::uint64_t kMaxCount = 1u << 20;
 constexpr std::uint64_t kMaxState = 1u << 26;
-
-[[noreturn]] void fail(std::string_view what) {
-  throw std::runtime_error("checkpoint load: " + std::string(what));
-}
-
-/// errno captured before the message strings allocate (allocation may
-/// clobber it).
-[[noreturn]] void fail_io(std::string_view action, const std::string& path) {
-  const int saved_errno = errno;
-  throw std::runtime_error(std::string(action) + " '" + path +
-                           "': " + std::strerror(saved_errno));
-}
+constexpr std::uint64_t kMaxPayload = fuzz::Corpus::kMaxImageBytes +
+                                      kMaxState + kMaxString +
+                                      (kMaxCount * 32);
 
 std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t hash = 14695981039346656037ULL;
@@ -47,12 +34,6 @@ std::uint64_t fnv1a64(std::string_view bytes) {
     hash *= 1099511628211ULL;
   }
   return hash;
-}
-
-std::string image_of(const fuzz::Corpus& corpus) {
-  std::ostringstream image;
-  corpus.save(image);
-  return std::move(image).str();
 }
 
 /// Runs `campaign`'s first test and hashes the state it reaches: its
@@ -64,7 +45,7 @@ std::uint64_t probe_fingerprint(Campaign& campaign) {
   std::string bytes;
   campaign.save_state(bytes);
   if (campaign.corpus() != nullptr) {
-    bytes += image_of(*campaign.corpus());
+    bytes += campaign.corpus()->image();
   }
   return fnv1a64(bytes);
 }
@@ -99,9 +80,8 @@ std::string serialize_payload(const Checkpoint& checkpoint) {
   common::put_blob(out, checkpoint.fuzzer_state);
   common::put_u64(out, checkpoint.coverage_universe);
   common::put_u64(out, checkpoint.coverage_words.size());
-  for (const std::uint64_t word : checkpoint.coverage_words) {
-    common::put_u64(out, word);
-  }
+  common::put_words(out,
+                    std::span<const std::uint64_t>(checkpoint.coverage_words));
   out.push_back(checkpoint.has_corpus ? '\1' : '\0');
   if (checkpoint.has_corpus) {
     common::put_blob(out, checkpoint.corpus_image);
@@ -150,14 +130,9 @@ Checkpoint parse_payload(std::string_view payload) {
   }
   out.fuzzer_state = in.blob("fuzzer state", kMaxString);
   out.coverage_universe = in.u64("coverage universe");
-  const std::uint64_t num_words = in.u64("coverage word count");
-  if (num_words > kMaxCount) {
-    in.fail("coverage word count exceeds the sanity bound");
-  }
-  out.coverage_words.reserve(static_cast<std::size_t>(num_words));
-  for (std::uint64_t i = 0; i < num_words; ++i) {
-    out.coverage_words.push_back(in.u64("coverage word"));
-  }
+  out.coverage_words.resize(
+      static_cast<std::size_t>(in.count("coverage word count", kMaxCount)));
+  in.words("coverage words", std::span<std::uint64_t>(out.coverage_words));
   const unsigned char flag = in.u8("corpus flag");
   if (flag > 1) {
     in.fail("corpus flag must be 0 or 1");
@@ -193,7 +168,7 @@ Checkpoint Checkpoint::capture(const Campaign& campaign) {
   out.coverage_words.assign(global.words().begin(), global.words().end());
   if (campaign.corpus() != nullptr) {
     out.has_corpus = true;
-    out.corpus_image = image_of(*campaign.corpus());
+    out.corpus_image = campaign.corpus()->image();
   }
   if (campaign.fingerprint_.has_value()) {
     out.fingerprint = *campaign.fingerprint_;
@@ -211,82 +186,39 @@ Checkpoint Checkpoint::capture(const Campaign& campaign) {
 
 void Checkpoint::save(const std::string& path) const {
   const std::string payload = serialize_payload(*this);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      fail_io("cannot open checkpoint file", tmp);
-    }
-    os.write(kMagic, sizeof(kMagic));
-    std::string header;
-    common::put_u32(header, kVersion);
-    common::put_u64(header, payload.size());
-    os.write(header.data(), static_cast<std::streamsize>(header.size()));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    std::string trailer;
-    common::put_u64(trailer, fnv1a64(payload));
-    os.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
-    os.flush();
-    if (!os) {
-      fail_io("cannot write checkpoint file", tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    fail_io("cannot rename checkpoint file onto", path);
-  }
+  std::string file(kMagic);
+  file.reserve(kMagic.size() + 12 + payload.size() + 8);
+  common::put_u32(file, kVersion);
+  common::put_blob(file, payload);
+  common::put_u64(file, fnv1a64(payload));
+  common::write_file_atomic(path, file);
 }
 
 Checkpoint Checkpoint::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    fail_io("cannot open checkpoint file", path);
+  const std::string file =
+      common::read_file(path, kMagic.size() + 12 + kMaxPayload + 8);
+  const std::string context = "checkpoint load: '" + path + "'";
+  if (!std::string_view(file).starts_with(kMagic)) {
+    throw std::runtime_error(context +
+                             " is not a mabfuzz checkpoint (bad magic)");
   }
-  char magic[sizeof(kMagic)];
-  if (!is.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    fail("'" + path + "' is not a mabfuzz checkpoint (bad magic)");
-  }
-  char header[12];
-  if (!is.read(header, sizeof(header))) {
-    fail("'" + path + "': truncated header");
-  }
-  common::ByteReader fields(std::string_view(header, sizeof(header)),
-                            "checkpoint load");
-  const std::uint32_t version = fields.u32("version");
+  common::ByteReader in(std::string_view(file).substr(kMagic.size()),
+                        context);
+  const std::uint32_t version = in.u32("version");
   if (version != kVersion) {
-    fail("'" + path + "': unsupported version " + std::to_string(version) +
-         " (this build reads version " + std::to_string(kVersion) + ")");
+    in.fail("unsupported version " + std::to_string(version) +
+            " (this build reads version " + std::to_string(kVersion) + ")");
   }
-  const std::uint64_t payload_len = fields.u64("payload length");
-  if (payload_len > fuzz::Corpus::kMaxImageBytes + kMaxState + kMaxString +
-                        (kMaxCount * 32)) {
-    fail("'" + path + "': payload length exceeds the sanity bound");
-  }
-  // The file's own size bounds the payload before it is allocated.
-  const std::streampos payload_at = is.tellg();
-  is.seekg(0, std::ios::end);
-  const auto remaining = static_cast<std::uint64_t>(is.tellg() - payload_at);
-  is.seekg(payload_at);
-  if (payload_len > remaining) {
-    fail("'" + path + "': truncated payload");
-  }
-  if (payload_len + 8 > remaining) {
-    fail("'" + path + "': truncated checksum trailer");
-  }
-  std::string payload(static_cast<std::size_t>(payload_len), '\0');
-  char trailer[8];
-  if (!is.read(payload.data(), static_cast<std::streamsize>(payload.size())) ||
-      !is.read(trailer, sizeof(trailer))) {
-    fail("'" + path + "': truncated file");
-  }
-  const std::uint64_t stored =
-      common::ByteReader(std::string_view(trailer, sizeof(trailer)),
-                         "checkpoint load")
-          .u64("checksum");
+  const std::string_view payload =
+      in.bytes("payload", in.count("payload length", kMaxPayload));
+  const std::uint64_t stored = in.u64("checksum trailer");
   // Checksum gate first: a corrupt payload is rejected wholesale, never
   // parsed into partial state.
   if (stored != fnv1a64(payload)) {
-    fail("'" + path + "': checksum mismatch (corrupt or truncated file)");
+    in.fail("checksum mismatch (corrupt or truncated file)");
+  }
+  if (!in.exhausted()) {
+    in.fail("trailing bytes after the checksum trailer");
   }
   return parse_payload(payload);
 }
@@ -318,8 +250,7 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
                              " entries, not one per bug");
   }
   if (checkpoint.has_corpus) {
-    std::istringstream image(checkpoint.corpus_image);
-    fuzz::Corpus corpus = fuzz::Corpus::load(image);
+    fuzz::Corpus corpus = fuzz::Corpus::from_image(checkpoint.corpus_image);
     if (corpus.core() != campaign->corpus_->core() ||
         corpus.universe() != campaign->corpus_->universe()) {
       throw std::runtime_error(
@@ -369,7 +300,7 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
     throw diverged("coverage map");
   }
   if (checkpoint.has_corpus &&
-      image_of(*campaign->corpus_) != checkpoint.corpus_image) {
+      campaign->corpus_->image() != checkpoint.corpus_image) {
     throw diverged("corpus store");
   }
   return campaign;

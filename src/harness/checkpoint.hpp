@@ -96,7 +96,8 @@ struct Checkpoint {
 
   /// Parses a checkpoint file. Throws std::runtime_error naming the file
   /// and the defect (bad magic, version skew, checksum mismatch,
-  /// truncation, field bounds) — never returns partial state.
+  /// truncation, trailing bytes, field bounds) — never returns partial
+  /// state.
   [[nodiscard]] static Checkpoint load(const std::string& path);
 };
 

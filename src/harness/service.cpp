@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/json.hpp"
 #include "harness/experiment.hpp"
 #include "soc/bugs.hpp"
@@ -24,6 +24,25 @@ std::string_view job_state_name(JobState state) noexcept {
   }
   return "?";
 }
+
+namespace {
+
+/// One compact JSON event line: the "event" and "job" keys, then the
+/// fields `write_fields` adds.
+template <typename WriteFields>
+std::string event_line(std::string_view event, std::string_view job,
+                       WriteFields&& write_fields) {
+  std::ostringstream line;
+  common::JsonWriter json(line, /*pretty=*/false);
+  json.begin_object();
+  json.key("event").value(event);
+  json.key("job").value(job);
+  write_fields(json);
+  json.end_object();
+  return std::move(line).str();
+}
+
+}  // namespace
 
 /// Per-job campaign observer: counts arm pulls for the done event and
 /// streams new-coverage / mismatch events. Runs on the lane that owns the
@@ -72,34 +91,26 @@ void CampaignService::JobObserver::on_arm_selected(const Campaign&,
 
 void CampaignService::JobObserver::on_new_coverage(
     const Campaign& campaign, const fuzz::StepResult& step) {
-  std::ostringstream line;
-  common::JsonWriter json(line, /*pretty=*/false);
-  json.begin_object();
-  json.key("event").value("new_coverage");
-  json.key("job").value(job_.spec.name);
-  json.key("test").value(step.test_index);
-  json.key("new_points").value(std::uint64_t{step.new_global_points});
-  json.key("covered").value(std::uint64_t{campaign.covered()});
-  json.end_object();
-  service_.emit_event(std::move(line).str());
+  service_.emit_event(event_line(
+      "new_coverage", job_.spec.name, [&](common::JsonWriter& json) {
+        json.key("test").value(step.test_index);
+        json.key("new_points").value(std::uint64_t{step.new_global_points});
+        json.key("covered").value(std::uint64_t{campaign.covered()});
+      }));
 }
 
 void CampaignService::JobObserver::on_mismatch(const Campaign&,
                                                const fuzz::StepResult& step) {
-  std::ostringstream line;
-  common::JsonWriter json(line, /*pretty=*/false);
-  json.begin_object();
-  json.key("event").value("mismatch");
-  json.key("job").value(job_.spec.name);
-  json.key("test").value(step.test_index);
-  json.key("bugs").begin_array();
-  // Firing order is commit order within the test — deterministic.
-  for (const soc::BugFiring& firing : step.firings) {
-    json.value(soc::bug_info(firing.id).name);
-  }
-  json.end_array();
-  json.end_object();
-  service_.emit_event(std::move(line).str());
+  service_.emit_event(event_line(
+      "mismatch", job_.spec.name, [&](common::JsonWriter& json) {
+        json.key("test").value(step.test_index);
+        json.key("bugs").begin_array();
+        // Firing order is commit order within the test — deterministic.
+        for (const soc::BugFiring& firing : step.firings) {
+          json.value(soc::bug_info(firing.id).name);
+        }
+        json.end_array();
+      }));
 }
 
 CampaignService::CampaignService(ServiceConfig config, std::ostream* events)
@@ -218,6 +229,10 @@ void CampaignService::admit(std::unique_ptr<Job> job,
 
 void CampaignService::submit(JobSpec spec) {
   validate_job_name(spec.name);
+  if (!spec.artifact_out.empty()) {
+    // Fail at admission, not after the job's whole budget has run.
+    validate_output_directory(spec.artifact_out, "artifact-out");
+  }
   auto job = std::make_unique<Job>();
   job->spec = std::move(spec);
   // Constructed on the submitting thread so a bad config (unknown fuzzer,
@@ -225,23 +240,21 @@ void CampaignService::submit(JobSpec spec) {
   job->campaign = std::make_unique<Campaign>(job->spec.config);
   job->observer = std::make_unique<JobObserver>(*this, *job);
   job->campaign->add_observer(*job->observer);
-
-  std::ostringstream line;
-  common::JsonWriter json(line, /*pretty=*/false);
-  json.begin_object();
-  json.key("event").value("accepted");
-  json.key("job").value(job->spec.name);
-  json.key("tenant").value(job->spec.tenant);
-  json.key("fuzzer").value(job->spec.config.fuzzer);
-  json.key("tests").value(job->spec.config.max_tests);
-  json.end_object();
-
-  admit(std::move(job), std::move(line).str());
+  std::string event = event_line(
+      "accepted", job->spec.name, [&](common::JsonWriter& json) {
+        json.key("tenant").value(job->spec.tenant);
+        json.key("fuzzer").value(job->spec.config.fuzzer);
+        json.key("tests").value(job->spec.config.max_tests);
+      });
+  admit(std::move(job), event);
 }
 
 std::string CampaignService::resume_from_checkpoint(const std::string& path) {
   const Checkpoint checkpoint = Checkpoint::load(path);
   validate_job_name(checkpoint.job_name);
+  if (!checkpoint.artifact_out.empty()) {
+    validate_output_directory(checkpoint.artifact_out, "artifact-out");
+  }
   auto job = std::make_unique<Job>();
   job->spec.tenant = checkpoint.tenant;
   job->spec.name = checkpoint.job_name;
@@ -256,21 +269,16 @@ std::string CampaignService::resume_from_checkpoint(const std::string& path) {
   job->tests_executed = job->campaign->tests_executed();
   job->covered = job->campaign->covered();
   job->mismatches = job->campaign->mismatches();
-
-  std::ostringstream line;
-  common::JsonWriter json(line, /*pretty=*/false);
-  json.begin_object();
-  json.key("event").value("accepted");
-  json.key("job").value(job->spec.name);
-  json.key("tenant").value(job->spec.tenant);
-  json.key("fuzzer").value(job->spec.config.fuzzer);
-  json.key("tests").value(job->spec.config.max_tests);
-  json.key("resumed_at").value(checkpoint.steps);
-  json.key("checkpoint").value(path);
-  json.end_object();
-
+  std::string event = event_line(
+      "accepted", job->spec.name, [&](common::JsonWriter& json) {
+        json.key("tenant").value(job->spec.tenant);
+        json.key("fuzzer").value(job->spec.config.fuzzer);
+        json.key("tests").value(job->spec.config.max_tests);
+        json.key("resumed_at").value(checkpoint.steps);
+        json.key("checkpoint").value(path);
+      });
   std::string name = job->spec.name;
-  admit(std::move(job), std::move(line).str());
+  admit(std::move(job), event);
   return name;
 }
 
@@ -301,16 +309,8 @@ bool CampaignService::resume(std::string_view name) {
   }
   job->state = JobState::kQueued;
   runnable_.push_back(job);
-  std::string event;
-  {
-    std::ostringstream line;
-    common::JsonWriter json(line, /*pretty=*/false);
-    json.begin_object();
-    json.key("event").value("resumed");
-    json.key("job").value(job->spec.name);
-    json.end_object();
-    event = std::move(line).str();
-  }
+  const std::string event =
+      event_line("resumed", job->spec.name, [](common::JsonWriter&) {});
   lock.unlock();
   work_cv_.notify_one();
   emit_event(event);
@@ -416,16 +416,11 @@ void CampaignService::write_checkpoint(Job& job) {
   const std::string path = checkpoint_path(job);
   checkpoint.save(path);
   job.last_checkpoint_step = checkpoint.steps;
-
-  std::ostringstream line;
-  common::JsonWriter json(line, /*pretty=*/false);
-  json.begin_object();
-  json.key("event").value("checkpoint");
-  json.key("job").value(job.spec.name);
-  json.key("test").value(checkpoint.steps);
-  json.key("path").value(path);
-  json.end_object();
-  emit_event(std::move(line).str());
+  emit_event(event_line(
+      "checkpoint", job.spec.name, [&](common::JsonWriter& json) {
+        json.key("test").value(checkpoint.steps);
+        json.key("path").value(path);
+      }));
 }
 
 void CampaignService::write_artifacts(Job& job, const RunResult& run) {
@@ -443,24 +438,12 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
 
   const ArtifactOptions options{/*include_timing=*/false,
                                 /*pretty_json=*/true};
-  {
-    std::ofstream os(job.spec.artifact_out + ".json",
-                     std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("service: cannot write artifact '" +
-                               job.spec.artifact_out + ".json'");
-    }
-    write_experiment_json(os, result, options);
-  }
-  {
-    std::ofstream os(job.spec.artifact_out + ".csv",
-                     std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("service: cannot write artifact '" +
-                               job.spec.artifact_out + ".csv'");
-    }
-    write_trials_csv(os, result, options);
-  }
+  std::ostringstream json;
+  write_experiment_json(json, result, options);
+  common::write_file_atomic(job.spec.artifact_out + ".json", json.str());
+  std::ostringstream csv;
+  write_trials_csv(csv, result, options);
+  common::write_file_atomic(job.spec.artifact_out + ".csv", csv.str());
 }
 
 /// Terminal transition: publishes the final state, drops the campaign,
@@ -478,34 +461,28 @@ void CampaignService::finish_job(std::unique_lock<std::mutex>& lock, Job& job,
     job.mismatches = job.campaign->mismatches();
   }
 
-  std::ostringstream line;
-  common::JsonWriter json(line, /*pretty=*/false);
-  json.begin_object();
-  if (state == JobState::kDone) {
-    json.key("event").value("done");
-    json.key("job").value(job.spec.name);
-    json.key("tests").value(job.tests_executed);
-    json.key("covered").value(std::uint64_t{job.covered});
-    json.key("universe").value(
-        std::uint64_t{job.campaign->coverage_universe()});
-    json.key("mismatches").value(job.mismatches);
-    json.key("detected_bugs").value(
-        std::uint64_t{job.campaign->detected_bug_count()});
-    json.key("arm_pulls").begin_array();
-    for (const std::uint64_t pulls : job.arm_pulls) {
-      json.value(pulls);
-    }
-    json.end_array();
-  } else if (state == JobState::kCancelled) {
-    json.key("event").value("cancelled");
-    json.key("job").value(job.spec.name);
-    json.key("tests").value(job.tests_executed);
-  } else {
-    json.key("event").value("failed");
-    json.key("job").value(job.spec.name);
-    json.key("error").value(job.error);
-  }
-  json.end_object();
+  // The terminal state's name is the event's name.
+  const std::string event = event_line(
+      job_state_name(state), job.spec.name, [&](common::JsonWriter& json) {
+        if (state == JobState::kDone) {
+          json.key("tests").value(job.tests_executed);
+          json.key("covered").value(std::uint64_t{job.covered});
+          json.key("universe").value(
+              std::uint64_t{job.campaign->coverage_universe()});
+          json.key("mismatches").value(job.mismatches);
+          json.key("detected_bugs").value(
+              std::uint64_t{job.campaign->detected_bug_count()});
+          json.key("arm_pulls").begin_array();
+          for (const std::uint64_t pulls : job.arm_pulls) {
+            json.value(pulls);
+          }
+          json.end_array();
+        } else if (state == JobState::kCancelled) {
+          json.key("tests").value(job.tests_executed);
+        } else {
+          json.key("error").value(job.error);
+        }
+      });
 
   // The campaign (backend and corpus) is the job's only heavy state;
   // a finished job keeps just its status row.
@@ -516,7 +493,7 @@ void CampaignService::finish_job(std::unique_lock<std::mutex>& lock, Job& job,
   }
 
   lock.unlock();
-  emit_event(std::move(line).str());
+  emit_event(event);
   drain_cv_.notify_all();
   lock.lock();
 }
@@ -583,14 +560,10 @@ void CampaignService::lane_loop() {
       job->state = JobState::kPaused;
       // Built under the lock: once it is released a concurrent resume()
       // may hand the job to another lane, which would race these reads.
-      std::ostringstream line;
-      common::JsonWriter json(line, /*pretty=*/false);
-      json.begin_object();
-      json.key("event").value("paused");
-      json.key("job").value(job->spec.name);
-      json.key("test").value(job->tests_executed);
-      json.end_object();
-      const std::string event = std::move(line).str();
+      const std::string event = event_line(
+          "paused", job->spec.name, [&](common::JsonWriter& json) {
+            json.key("test").value(job->tests_executed);
+          });
       lock.unlock();
       emit_event(event);
       drain_cv_.notify_all();
@@ -603,14 +576,10 @@ void CampaignService::lane_loop() {
     lock.unlock();
 
     if (first_slice) {
-      std::ostringstream line;
-      common::JsonWriter json(line, /*pretty=*/false);
-      json.begin_object();
-      json.key("event").value("started");
-      json.key("job").value(job->spec.name);
-      json.key("at_test").value(job->tests_executed);
-      json.end_object();
-      emit_event(std::move(line).str());
+      emit_event(event_line(
+          "started", job->spec.name, [&](common::JsonWriter& json) {
+            json.key("at_test").value(job->tests_executed);
+          }));
     }
     run_one_slice(*job);
   }

@@ -12,10 +12,11 @@
 //
 // Crash safety: with a checkpoint directory configured the owning lane
 // writes a harness::Checkpoint every checkpoint_every tests (atomic
-// tmp+rename), stop() writes a final checkpoint for every unfinished
-// job, and resume_from_checkpoint() re-admits a job from its snapshot
-// (state restore after one fingerprinted probe test, then round-trip
-// and witness verification; harness/checkpoint.hpp).
+// tmp+rename, like the job's artifacts and corpus store), stop() writes
+// a final checkpoint for every unfinished job, and
+// resume_from_checkpoint() re-admits a job from its snapshot (state
+// restore after one fingerprinted probe test, then round-trip and
+// witness verification; harness/checkpoint.hpp).
 //
 // Observability: every lifecycle transition and every interesting step
 // (new coverage, mismatch, checkpoint) streams as one line of compact
@@ -82,7 +83,8 @@ struct JobSpec {
   std::string name;
   CampaignConfig config;
   /// Artifact prefix: "<prefix>.json" / "<prefix>.csv" are written on
-  /// completion (include_timing=false, so byte-identical). Empty skips
+  /// completion (include_timing=false, so byte-identical; each as tmp +
+  /// rename). Its directory is checked at admission. Empty skips
   /// artifact emission; config.corpus_out is honored either way.
   std::string artifact_out;
 };
@@ -111,8 +113,9 @@ class CampaignService {
   CampaignService& operator=(const CampaignService&) = delete;
 
   /// Validates and enqueues a job. Throws std::invalid_argument on a
-  /// duplicate name, a full queue, an exhausted tenant cap, or a config
-  /// the Campaign constructor rejects (unknown fuzzer, bad corpus path).
+  /// duplicate name, a full queue, an exhausted tenant cap, an artifact
+  /// prefix whose directory is missing or not writable, or a config the
+  /// Campaign constructor rejects (unknown fuzzer, bad corpus path).
   /// Callable before start() (jobs queue up) and while running.
   void submit(JobSpec spec);
 

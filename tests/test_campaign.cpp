@@ -196,6 +196,14 @@ TEST(CampaignConfigTest, RejectsMalformedValues) {
   EXPECT_THROW(config.set("bugs", "V9"), std::invalid_argument);
   EXPECT_THROW(config.set("arms", "0"), std::invalid_argument);
   EXPECT_THROW(CampaignConfig::from_pairs({{"tests"}}), std::invalid_argument);
+  // 32-bit fields refuse values above 2^32-1 instead of wrapping them.
+  EXPECT_THROW(config.set("mutants", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(config.set("initial-seeds", "4294967297"),
+               std::invalid_argument);
+  EXPECT_THROW(config.set("length-choices", "4,4294967308"),
+               std::invalid_argument);
+  config.set("mutants", "4294967295");
+  EXPECT_EQ(config.policy.mutants_per_interesting, 4294967295u);
 }
 
 TEST(CampaignConfigTest, ToPairsRoundTripsEveryFieldByteForByte) {

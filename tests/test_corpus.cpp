@@ -1,16 +1,20 @@
 // Corpus subsystem tests: novelty-gated admission, lowest-novelty
 // eviction, deterministic mabfuzz-corpus-v2 serialization (save → load →
-// byte-identical re-save), federation (order-invariant merge, set-cover
-// distillation, sharded trial-matrix corpus_out), campaign-level corpus
-// plumbing (corpus-in validation, fail-fast corpus-out, byte-identical
-// warm-campaign continuation) and the corpus-reuse fuzzer built on top.
+// byte-identical re-save, corrupt and trailing bytes refused, an
+// interrupted save keeping the previous store), federation
+// (order-invariant merge, set-cover distillation, sharded trial-matrix
+// corpus_out), campaign-level corpus plumbing (corpus-in validation,
+// fail-fast corpus-out, byte-identical warm-campaign continuation) and
+// the corpus-reuse fuzzer built on top.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <limits>
@@ -18,6 +22,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "fuzz/backend.hpp"
 #include "fuzz/corpus.hpp"
@@ -142,9 +148,7 @@ TEST(CorpusSerialization, RoundTripPreservesEverything) {
   ASSERT_GT(original.size(), 0u);
   ASSERT_GT(original.covered(), 0u);
 
-  std::stringstream buffer;
-  original.save(buffer);
-  const Corpus reloaded = Corpus::load(buffer);
+  const Corpus reloaded = Corpus::from_image(original.image());
   EXPECT_TRUE(reloaded == original);
   EXPECT_EQ(reloaded.core(), "rocket");
   EXPECT_EQ(reloaded.universe(), original.universe());
@@ -163,21 +167,19 @@ TEST(CorpusSerialization, RoundTripPreservesEverything) {
 
 TEST(CorpusSerialization, ReSaveIsByteIdentical) {
   const Corpus original = executed_corpus();
-  std::stringstream first;
-  original.save(first);
-  const Corpus reloaded = Corpus::load(first);
-  std::stringstream second;
-  reloaded.save(second);
-  EXPECT_EQ(first.str(), second.str());
+  const std::string first = original.image();
+  EXPECT_EQ(Corpus::from_image(first).image(), first);
+  // The stream writer is the same image.
+  std::ostringstream streamed;
+  original.save(streamed);
+  EXPECT_EQ(streamed.str(), first);
 }
 
 TEST(CorpusSerialization, ContinuationAfterReloadMatchesUninterrupted) {
   // Admissions into a reloaded corpus behave exactly as if the campaign
   // had never stopped: same gate decisions, same eviction victims.
   Corpus live = executed_corpus(/*tests=*/25);
-  std::stringstream buffer;
-  live.save(buffer);
-  Corpus reloaded = Corpus::load(buffer);
+  Corpus reloaded = Corpus::from_image(live.image());
 
   const std::size_t universe = live.universe();
   for (std::uint64_t id = 1000; id < 1012; ++id) {
@@ -200,26 +202,22 @@ TEST(CorpusSerialization, ManifestListsEntries) {
 
 TEST(CorpusSerialization, LoadRejectsCorruptInput) {
   // Not a corpus at all.
-  std::stringstream junk("definitely not a corpus");
-  EXPECT_THROW((void)Corpus::load(junk), std::runtime_error);
+  EXPECT_THROW((void)Corpus::from_image("definitely not a corpus"),
+               std::runtime_error);
 
   const Corpus corpus = executed_corpus();
-  std::stringstream buffer;
-  corpus.save(buffer);
-  const std::string image = buffer.str();
+  const std::string image = corpus.image();
 
   // Truncation anywhere fails loudly instead of yielding a partial store.
-  std::stringstream truncated(image.substr(0, image.size() / 2));
-  EXPECT_THROW((void)Corpus::load(truncated), std::runtime_error);
+  EXPECT_THROW((void)Corpus::from_image(image.substr(0, image.size() / 2)),
+               std::runtime_error);
 
   // Unsupported version.
   std::string versioned = image;
   versioned[8] = 0x7f;  // version field follows the 8-byte magic
-  std::stringstream wrong_version(versioned);
-  EXPECT_THROW((void)Corpus::load(wrong_version), std::runtime_error);
+  EXPECT_THROW((void)Corpus::from_image(versioned), std::runtime_error);
 
-  std::stringstream empty;
-  EXPECT_THROW((void)Corpus::load(empty), std::runtime_error);
+  EXPECT_THROW((void)Corpus::from_image(""), std::runtime_error);
 
   // A corrupt universe field must fail the sanity bound, not attempt a
   // petabyte coverage-map allocation. The field sits after the 8-byte
@@ -229,8 +227,49 @@ TEST(CorpusSerialization, LoadRejectsCorruptInput) {
   for (std::size_t i = 0; i < 8; ++i) {
     huge_universe[universe_offset + i] = '\xff';
   }
-  std::stringstream unbounded(huge_universe);
-  EXPECT_THROW((void)Corpus::load(unbounded), std::runtime_error);
+  EXPECT_THROW((void)Corpus::from_image(huge_universe), std::runtime_error);
+
+  // One byte after the accumulated map: not a store this code wrote.
+  try {
+    (void)Corpus::from_image(image + '\0');
+    FAIL() << "an image with a trailing byte loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing bytes"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CorpusSerialization, InterruptedSaveKeepsThePreviousStore) {
+  // The file-size limit makes the save fail part-way through the binary:
+  // the store written before must still load, equal to what it was.
+  const Corpus original = executed_corpus(/*tests=*/10, /*cap=*/8);
+  const Corpus bigger = executed_corpus(/*tests=*/60, /*cap=*/32, /*seed=*/3);
+  const std::string path = testing::TempDir() + "corpus_interrupted.bin";
+  original.save(path);
+  const std::size_t limit = bigger.image().size() / 2;
+  ASSERT_GT(limit, 0u);
+
+  // SIGXFSZ would kill the process; ignored, the write fails with EFBIG.
+  const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = limit;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  bool threw = false;
+  try {
+    bigger.save(path);
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, previous_handler);
+
+  EXPECT_TRUE(threw) << "a save past the file-size limit reported success";
+  EXPECT_TRUE(Corpus::load(path) == original);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+  std::remove((path + ".json").c_str());
 }
 
 TEST(CorpusSerialization, FileSaveWritesBinaryAndManifest) {
@@ -255,17 +294,14 @@ TEST(CorpusSerialization, LoadClampsStoredZeroCap) {
   // instead of failing or trusting the constructor's incidental clamp.
   Corpus corpus("rocket", 128, 8);
   ASSERT_TRUE(corpus.offer(make_test(1), map_with(128, {0})));
-  std::stringstream buffer;
-  corpus.save(buffer);
-  std::string image = buffer.str();
+  std::string image = corpus.image();
   // The u64 cap follows the magic, version, length-prefixed core name and
   // u64 universe.
   const std::size_t cap_offset = 8 + 4 + 4 + std::string("rocket").size() + 8;
   for (std::size_t i = 0; i < 8; ++i) {
     image[cap_offset + i] = '\0';
   }
-  std::stringstream patched(image);
-  const Corpus reloaded = Corpus::load(patched);
+  const Corpus reloaded = Corpus::from_image(image);
   EXPECT_EQ(reloaded.max_entries(), 1u);
   ASSERT_EQ(reloaded.size(), 1u);
   EXPECT_EQ(reloaded.entries()[0].test.id, 1u);
@@ -331,11 +367,7 @@ TEST(CorpusMerge, MatchesCanonicalReOffer) {
 
   Corpus merged = a;
   merged.merge(b);
-  std::stringstream merged_image;
-  merged.save(merged_image);
-  std::stringstream expected_image;
-  expected.save(expected_image);
-  EXPECT_EQ(merged_image.str(), expected_image.str());
+  EXPECT_EQ(merged.image(), expected.image());
 }
 
 TEST(CorpusMerge, ArrivalOrderInvariantOnExecutedStores) {
@@ -348,12 +380,8 @@ TEST(CorpusMerge, ArrivalOrderInvariantOnExecutedStores) {
   ab.merge(b);
   Corpus ba = b;
   ba.merge(a);
-  std::stringstream ab_image;
-  ab.save(ab_image);
-  std::stringstream ba_image;
-  ba.save(ba_image);
   ASSERT_GT(ab.size(), 0u);
-  EXPECT_EQ(ab_image.str(), ba_image.str());
+  EXPECT_EQ(ab.image(), ba.image());
 }
 
 TEST(CorpusMerge, RejectsCoreAndUniverseMismatch) {
@@ -600,9 +628,8 @@ TEST(CorpusCampaign, WarmContinuationIsByteIdenticalAcrossReloads) {
     config.corpus_in = path;
     harness::Campaign campaign(config);
     campaign.run();
-    std::stringstream image;
-    campaign.corpus()->save(image);
-    return std::pair<std::size_t, std::string>(campaign.covered(), image.str());
+    return std::pair<std::size_t, std::string>(campaign.covered(),
+                                               campaign.corpus()->image());
   };
   const auto a = run_warm();
   const auto b = run_warm();

@@ -1,9 +1,11 @@
 // CampaignService tests: admission control (duplicate names, job names
-// that are not plain file names, queue and per-tenant caps, bad configs),
-// FIFO completion order, pause / resume / cancel at slice boundaries,
-// interrupt-and-resume byte-identity of every artifact, one final
-// checkpoint per shutdown however often stop() is called, and
-// byte-identity across lane counts.
+// that are not plain file names, artifact prefixes that cannot be
+// written, queue and per-tenant caps, bad configs), FIFO completion
+// order, pause / resume / cancel at slice boundaries, interrupt-and-resume
+// byte-identity of every artifact, one final checkpoint per shutdown
+// however often stop() is called, byte-identity across lane counts, and
+// the serve line protocol (every verb's reply, the submit errors, line
+// splitting and the over-long line) without a socket.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +16,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/checkpoint.hpp"
+#include "harness/serve.hpp"
 #include "harness/service.hpp"
 
 namespace mabfuzz::harness {
@@ -89,6 +93,33 @@ TEST(ServiceAdmissionTest, RejectsJobNamesThatAreNotPlainFileNames) {
   const std::string path = testing::TempDir() + "escaping-name.ckpt";
   checkpoint.save(path);
   EXPECT_THROW(service.resume_from_checkpoint(path), std::invalid_argument);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceAdmissionTest, RejectsUnwritableArtifactPrefix) {
+  // Checked at admission: a missing directory must not cost the job's
+  // whole budget to discover.
+  CampaignService service(ServiceConfig{});
+  JobSpec spec = job("a", tiny(50));
+  spec.artifact_out = testing::TempDir() + "no-such-dir/a";
+  try {
+    service.submit(std::move(spec));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("artifact-out"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(service.jobs().empty());
+
+  // A checkpoint carrying such a prefix is refused the same way.
+  Campaign campaign(tiny(50));
+  Checkpoint checkpoint = Checkpoint::capture(campaign);
+  checkpoint.job_name = "b";
+  checkpoint.artifact_out = testing::TempDir() + "no-such-dir/b";
+  const std::string path = testing::TempDir() + "unwritable-prefix.ckpt";
+  checkpoint.save(path);
+  EXPECT_THROW(service.resume_from_checkpoint(path), std::invalid_argument);
+  EXPECT_TRUE(service.jobs().empty());
   std::remove(path.c_str());
 }
 
@@ -413,6 +444,123 @@ TEST(ServiceLaneTest, ArtifactsByteIdenticalAcrossLaneCounts) {
       }
     }
   }
+}
+
+// --- serve line protocol --------------------------------------------------------
+
+std::string reply_to(CampaignService& service, std::string_view line) {
+  return handle_serve_line(service, line).line;
+}
+
+TEST(ServeProtocolTest, EveryVerbGetsItsReply) {
+  // Never started: jobs stay queued and drain() returns at once.
+  CampaignService service(ServiceConfig{});
+  EXPECT_EQ(reply_to(service, "status"), "ok");
+  EXPECT_EQ(reply_to(service, "submit job=a fuzzer=ucb core=rocket tests=50"),
+            "ok submitted a");
+  EXPECT_EQ(reply_to(service, "submit  tenant=t job=b artifact-out=" +
+                                  testing::TempDir() + "b tests=40 "),
+            "ok submitted b");
+  EXPECT_EQ(reply_to(service, "status"), "ok a:queued:0/50 b:queued:0/40");
+  EXPECT_EQ(reply_to(service, "pause a"), "ok pause requested");
+  EXPECT_EQ(reply_to(service, "resume a"), "ok resume requested");
+  EXPECT_EQ(reply_to(service, "cancel b"), "ok cancel requested");
+  EXPECT_EQ(reply_to(service, "pause nobody"),
+            "error: job 'nobody' is unknown or already terminal");
+  for (const std::string verb : {"pause", "resume", "cancel"}) {
+    EXPECT_EQ(reply_to(service, verb), "error: usage: " + verb + " NAME");
+    EXPECT_EQ(reply_to(service, verb + " a b"),
+              "error: usage: " + verb + " NAME");
+  }
+  EXPECT_EQ(reply_to(service, "drain"), "ok drained");
+
+  Campaign campaign(tiny(50));
+  Checkpoint checkpoint = Checkpoint::capture(campaign);
+  checkpoint.job_name = "c";
+  const std::string path = testing::TempDir() + "serve-verbs.ckpt";
+  checkpoint.save(path);
+  EXPECT_EQ(reply_to(service, "resume-checkpoint " + path), "ok resumed c");
+  EXPECT_EQ(reply_to(service, "resume-checkpoint"),
+            "error: usage: resume-checkpoint PATH");
+  EXPECT_EQ(reply_to(service, "resume-checkpoint " + path + "-missing")
+                .rfind("error: cannot read '" + path + "-missing'", 0),
+            0u);
+  std::remove(path.c_str());
+
+  const ServeReply status = handle_serve_line(service, "status");
+  EXPECT_EQ(status.line, "ok a:queued:0/50 b:queued:0/40 c:queued:0/50");
+  EXPECT_FALSE(status.shutdown);
+  const ServeReply bye = handle_serve_line(service, "shutdown");
+  EXPECT_EQ(bye.line, "ok shutting down");
+  EXPECT_TRUE(bye.shutdown);
+}
+
+TEST(ServeProtocolTest, SubmitErrorsAreReplies) {
+  CampaignService service(ServiceConfig{});
+  EXPECT_EQ(reply_to(service, "submit fuzzer=ucb"),
+            "error: submit requires job=<name>");
+  EXPECT_EQ(reply_to(service, "submit job=a ucb"),
+            "error: expected key=value, got 'ucb'");
+  EXPECT_EQ(reply_to(service, "submit job=a arms=0"),
+            "error: campaign key 'arms': must be at least 1");
+  EXPECT_EQ(reply_to(service, "submit job=a mutants=4294967296"),
+            "error: campaign key 'mutants': 4294967296 exceeds 4294967295");
+  // (line, what its error reply must name)
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {"submit job=a no-such-knob=1", "no-such-knob"},
+      {"submit job=a fuzzer=no-such-policy", "no-such-policy"},
+      {"submit job=../a", "job name"},
+      {"submit job=a artifact-out=" + testing::TempDir() + "no-such-dir/a",
+       "artifact-out"},
+  };
+  for (const auto& [line, named] : refused) {
+    const std::string reply = reply_to(service, line);
+    EXPECT_EQ(reply.rfind("error: ", 0), 0u) << line << " -> " << reply;
+    EXPECT_NE(reply.find(named), std::string::npos) << reply;
+  }
+  EXPECT_TRUE(service.jobs().empty());
+  EXPECT_EQ(reply_to(service, "submit job=a tests=5"), "ok submitted a");
+  EXPECT_EQ(reply_to(service, "submit job=a tests=5"),
+            "error: service: job name 'a' already exists");
+  EXPECT_EQ(service.jobs().size(), 1u);
+}
+
+TEST(ServeProtocolTest, UnknownAndEmptyCommands) {
+  CampaignService service(ServiceConfig{});
+  EXPECT_EQ(reply_to(service, "frobnicate now"),
+            "error: unknown command 'frobnicate' (submit, resume-checkpoint, "
+            "pause, resume, cancel, status, drain, shutdown)");
+  EXPECT_EQ(reply_to(service, ""), "error: empty command");
+  EXPECT_EQ(reply_to(service, "   "), "error: empty command");
+}
+
+TEST(ServeProtocolTest, LineDrainStripsCarriageReturnsAndSkipsEmptyLines) {
+  CampaignService service(ServiceConfig{});
+  std::string buffer = "status\r\n\n\r\nsubmit job=a tests=5\nsta";
+  bool shutdown = false;
+  EXPECT_EQ(drain_command_buffer(service, buffer, shutdown),
+            (std::vector<std::string>{"ok", "ok submitted a"}));
+  EXPECT_EQ(buffer, "sta");  // the unterminated tail waits for its newline
+  EXPECT_FALSE(shutdown);
+  buffer += "tus\nshutdown\nstatus\n";
+  EXPECT_EQ(drain_command_buffer(service, buffer, shutdown),
+            (std::vector<std::string>{"ok a:queued:0/5", "ok shutting down",
+                                      "ok a:queued:0/5"}));
+  EXPECT_TRUE(shutdown);
+  EXPECT_TRUE(buffer.empty());
+}
+
+TEST(ServeProtocolTest, OverLongLineIsLeftToTheTransport) {
+  EXPECT_EQ(kMaxCommandLine, 64u * 1024u);
+  EXPECT_EQ(line_too_long_reply(),
+            "error: command line longer than 65536 bytes");
+  // The drain answers nothing for an unterminated line; the transport
+  // sees the buffer exceed the cap and sends the one over-long reply.
+  CampaignService service(ServiceConfig{});
+  std::string buffer(kMaxCommandLine + 1, 'x');
+  bool shutdown = false;
+  EXPECT_TRUE(drain_command_buffer(service, buffer, shutdown).empty());
+  EXPECT_EQ(buffer.size(), kMaxCommandLine + 1);
 }
 
 }  // namespace

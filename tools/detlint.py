@@ -85,12 +85,14 @@ RULES = {
 # coverage curves, corpus serialization, BENCH_*.json).
 # Nondeterminism in these files can silently change artifact bytes.
 ARTIFACT_PATH_GLOBS = [
+    "src/common/bytes.*",
     "src/common/json.*",
     "src/harness/campaign.*",
     "src/harness/experiment.*",
     "src/harness/curves.*",
     "src/harness/report.*",
     "src/harness/checkpoint.*",
+    "src/harness/serve.*",
     "src/harness/service.*",
     "src/fuzz/corpus.*",
     "bench/*",

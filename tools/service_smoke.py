@@ -24,8 +24,11 @@ second connection floods 1 MiB without a newline: it must get exactly
 one over-long-line error and be disconnected while the first client keeps
 being served. The same flood on stdin must be skipped through its newline.
 The reference run's control connection also submits a job no campaign can
-run (`arms=0`): it must get exactly one `error:` reply naming `arms`, and
-the daemon must carry on serving the accepted jobs.
+run (`arms=0`) and a job whose artifact prefix lies in a missing directory
+(`artifact-out=<workdir>/no-such-dir/x`): each must get exactly one
+`error:` reply naming the offending key (`arms`, `artifact-out`), neither
+job may appear in the status or the events, and the daemon must carry on
+serving the accepted jobs.
 
 Usage: tools/service_smoke.py [--cli PATH] [--workdir DIR]
 """
@@ -59,9 +62,9 @@ DEADLINE = 120.0  # seconds; every wait below shares this cap
 MAX_LINE = 64 * 1024  # the serve loop's cap on an unterminated line
 FLOOD = b"x" * (1 << 20)  # 1 MiB, no newline
 LINE_TOO_LONG = f"error: command line longer than {MAX_LINE} bytes"
-BAD_JOB = "smoke-bad"
-BAD_SUBMIT = (f"submit tenant=smoke job={BAD_JOB} artifact-out={BAD_JOB} "
-              "fuzzer=ucb core=rocket tests=100 arms=0")
+# Jobs the reference run must see refused: name -> the key its one error
+# reply must name.
+REFUSED = {"smoke-bad": "arms", "smoke-no-dir": "artifact-out"}
 
 
 def fail(message):
@@ -140,13 +143,22 @@ def submit_all(client):
             fail(f"unexpected submit reply {reply!r}")
 
 
-def check_bad_config_refused(client):
-    """A config no campaign can run is refused with one error reply that
-    names the offending key; the daemon keeps serving (the status that
-    follows proves no second reply line and no lost job)."""
-    reply = client.command(BAD_SUBMIT)
-    if not reply.startswith("error:") or "arms" not in reply:
-        fail(f"arms=0 submit got {reply!r}, expected an error naming 'arms'")
+def check_bad_submits_refused(client, workdir):
+    """A config no campaign can run and an artifact prefix in a missing
+    directory are each refused with one error reply that names the
+    offending key; the daemon keeps serving (the status that follows
+    proves no second reply line and no lost job)."""
+    pairs = {
+        "smoke-bad": "artifact-out=smoke-bad fuzzer=ucb core=rocket "
+                     "tests=100 arms=0",
+        "smoke-no-dir": f"artifact-out={workdir / 'no-such-dir' / 'x'} "
+                        "fuzzer=ucb core=rocket tests=100",
+    }
+    for name, key in REFUSED.items():
+        reply = client.command(f"submit tenant=smoke job={name} {pairs[name]}")
+        if not reply.startswith("error:") or key not in reply:
+            fail(f"{name} submit got {reply!r}, expected an error naming "
+                 f"{key!r}")
 
 
 def check_socket_line_cap(sock_path, deadline):
@@ -222,13 +234,14 @@ def main():
                                        ref_dir / "ctl.sock")
     client = ServeClient(ref_dir / "ctl.sock", deadline)
     submit_all(client)
-    check_bad_config_refused(client)
+    check_bad_submits_refused(client, workdir)
     check_socket_line_cap(ref_dir / "ctl.sock", deadline)
     status = client.expect_ok("status")
     if not all(f"{name}:" in status for name in JOBS):
         fail(f"status after the flood lost a job: {status!r}")
-    if f"{BAD_JOB}:" in status:
-        fail(f"refused job {BAD_JOB} shows up in status: {status!r}")
+    for name in REFUSED:
+        if f"{name}:" in status:
+            fail(f"refused job {name} shows up in status: {status!r}")
     client.expect_ok("drain")
     status = client.expect_ok("status")
     for name, (_, tests) in JOBS.items():
@@ -243,11 +256,12 @@ def main():
     done = [e for e in ref_events if e["event"] == "done"]
     if {e["job"] for e in done} != set(JOBS):
         fail(f"reference run missing done events: {done}")
-    if any(e.get("job") == BAD_JOB for e in ref_events):
-        fail(f"refused job {BAD_JOB} emitted events")
+    for name in REFUSED:
+        if any(e.get("job") == name for e in ref_events):
+            fail(f"refused job {name} emitted events")
     reference = read_artifacts(ref_dir)
-    print(f"service_smoke: reference OK ({len(ref_events)} events, "
-          "arms=0 and over-long line refused)")
+    print(f"service_smoke: reference OK ({len(ref_events)} events, arms=0, "
+          "missing artifact directory and over-long line refused)")
     check_stdin_line_cap(cli)
     print("service_smoke: stdin over-long line skipped")
 
