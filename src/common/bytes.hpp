@@ -92,20 +92,24 @@ class ByteReader {
   ByteReader(std::string_view bytes, std::string context)
       : bytes_(bytes), context_(std::move(context)) {}
 
-  std::uint8_t u8(std::string_view what) { return byte(what); }
+  std::uint8_t u8(std::string_view what) {
+    return static_cast<std::uint8_t>(*take(1, what));
+  }
 
   std::uint32_t u32(std::string_view what) {
+    const char* p = take(4, what);
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(byte(what)) << (8 * i);
+      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
     }
     return v;
   }
 
   std::uint64_t u64(std::string_view what) {
+    const char* p = take(8, what);
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(byte(what)) << (8 * i);
+      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
     }
     return v;
   }
@@ -135,13 +139,12 @@ class ByteReader {
     requires std::same_as<Word, std::uint32_t> ||
              std::same_as<Word, std::uint64_t>
   void words(std::string_view what, std::span<Word> into) {
-    if (into.size_bytes() > bytes_.size() - pos_) {
-      fail("truncated payload (" + std::string(what) + ")");
-    }
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(into.data(), bytes_.data() + pos_, into.size_bytes());
-      pos_ += into.size_bytes();
+      std::memcpy(into.data(), take(into.size_bytes(), what), into.size_bytes());
     } else {
+      if (into.size_bytes() > bytes_.size() - pos_) {
+        fail("truncated payload (" + std::string(what) + ")");
+      }
       for (Word& word : into) {
         if constexpr (sizeof(Word) == 4) {
           word = u32(what);
@@ -164,33 +167,37 @@ class ByteReader {
 
   /// put_str's inverse; lengths above `max` are refused.
   std::string str(std::string_view what, std::uint64_t max) {
+    return std::string(str_view(what, max));
+  }
+
+  /// str() without the copy: valid as long as the image is.
+  std::string_view str_view(std::string_view what, std::uint64_t max) {
     const std::uint32_t n = u32(what);
     if (n > max) {
       fail(std::string(what) + " length " + std::to_string(n) +
            " exceeds the sanity bound");
     }
-    return std::string(bytes(what, n));
+    return bytes(what, n);
   }
 
   /// put_blob's inverse; lengths above `max` are refused.
   std::string blob(std::string_view what, std::uint64_t max) {
+    return std::string(blob_view(what, max));
+  }
+
+  /// blob() without the copy: valid as long as the image is.
+  std::string_view blob_view(std::string_view what, std::uint64_t max) {
     const std::uint64_t n = u64(what);
     if (n > max) {
       fail(std::string(what) + " length " + std::to_string(n) +
            " exceeds the sanity bound");
     }
-    return std::string(bytes(what, n));
+    return bytes(what, n);
   }
 
   /// The next `n` bytes, not copied: valid as long as the image is.
   std::string_view bytes(std::string_view what, std::uint64_t n) {
-    if (n > bytes_.size() - pos_) {
-      fail("truncated payload (" + std::string(what) + ")");
-    }
-    const std::string_view out =
-        bytes_.substr(pos_, static_cast<std::size_t>(n));
-    pos_ += out.size();
-    return out;
+    return {take(n, what), static_cast<std::size_t>(n)};
   }
 
   [[nodiscard]] bool exhausted() const noexcept {
@@ -203,11 +210,14 @@ class ByteReader {
   }
 
  private:
-  std::uint8_t byte(std::string_view what) {
-    if (pos_ >= bytes_.size()) {
+  /// The next `n` bytes, after one bounds check for the whole field.
+  const char* take(std::uint64_t n, std::string_view what) {
+    if (n > bytes_.size() - pos_) {
       fail("truncated payload (" + std::string(what) + ")");
     }
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
+    const char* p = bytes_.data() + pos_;
+    pos_ += static_cast<std::size_t>(n);
+    return p;
   }
 
   std::string_view bytes_;

@@ -24,7 +24,6 @@ constexpr std::uint64_t kMaxFieldLength = 1u << 20;
 /// could steer is bounded before it happens. Real coverage universes are
 /// ~10^4 points; 2^26 (a 1 MiB map) is orders of magnitude of headroom.
 constexpr std::uint64_t kMaxUniverse = 1u << 26;
-constexpr std::uint64_t kMaxEntries = kMaxFieldLength;
 
 /// The canonical federation order merge() re-offers candidates in:
 /// novelty descending (the highest-yield tests re-enter the gate first,
@@ -195,7 +194,16 @@ std::size_t Corpus::distill() {
 // --- serialization --------------------------------------------------------------
 
 std::string Corpus::image() const {
-  std::string out(kMagic);
+  // Reserved from above, so the image is built without regrowing.
+  std::size_t bytes = kMagic.size() + 96 + core_.size() +
+                      8 * accumulated_.words().size();
+  for (const CorpusEntry& entry : entries_) {
+    bytes += 64 + entry.test.mutation_ops.size() + 4 * entry.test.words.size() +
+             8 * entry.map.words().size();
+  }
+  std::string out;
+  out.reserve(bytes);
+  out.append(kMagic);
   common::put_u32(out, kVersion);
   common::put_str(out, core_);
   common::put_u64(out, universe());
@@ -302,7 +310,7 @@ Corpus Corpus::from_image(std::string_view image) {
     test.generation = in.u32("generation");
     entry.novelty = in.u64("novelty");
     entry.order = in.u64("order");
-    const std::string ops = in.str("mutation_ops", kMaxFieldLength);
+    const std::string_view ops = in.str_view("mutation_ops", kMaxFieldLength);
     test.mutation_ops.assign(ops.begin(), ops.end());
     const std::uint32_t words = in.u32("program length");
     if (words == 0) {

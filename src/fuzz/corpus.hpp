@@ -60,6 +60,9 @@ class Corpus {
   /// store admits a test only for a fresh point, so it holds at most one
   /// entry per universe point: about 40 MB on boom, the largest core.
   static constexpr std::uint64_t kMaxImageBytes = 1u << 26;
+  /// Bound on a store's entry cap: a loaded store with a larger cap is
+  /// refused, so a campaign's corpus-cap key refuses one too.
+  static constexpr std::uint64_t kMaxEntries = 1u << 20;
 
   /// An empty corpus bound to one DUT configuration: `core` is the
   /// soc::core_name the tests were executed on and `coverage_universe` the

@@ -47,7 +47,7 @@ TestCase read_test(common::ByteReader& in) {
   test.seed_id = in.u64("test seed id");
   test.parent_id = in.u64("test parent id");
   test.generation = in.u32("test generation");
-  const std::string ops = in.str("test mutation ops", kMaxTestField);
+  const std::string_view ops = in.str_view("test mutation ops", kMaxTestField);
   test.mutation_ops.assign(ops.begin(), ops.end());
   const std::uint32_t words = in.u32("test word count");
   if (words == 0 || words > kMaxTestField) {

@@ -1,5 +1,6 @@
 #include "golden/iss.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/bitops.hpp"
@@ -146,11 +147,12 @@ void Iss::run_impl(const std::vector<Word>& program,
   result.halt = HaltReason::kBudget;
 
   probe_.begin_test(decoded_program != nullptr);
+  sled_.begin_test(decoded_program != nullptr);
   std::uint64_t next_probe = probe_.next_step();
   for (std::uint64_t step = 0; step < config_.instruction_budget; ++step) {
     if (step == next_probe) [[unlikely]] {
-      step += probe_loop(result);
-      next_probe = probe_.next_step();
+      step += probe(result);
+      next_probe = std::min(probe_.next_step(), sled_.next_step());
       if (step == config_.instruction_budget) {
         break;
       }
@@ -211,6 +213,10 @@ void Iss::run_impl(const std::vector<Word>& program,
       record.cause = static_cast<std::uint64_t>(outcome.trap.cause);
       csrs_.enter_trap(pc_, outcome.trap.cause, outcome.trap.tval);
       pc_ = csrs_.mtvec();
+      if (word == 0) {
+        sled_.trapped(step);
+        next_probe = std::min(next_probe, sled_.next_step());
+      }
     } else {
       pc_ = outcome.next_pc;
     }
@@ -224,6 +230,44 @@ void Iss::run_impl(const std::vector<Word>& program,
   result.mtval = csrs_.mtval();
   result.mtvec = csrs_.mtvec();
   result.mscratch = csrs_.mscratch();
+}
+
+std::uint64_t Iss::probe(ArchResult& out) {
+  std::uint64_t skipped = 0;
+  if (out.commits.size() == sled_.next_step()) {
+    skipped = replay_sled(out);
+    probe_.jumped(out.commits.size());
+  }
+  if (out.commits.size() == probe_.next_step()) {
+    skipped += probe_loop(out);
+  }
+  return skipped;
+}
+
+std::uint64_t Iss::replay_sled(ArchResult& out) {
+  auto fetch = [this](std::uint64_t addr, Word& word) {
+    return memory_.fetch(addr, word);
+  };
+  if (!sled_.entered(out.commits, pc_) || csrs_.mtvec() != isa::kHandlerBase ||
+      !isa::TrapSled::handler_intact(fetch)) {
+    return 0;
+  }
+  const std::uint64_t words = isa::TrapSled::extent(
+      pc_, config_.instruction_budget - out.commits.size(), sentinel_pc_, fetch);
+  if (words == 0) {
+    return 0;
+  }
+  // Word k commits the trap at X + 4k and the stub, which leaves t6, mepc
+  // and the next pc at X + 4k + 4. mcause, mtval and mstatus stay as the
+  // stepped words left them.
+  isa::TrapSled::append(out.commits, pc_, words);
+  pc_ += 4 * words;
+  regs_[isa::kTrapScratchReg] = pc_;
+  (void)csrs_.write(isa::csr::kMepc, pc_);
+  const std::uint64_t steps = words * isa::TrapSled::kWordCommits;
+  instret_ += steps;
+  sled_steps_ += steps;
+  return steps;
 }
 
 std::uint64_t Iss::probe_loop(ArchResult& out) {

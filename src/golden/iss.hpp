@@ -16,6 +16,7 @@
 #include "isa/decoded_program.hpp"
 #include "isa/loop_probe.hpp"
 #include "isa/platform.hpp"
+#include "isa/trap_sled.hpp"
 
 namespace mabfuzz::golden {
 
@@ -41,9 +42,10 @@ class Iss {
 
   /// Pre-decoded hot path: fetched words resolve through `decoded`
   /// (typically the cache Backend::run_test shares with the DUT pipeline),
-  /// and a test that enters an exactly repeating loop jumps to the
-  /// instruction budget (isa/loop_probe.hpp). Architecturally identical to
-  /// the per-word-decode overloads, which step every instruction.
+  /// a test that enters an exactly repeating loop jumps to the instruction
+  /// budget (isa/loop_probe.hpp), and a trap sled's words are appended in
+  /// closed form (isa/trap_sled.hpp). Architecturally identical to the
+  /// per-word-decode overloads, which step every instruction.
   void run(const std::vector<isa::Word>& program, isa::DecodedProgram& decoded,
            isa::ArchResult& out);
 
@@ -52,6 +54,10 @@ class Iss {
   /// Lifetime count of steps the loop skip did not simulate (diagnostics
   /// and tests only; it never influences execution).
   [[nodiscard]] std::uint64_t skipped_steps() const noexcept { return skipped_steps_; }
+
+  /// Lifetime count of trap-sled steps appended in closed form
+  /// (diagnostics and tests only).
+  [[nodiscard]] std::uint64_t sled_steps() const noexcept { return sled_steps_; }
 
  private:
   struct StepOutcome {
@@ -89,10 +95,19 @@ class Iss {
   void write_reg(isa::RegIndex rd, std::uint64_t value,
                  isa::CommitRecord& record) noexcept;
 
-  /// Called at probe_.next_step(): compares the state with the captured
-  /// loop start, or looks for a new candidate period. Returns the steps
-  /// skipped (0 unless the state repeated).
+  /// Called at the earlier of probe_.next_step() and sled_.next_step():
+  /// replays a trap sled, then runs the loop probe if it is due. Returns
+  /// the steps not simulated.
+  std::uint64_t probe(isa::ArchResult& out);
+
+  /// Compares the state with the captured loop start, or looks for a new
+  /// candidate period. Returns the steps skipped (0 unless the state
+  /// repeated).
   std::uint64_t probe_loop(isa::ArchResult& out);
+
+  /// The sled entry test and, when it passes, the closed-form replay up to
+  /// the extent. Returns the steps appended.
+  std::uint64_t replay_sled(isa::ArchResult& out);
 
   [[nodiscard]] std::uint64_t reg(isa::RegIndex index) const noexcept {
     return regs_[index & 0x1f];
@@ -109,6 +124,8 @@ class Iss {
   isa::LoopProbe probe_;
   LoopStart loop_start_;
   std::uint64_t skipped_steps_ = 0;
+  isa::TrapSled sled_;
+  std::uint64_t sled_steps_ = 0;
 };
 
 }  // namespace mabfuzz::golden

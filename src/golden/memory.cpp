@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 
 #include "isa/platform.hpp"
 
@@ -14,16 +15,21 @@ constexpr std::uint64_t kPageWordBits = 64;
 
 Memory::Memory(std::uint64_t base, std::uint64_t size)
     : base_(base),
-      bytes_(size, 0),
+      size_(size),
+      bytes_(static_cast<std::uint8_t*>(std::calloc(std::max<std::uint64_t>(size, 1), 1))),
       dirty_((size / Memory::kPageBytes + (size % Memory::kPageBytes != 0 ? 1 : 0) +
               kPageWordBits - 1) /
                  kPageWordBits,
-             0) {}
+             0) {
+  if (!bytes_) {
+    throw std::bad_alloc();
+  }
+}
 
 bool Memory::write_words(std::uint64_t addr, const std::vector<isa::Word>& words) noexcept {
   const std::uint64_t span = static_cast<std::uint64_t>(words.size()) * 4;
-  if (addr < base_ || addr - base_ > bytes_.size() ||
-      span > bytes_.size() - (addr - base_)) {
+  if (addr < base_ || addr - base_ > size_ ||
+      span > size_ - (addr - base_)) {
     return false;
   }
   if (words.empty()) {
@@ -47,7 +53,7 @@ bool Memory::write_words(std::uint64_t addr, const std::vector<isa::Word>& words
 void Memory::read_block(std::uint64_t addr, std::uint8_t* out,
                         unsigned bytes) const noexcept {
   if (contains(addr, bytes)) {
-    std::memcpy(out, bytes_.data() + ((addr & isa::kPhysAddrMask) - base_), bytes);
+    std::memcpy(out, bytes_.get() + ((addr & isa::kPhysAddrMask) - base_), bytes);
     return;
   }
   for (unsigned i = 0; i < bytes; ++i) {
@@ -60,7 +66,7 @@ void Memory::write_block(std::uint64_t addr, const std::uint8_t* in,
                          unsigned bytes) noexcept {
   if (bytes > 0 && contains(addr, bytes)) {
     const std::uint64_t offset = (addr & isa::kPhysAddrMask) - base_;
-    std::uint8_t* block = bytes_.data() + offset;
+    std::uint8_t* block = bytes_.get() + offset;
     for (unsigned i = 0; i < bytes; ++i) {
       changes_ += block[i] != in[i] ? 1 : 0;
     }
@@ -74,7 +80,7 @@ void Memory::write_block(std::uint64_t addr, const std::uint8_t* in,
 }
 
 void Memory::clear() noexcept {
-  std::fill(bytes_.begin(), bytes_.end(), 0);
+  std::memset(bytes_.get(), 0, size_);
   std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
@@ -86,8 +92,8 @@ void Memory::reset() noexcept {
       mask &= mask - 1;
       const std::uint64_t begin = (w * kPageWordBits + bit) * kPageBytes;
       const std::uint64_t len =
-          std::min<std::uint64_t>(kPageBytes, bytes_.size() - begin);
-      std::memset(bytes_.data() + begin, 0, static_cast<std::size_t>(len));
+          std::min<std::uint64_t>(kPageBytes, size_ - begin);
+      std::memset(bytes_.get() + begin, 0, static_cast<std::size_t>(len));
     }
     dirty_[w] = 0;
   }

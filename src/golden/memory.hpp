@@ -4,6 +4,8 @@
 // differential comparison observe an identical memory system.
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -23,6 +25,8 @@ namespace mabfuzz::golden {
 /// per-test reset() zeroes only the pages a test actually touched instead
 /// of memset'ing the whole DRAM — the difference between a full-DRAM clear
 /// and a few pages is most of the per-test reset cost in the fuzzing loop.
+/// The bytes come zeroed from calloc, so construction touches no page the
+/// allocator hands over fresh: a page is first written when a test uses it.
 class Memory {
  public:
   /// Dirty-tracking granularity. 4 KiB keeps the page set of a default
@@ -32,7 +36,7 @@ class Memory {
   Memory(std::uint64_t base, std::uint64_t size);
 
   [[nodiscard]] std::uint64_t base() const noexcept { return base_; }
-  [[nodiscard]] std::uint64_t size() const noexcept { return bytes_.size(); }
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
   // contains/load/store/fetch are defined inline: both simulators issue
   // one or more of these per executed instruction, so the calls must not
@@ -45,7 +49,7 @@ class Memory {
       return false;
     }
     const std::uint64_t offset = addr - base_;
-    return offset <= bytes_.size() && bytes <= bytes_.size() - offset;
+    return offset <= size_ && bytes <= size_ - offset;
   }
 
   /// Little-endian load of 1/2/4/8 bytes; nullopt when out of range.
@@ -89,7 +93,7 @@ class Memory {
     if (!contains(addr, 4)) {
       return false;
     }
-    const std::uint8_t* bytes = bytes_.data() + ((addr & isa::kPhysAddrMask) - base_);
+    const std::uint8_t* bytes = bytes_.get() + ((addr & isa::kPhysAddrMask) - base_);
     word = static_cast<isa::Word>(bytes[0]) | static_cast<isa::Word>(bytes[1]) << 8 |
            static_cast<isa::Word>(bytes[2]) << 16 |
            static_cast<isa::Word>(bytes[3]) << 24;
@@ -131,8 +135,13 @@ class Memory {
     }
   }
 
+  struct FreeBytes {
+    void operator()(std::uint8_t* bytes) const noexcept { std::free(bytes); }
+  };
+
   std::uint64_t base_;
-  std::vector<std::uint8_t> bytes_;
+  std::uint64_t size_;
+  std::unique_ptr<std::uint8_t[], FreeBytes> bytes_;
   std::vector<std::uint64_t> dirty_;  // one bit per kPageBytes page
   std::uint64_t changes_ = 0;
 };

@@ -287,7 +287,14 @@ constexpr ConfigKey kConfigKeys[] = {
      [](const CampaignConfig& c) { return c.corpus_out; }},
     {"corpus-cap", "fresh-corpus entry cap (full: evict lowest novelty)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.corpus_cap = parse_u64("corpus-cap", v);
+       const std::uint64_t cap = parse_u64("corpus-cap", v);
+       if (cap > fuzz::Corpus::kMaxEntries) {
+         throw std::invalid_argument(
+             "campaign key 'corpus-cap': " + std::to_string(cap) +
+             " exceeds the bound " + std::to_string(fuzz::Corpus::kMaxEntries) +
+             " (a store with a larger cap cannot be loaded)");
+       }
+       c.policy.corpus_cap = cap;
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.corpus_cap); }},
     {"reuse-bandit", "bandit policy for the reuse fuzzer's seed selection",

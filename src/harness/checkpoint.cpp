@@ -1,6 +1,7 @@
 #include "harness/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string_view>
@@ -27,22 +28,52 @@ constexpr std::uint64_t kMaxPayload = fuzz::Corpus::kMaxImageBytes +
                                       kMaxState + kMaxString +
                                       (kMaxCount * 32);
 
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// kFnvPrime^n mod 2^64.
+constexpr std::uint64_t fnv_prime_power(unsigned n) {
+  std::uint64_t power = 1;
+  for (unsigned i = 0; i < n; ++i) {
+    power *= kFnvPrime;
+  }
+  return power;
+}
+
+/// FNV-1a-64. A zero byte only multiplies the hash by the prime, so an
+/// 8-byte run of zeros is one multiplication by its eighth power: one step
+/// instead of eight dependent ones over the mostly-zero coverage words of a
+/// state or corpus image, and the same value.
 std::uint64_t fnv1a64(std::string_view bytes) {
+  constexpr std::uint64_t kPrime8 = fnv_prime_power(8);
   std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + i, 8);
+    if (word == 0) {
+      hash *= kPrime8;
+      continue;
+    }
+    for (std::size_t j = i; j < i + 8; ++j) {
+      hash ^= static_cast<unsigned char>(bytes[j]);
+      hash *= kFnvPrime;
+    }
+  }
+  for (; i < bytes.size(); ++i) {
+    hash ^= static_cast<unsigned char>(bytes[i]);
+    hash *= kFnvPrime;
   }
   return hash;
 }
 
 /// Runs `campaign`'s first test and hashes the state it reaches: its
-/// save_state bytes plus its shared-corpus image. Equal configs on equal
-/// code reach equal states, so a changed config, corpus-in file or
-/// first-test behaviour changes the hash.
-std::uint64_t probe_fingerprint(Campaign& campaign) {
+/// save_state bytes plus its shared-corpus image, built in `bytes` (cleared
+/// first, so a caller can reuse one buffer). Equal configs on equal code
+/// reach equal states, so a changed config, corpus-in file or first-test
+/// behaviour changes the hash.
+std::uint64_t probe_fingerprint(Campaign& campaign, std::string& bytes) {
   (void)campaign.step();
-  std::string bytes;
+  bytes.clear();
   campaign.save_state(bytes);
   if (campaign.corpus() != nullptr) {
     bytes += campaign.corpus()->image();
@@ -91,9 +122,10 @@ std::string serialize_payload(const Checkpoint& checkpoint) {
   return out;
 }
 
-Checkpoint parse_payload(std::string_view payload) {
+/// Parses every field of `payload` into `out` but the state, its last
+/// field, whose bytes it returns (a view into `payload`).
+std::string_view parse_payload(std::string_view payload, Checkpoint& out) {
   common::ByteReader in(payload, "checkpoint load");
-  Checkpoint out;
   out.job_name = in.str("job name", kMaxString);
   out.tenant = in.str("tenant", kMaxString);
   out.artifact_out = in.str("artifact path", kMaxString);
@@ -142,11 +174,11 @@ Checkpoint parse_payload(std::string_view payload) {
     out.corpus_image = in.blob("corpus image", fuzz::Corpus::kMaxImageBytes);
   }
   out.fingerprint = in.u64("fingerprint");
-  out.state = in.blob("state", kMaxState);
+  const std::string_view state = in.blob_view("state", kMaxState);
   if (!in.exhausted()) {
     in.fail("trailing bytes after the state");
   }
-  return out;
+  return state;
 }
 
 }  // namespace
@@ -177,7 +209,8 @@ Checkpoint Checkpoint::capture(const Campaign& campaign) {
     // that config holds this campaign's shared corpus and length policy,
     // which the probe's test would change.
     Campaign probe(CampaignConfig::from_pairs(out.config_pairs));
-    out.fingerprint = probe_fingerprint(probe);
+    std::string bytes;
+    out.fingerprint = probe_fingerprint(probe, bytes);
     campaign.fingerprint_ = out.fingerprint;
   }
   campaign.save_state(out.state);
@@ -195,7 +228,7 @@ void Checkpoint::save(const std::string& path) const {
 }
 
 Checkpoint Checkpoint::load(const std::string& path) {
-  const std::string file =
+  std::string file =
       common::read_file(path, kMagic.size() + 12 + kMaxPayload + 8);
   const std::string context = "checkpoint load: '" + path + "'";
   if (!std::string_view(file).starts_with(kMagic)) {
@@ -220,7 +253,15 @@ Checkpoint Checkpoint::load(const std::string& path) {
   if (!in.exhausted()) {
     in.fail("trailing bytes after the checksum trailer");
   }
-  return parse_payload(payload);
+  Checkpoint out;
+  const std::string_view state = parse_payload(payload, out);
+  // The state is most of the file: it takes over the file's buffer rather
+  // than a copy of its bytes.
+  const auto begin = static_cast<std::size_t>(state.data() - file.data());
+  file.resize(begin + state.size());
+  file.erase(0, begin);
+  out.state = std::move(file);
+  return out;
 }
 
 std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
@@ -234,8 +275,11 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
   };
 
   // 1. Probe: this config on this code must reach, after one test, the
-  // state the capture-time probe reached.
-  if (probe_fingerprint(*campaign) != checkpoint.fingerprint) {
+  // state the capture-time probe reached. Its image and the round trip's
+  // share one buffer, sized for the larger.
+  std::string bytes;
+  bytes.reserve(checkpoint.state.size() + checkpoint.corpus_image.size());
+  if (probe_fingerprint(*campaign, bytes) != checkpoint.fingerprint) {
     throw diverged("probe test");
   }
 
@@ -277,9 +321,9 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
   // 3. Round trip: the restored campaign must serialize back to the
   // captured bytes and reproduce every witness derived from its state.
   // (Counters and snapshots were restored from their own fields above.)
-  std::string restored;
-  campaign->save_state(restored);
-  if (restored != checkpoint.state) {
+  bytes.clear();
+  campaign->save_state(bytes);
+  if (bytes != checkpoint.state) {
     throw std::runtime_error(
         "checkpoint resume: the restored state does not serialize back to "
         "the checkpoint's state bytes");

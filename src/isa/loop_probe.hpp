@@ -53,6 +53,18 @@ class LoopProbe {
   /// The step (commits so far) at which the simulator calls in next.
   [[nodiscard]] std::uint64_t next_step() const noexcept { return next_step_; }
 
+  /// The simulator appended a trap sled's records (isa/trap_sled.hpp) and
+  /// now stands at `step`. A look scheduled inside the jump moves to `step`;
+  /// a comparison scheduled there no longer ends one period after its
+  /// capture, so it becomes a look too. A schedule past the jump stays: the
+  /// replay is exact, so a period that spans it is still a period.
+  void jumped(std::uint64_t step) noexcept {
+    if (next_step_ < step) {
+      confirming_ = false;
+      next_step_ = step;
+    }
+  }
+
   /// True when the simulator captured its state one candidate period ago
   /// and must now compare it with its current state.
   [[nodiscard]] bool confirming() const noexcept { return confirming_; }

@@ -115,6 +115,7 @@ bool InstructionCache::probe(std::uint64_t addr, coverage::Context& ctx) {
     }
   }
   ctx.hit(cov_miss_, set);
+  ++misses_;
 
   // Choose the LRU victim.
   unsigned victim = 0;

@@ -93,6 +93,10 @@ class InstructionCache {
 
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
 
+  /// Lifetime count of accesses that missed. The trap-sled replay reads a
+  /// stepped word's misses from it; it never influences execution.
+  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+
   // Steady-state loop support: the valid lines and the last-line shortcut.
   struct Snapshot {
     std::vector<CachedLine> lines;
@@ -124,6 +128,7 @@ class InstructionCache {
   // reset or invalidation) and set.
   std::uint64_t last_line_ = kNoLine;
   unsigned last_set_ = 0;
+  std::uint64_t misses_ = 0;
 
   coverage::PointId cov_hit_ = 0;        // per set
   coverage::PointId cov_miss_ = 0;       // per set

@@ -1,7 +1,9 @@
 #include "soc/pipeline.hpp"
 
+#include <algorithm>
 #include <bit>
 
+#include "isa/decoder.hpp"
 #include "isa/encoder.hpp"
 
 namespace mabfuzz::soc {
@@ -17,6 +19,9 @@ using isa::Word;
 
 namespace {
 constexpr unsigned kNumInstrClasses = 11;
+// Fetch cycles on an I$ hit and on a miss.
+constexpr unsigned kFetchHitCycles = 1;
+constexpr unsigned kFetchMissCycles = 3;
 }  // namespace
 
 Pipeline::Pipeline(PipelineParams params)
@@ -31,7 +36,10 @@ Pipeline::Pipeline(PipelineParams params)
       decode_(params_.decode, params_.bugs, ctx_),
       exec_(params_.exec, ctx_),
       lsu_(params_.lsu, params_.bugs, ctx_),
-      probe_(params_.lanes) {
+      probe_(params_.lanes),
+      sled_(params_.lanes),
+      sled_addi_(isa::decode(isa::assembled_trap_handler()[1]).instr),
+      sled_csrrw_(isa::decode(isa::assembled_trap_handler()[2]).instr) {
   auto& reg = ctx_.registry();
   fetch_regions_ = static_cast<unsigned>(params_.dram_size >> 12);
   if (fetch_regions_ == 0) {
@@ -112,15 +120,21 @@ bool Pipeline::fetch_word(std::uint64_t addr, coverage::Context& ctx, Word& word
   return true;
 }
 
+bool Pipeline::peek_word(std::uint64_t addr, Word& word) const noexcept {
+  if (!memory_.fetch(addr, word)) {
+    return false;
+  }
+  if (std::uint64_t snooped = 0; dcache_.snoop(addr, 4, snooped)) {
+    word = static_cast<Word>(snooped);
+  }
+  return true;
+}
+
 bool Pipeline::queued_illegal_ahead(std::uint64_t pc) {
   for (unsigned depth = 1; depth <= 3; ++depth) {
-    const std::uint64_t addr = pc + 4 * depth;
     Word word = 0;
-    if (!memory_.fetch(addr, word)) {
+    if (!peek_word(pc + 4 * depth, word)) {
       break;
-    }
-    if (std::uint64_t snooped = 0; dcache_.snoop(addr, 4, snooped)) {
-      word = static_cast<Word>(snooped);
     }
     // All-zero words are frontend bubbles (uninitialised DRAM past the
     // program image), squashed before pre-decode — they carry no exception.
@@ -198,12 +212,13 @@ void Pipeline::run_impl(const std::vector<Word>& program,
   out.arch.halt = HaltReason::kBudget;
 
   probe_.begin_test(decoded_program != nullptr);
+  sled_.begin_test(decoded_program != nullptr);
   std::uint64_t next_probe = probe_.next_step();
   for (std::uint64_t step_count = 0; step_count < params_.instruction_budget;
        ++step_count) {
     if (step_count == next_probe) [[unlikely]] {
-      step_count += probe_loop(out);
-      next_probe = probe_.next_step();
+      step_count += probe(out);
+      next_probe = std::min(probe_.next_step(), sled_.next_step());
       if (step_count == params_.instruction_budget) {
         break;
       }
@@ -227,7 +242,7 @@ void Pipeline::run_impl(const std::vector<Word>& program,
     }
 
     const bool icache_hit = icache_.access(pc_, ctx_);
-    cycle_ += icache_hit ? 1 : 3;
+    cycle_ += icache_hit ? kFetchHitCycles : kFetchMissCycles;
 
     Word word = 0;
     if (!fetch_word(pc_, ctx_, word)) {
@@ -238,9 +253,7 @@ void Pipeline::run_impl(const std::vector<Word>& program,
     // Round-robin lane assignment; mask when the width is a power of two
     // (it always is in practice) so the per-instruction path has no divide.
     const std::size_t index = out.arch.commits.size();
-    const unsigned lane = lanes_pow2_
-                              ? static_cast<unsigned>(index & lane_mask_)
-                              : static_cast<unsigned>(index % params_.lanes);
+    const unsigned lane = lane_of(index);
 
     StepState step{.record = out.arch.commits.emplace_back(), .index = index};
     step.record.pc = pc_;
@@ -308,6 +321,10 @@ void Pipeline::run_impl(const std::vector<Word>& program,
       have_prev_mnemonic_ = false;  // pipeline flush breaks the sequence
       pc_ = csrs_.mtvec();
       cycle_ += 4;
+      if (word == 0) {
+        sled_.trapped(step.index);
+        next_probe = std::min(next_probe, sled_.next_step());
+      }
     } else {
       rob_.dispatch_retire(ctx_);
       pc_ = step.next_pc;
@@ -328,6 +345,81 @@ void Pipeline::run_impl(const std::vector<Word>& program,
   out.arch.mscratch = csrs_.mscratch();
   out.cycles = cycle_;
   ctx_.take_test_map(out.test_coverage);
+}
+
+std::uint64_t Pipeline::probe(RunOutput& out) {
+  std::uint64_t skipped = 0;
+  if (out.arch.commits.size() == sled_.next_step()) {
+    skipped = replay_sled(out);
+    probe_.jumped(out.arch.commits.size());
+  }
+  if (out.arch.commits.size() == probe_.next_step()) {
+    skipped += probe_loop(out);
+  }
+  return skipped;
+}
+
+std::uint64_t Pipeline::replay_sled(RunOutput& out) {
+  std::vector<CommitRecord>& commits = out.arch.commits;
+  const std::uint64_t n = commits.size();
+  const SledMark stepped = sled_mark_;
+  sled_mark_ = SledMark{n, cycle_, icache_.misses()};
+  auto fetch = [this](std::uint64_t addr, Word& word) { return peek_word(addr, word); };
+  // The word since the last mark is a sled word when the trace test
+  // passes.
+  if (!sled_.entered(commits, pc_) ||
+      stepped.index + isa::TrapSled::kWordCommits != n ||
+      csrs_.mtvec() != isa::kHandlerBase || !isa::TrapSled::handler_intact(fetch)) {
+    return 0;
+  }
+  const std::uint64_t words = isa::TrapSled::extent(
+      pc_, params_.instruction_budget - n, sentinel_pc_, fetch);
+  if (words == 0) {
+    return 0;
+  }
+
+  // A word costs what the stepped one did, give or take its I$ misses.
+  constexpr unsigned kMissPenalty = kFetchMissCycles - kFetchHitCycles;
+  const std::uint64_t base_cycles = (cycle_ - stepped.cycle) -
+                                    kMissPenalty * (icache_.misses() - stepped.icache_misses);
+  const std::uint64_t first = pc_;
+  std::uint64_t cycles = 0;
+  for (std::uint64_t k = 0; k < words; ++k) {
+    // Only what depends on the word's address: the I$ accesses, the fetch
+    // points, the trap entry, the addi's result and the mepc write. The
+    // rest of the word is proven constant by the stepped words.
+    const std::uint64_t pc = first + 4 * k;
+    const std::uint64_t index = n + k * isa::TrapSled::kWordCommits;
+    std::uint64_t misses = icache_.access(pc, ctx_) ? 0 : 1;
+    Word word = 0;
+    (void)fetch_word(pc, ctx_, word);
+    csrs_.enter_trap(pc, static_cast<std::uint64_t>(TrapCause::kIllegalInstruction),
+                     0, ctx_);
+    // The stub's first fetch from each of its I$ lines (kHandlerBase is
+    // line-aligned). Its other fetches hit the line just fetched, whose hit
+    // point the stepped words already set.
+    for (std::uint64_t offset = 0; offset < 4 * isa::assembled_trap_handler().size();
+         offset += params_.icache.line_bytes) {
+      misses += icache_.access(isa::kHandlerBase + offset, ctx_) ? 0 : 1;
+    }
+    regs_[isa::kTrapScratchReg] = pc;  // csrrs t6, mepc, x0
+    const ExecUnit::Result sum =
+        exec_.execute(sled_addi_, isa::kHandlerBase + 4, reg(sled_addi_.rs1),
+                      reg(sled_addi_.rs2), lane_of(index + 2), ctx_);
+    regs_[isa::kTrapScratchReg] = sum.value;
+    (void)csrs_.access(sled_csrrw_, sum.value, true, true, instret_ + index - n + 4,
+                       ctx_);
+    (void)csrs_.take_mret(ctx_);
+    cycles += base_cycles + kMissPenalty * misses;
+  }
+  isa::TrapSled::append(commits, first, words);
+  pc_ = first + 4 * words;
+  const std::uint64_t steps = words * isa::TrapSled::kWordCommits;
+  instret_ += steps;
+  cycle_ += cycles;
+  scoreboard_.delay(cycles);
+  sled_steps_ += steps;
+  return steps;
 }
 
 std::uint64_t Pipeline::probe_loop(RunOutput& out) {

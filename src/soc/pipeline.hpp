@@ -19,6 +19,7 @@
 #include "isa/decoded_program.hpp"
 #include "isa/loop_probe.hpp"
 #include "isa/platform.hpp"
+#include "isa/trap_sled.hpp"
 #include "soc/bugs.hpp"
 #include "soc/cache.hpp"
 #include "soc/csr_unit.hpp"
@@ -76,9 +77,10 @@ class Pipeline {
 
   /// Pre-decoded hot path: fetched words resolve through `decoded`
   /// (typically the cache Backend::run_test shares with the golden ISS),
-  /// and a test that enters an exactly repeating loop jumps to the
-  /// instruction budget (isa/loop_probe.hpp). Identical in every output to
-  /// the per-word-decode overloads, which step every instruction.
+  /// a test that enters an exactly repeating loop jumps to the instruction
+  /// budget (isa/loop_probe.hpp), and a trap sled's words replay only what
+  /// depends on their address (isa/trap_sled.hpp). Identical in every
+  /// output to the per-word-decode overloads, which step every instruction.
   void run(const std::vector<isa::Word>& program, isa::DecodedProgram& decoded,
            RunOutput& out);
 
@@ -93,6 +95,10 @@ class Pipeline {
   /// Lifetime count of steps the loop skip did not simulate (diagnostics
   /// and tests only; it never influences execution).
   [[nodiscard]] std::uint64_t skipped_steps() const noexcept { return skipped_steps_; }
+
+  /// Lifetime count of trap-sled steps replayed instead of stepped
+  /// (diagnostics and tests only).
+  [[nodiscard]] std::uint64_t sled_steps() const noexcept { return sled_steps_; }
 
  private:
   // Per-commit scratch. The record is built in place at the back of the
@@ -144,6 +150,15 @@ class Pipeline {
   [[nodiscard]] bool fetch_word(std::uint64_t addr, coverage::Context& ctx,
                                 isa::Word& word);
 
+  /// The word fetch_word would return, without its coverage points.
+  [[nodiscard]] bool peek_word(std::uint64_t addr, isa::Word& word) const noexcept;
+
+  /// The lane of the commit at trace index `index`.
+  [[nodiscard]] unsigned lane_of(std::size_t index) const noexcept {
+    return lanes_pow2_ ? static_cast<unsigned>(index & lane_mask_)
+                       : static_cast<unsigned>(index % params_.lanes);
+  }
+
   /// Bug V3 helper: does the 3-deep prefetch queue beyond `pc` hold a word
   /// that fails pre-decode?
   [[nodiscard]] bool queued_illegal_ahead(std::uint64_t pc);
@@ -161,15 +176,25 @@ class Pipeline {
   void note_pair_issue(isa::InstrClass klass, bool raw_dependent,
                        coverage::Context& ctx);
 
-  /// Called at probe_.next_step(): compares the state with the captured
-  /// loop start, or looks for a new candidate period. Returns the steps
-  /// skipped (0 unless the state repeated).
+  /// Called at the earlier of probe_.next_step() and sled_.next_step():
+  /// replays a trap sled, then runs the loop probe if it is due. Returns
+  /// the steps not simulated.
+  std::uint64_t probe(RunOutput& out);
+
+  /// Compares the state with the captured loop start, or looks for a new
+  /// candidate period. Returns the steps skipped (0 unless the state
+  /// repeated).
   std::uint64_t probe_loop(RunOutput& out);
   void capture_loop_start(std::size_t firings);
   [[nodiscard]] bool loop_repeats() const;
   /// Replicates the confirmed period up to the budget: commits, firings,
   /// cycles and retired instructions. Returns the steps skipped.
   std::uint64_t skip_loop(RunOutput& out);
+
+  /// The sled entry test and, when it passes, the per-word replay up to
+  /// the extent (docs/ARCHITECTURE.md, "Trap sleds"). Returns the steps
+  /// replayed.
+  std::uint64_t replay_sled(RunOutput& out);
 
   PipelineParams params_;
   coverage::Context ctx_;
@@ -230,6 +255,22 @@ class Pipeline {
   isa::LoopProbe probe_;
   LoopStart loop_start_;
   std::uint64_t skipped_steps_ = 0;
+
+  // Trap sleds. Every entry test leaves a mark at its word boundary, so the
+  // next one knows what the word between them cost: its cycles and I$
+  // misses.
+  struct SledMark {
+    std::uint64_t index = isa::TrapSled::kNever;
+    std::uint64_t cycle = 0;
+    std::uint64_t icache_misses = 0;
+  };
+  isa::TrapSled sled_;
+  SledMark sled_mark_;
+  // The stub's addi and csrrw, the two handler instructions whose effects
+  // depend on the faulting address.
+  isa::Instruction sled_addi_;
+  isa::Instruction sled_csrrw_;
+  std::uint64_t sled_steps_ = 0;
 };
 
 }  // namespace mabfuzz::soc

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fuzz/corpus.hpp"
 #include "fuzz/registry.hpp"
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
@@ -204,6 +205,17 @@ TEST(CampaignConfigTest, RejectsMalformedValues) {
                std::invalid_argument);
   config.set("mutants", "4294967295");
   EXPECT_EQ(config.policy.mutants_per_interesting, 4294967295u);
+  // A corpus-cap the corpus loader would refuse is refused up front, naming
+  // the key and the bound; the bound itself is accepted.
+  try {
+    config.set("corpus-cap", "2000000");
+    ADD_FAILURE() << "corpus-cap 2000000 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("corpus-cap"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("1048576"), std::string::npos) << e.what();
+  }
+  config.set("corpus-cap", "1048576");
+  EXPECT_EQ(config.policy.corpus_cap, fuzz::Corpus::kMaxEntries);
 }
 
 TEST(CampaignConfigTest, ToPairsRoundTripsEveryFieldByteForByte) {

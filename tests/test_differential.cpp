@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 
@@ -119,9 +120,13 @@ INSTANTIATE_TEST_SUITE_P(AllCores, CleanCoreDifferential,
 // ownership pattern, so buffer reuse is under test too.
 struct PathPair {
   PathPair(soc::CoreKind core, soc::BugSet bugs)
+      : PathPair(core, soc::core_params(core, bugs)) {}
+
+  /// `core`'s golden ISS against pipelines built from `params`.
+  PathPair(soc::CoreKind core, const soc::PipelineParams& params)
       : kind(core),
-        dut_ref(soc::core_params(core, bugs)),
-        dut_pre(soc::core_params(core, bugs)),
+        dut_ref(params),
+        dut_pre(params),
         iss_ref(soc::golden_config_for(core)),
         iss_pre(soc::golden_config_for(core)) {}
 
@@ -238,11 +243,16 @@ TEST_P(LoopSkipEquivalence, LineageStreamMatchesPerWordReference) {
         }
       }
     }
-    // The skip path ran, and only on the pre-decoded side.
+    // The loop skip and the trap-sled replay ran, and only on the
+    // pre-decoded side.
     EXPECT_GT(paths.dut_pre.skipped_steps(), 0U) << "bugs " << bugs;
     EXPECT_GT(paths.iss_pre.skipped_steps(), 0U) << "bugs " << bugs;
     EXPECT_EQ(paths.dut_ref.skipped_steps(), 0U);
     EXPECT_EQ(paths.iss_ref.skipped_steps(), 0U);
+    EXPECT_GT(paths.dut_pre.sled_steps(), 0U) << "bugs " << bugs;
+    EXPECT_GT(paths.iss_pre.sled_steps(), 0U) << "bugs " << bugs;
+    EXPECT_EQ(paths.dut_ref.sled_steps(), 0U);
+    EXPECT_EQ(paths.iss_ref.sled_steps(), 0U);
   }
 }
 
@@ -382,6 +392,186 @@ TEST(LoopSkip, V7FiresEveryPeriodOnRocket) {
   EXPECT_GT(paths.dut_pre_out.firings.size(), 100U);
   EXPECT_EQ(paths.dut_pre_out.firings.back().id, soc::BugId::kV7EbreakInstret);
   EXPECT_LT(paths.dut_pre_out.arch.instret, paths.dut_pre_out.arch.commits.size());
+}
+
+// --- trap sleds ---------------------------------------------------------------
+//
+// A jump into zeroed DRAM traps on every word until the budget; the
+// pre-decoded paths replay the sled once two words have been stepped
+// (isa/trap_sled.hpp). Each hand-built sled aims at one thing the replay
+// must get right or must stay out of, and must equal the per-word
+// reference in every output.
+
+// rd := the 4 KiB-aligned `addr` (a 32-bit pattern; DRAM addresses
+// sign-extend, which the physical bus ignores).
+isa::Instruction load_address(isa::RegIndex rd, std::uint64_t addr) {
+  return isa::lui(rd, static_cast<std::int32_t>(addr));
+}
+
+// rd := the 32-bit word `value`, in two instructions.
+std::vector<isa::Instruction> load_word(isa::RegIndex rd, isa::Word value) {
+  const auto hi = static_cast<std::int32_t>((value + 0x800u) & 0xfffff000u);
+  const std::int64_t lo = static_cast<std::int32_t>(value) - static_cast<std::int64_t>(hi);
+  return {isa::lui(rd, hi), isa::addiw(rd, rd, lo)};
+}
+
+// Runs `program` on both paths; expects every output equal, the given halt
+// and, on each simulator, a replay or none.
+void expect_sled(PathPair& paths, const std::vector<isa::Word>& program,
+                 isa::HaltReason halt, bool replays, const std::string& label) {
+  paths.expect_equivalent(program, label);
+  const std::string where = std::string(soc::core_name(paths.kind)) + " " + label;
+  EXPECT_EQ(paths.dut_ref_out.arch.halt, halt) << where;
+  EXPECT_EQ(paths.dut_pre.sled_steps() > 0, replays)
+      << where << ": pipeline replayed " << paths.dut_pre.sled_steps() << " steps";
+  EXPECT_EQ(paths.iss_pre.sled_steps() > 0, replays)
+      << where << ": ISS replayed " << paths.iss_pre.sled_steps() << " steps";
+  EXPECT_EQ(paths.dut_ref.sled_steps() + paths.iss_ref.sled_steps(), 0U) << where;
+}
+
+void expect_sled_on_every_core(const std::vector<isa::Word>& program,
+                               isa::HaltReason halt, bool replays,
+                               const std::string& label) {
+  for (const soc::CoreKind kind : soc::kAllCores) {
+    PathPair paths(kind, soc::default_bugs(kind));
+    expect_sled(paths, program, halt, replays, label);
+  }
+}
+
+TEST(TrapSled, PastTheSentinelToTheBudget) {
+  // The sled starts after 1-5 commits, so the budget ends it at every
+  // phase of a five-commit word: on a word boundary and mid-word.
+  for (std::size_t prefix = 0; prefix < 5; ++prefix) {
+    std::vector<isa::Instruction> program(prefix, isa::addi(5, 5, 1));
+    program.push_back(isa::jal(0, 0x800));
+    expect_sled_on_every_core(isa::assemble(program), isa::HaltReason::kBudget,
+                              true, "prefix " + std::to_string(prefix));
+  }
+}
+
+TEST(TrapSled, BelowTheProgramWalksIntoIt) {
+  // The first pass jumps ten words below the program, into the zeros
+  // after the handler (fetch_in_handler, trap_inside_handler). The sled
+  // stops at the program's first word; the second pass skips the jump
+  // and halts on the sentinel.
+  expect_sled_on_every_core(
+      isa::assemble({isa::addi(5, 5, 1), isa::addi(6, 0, 2), isa::bge(5, 6, 8),
+                     isa::jal(0, -52), isa::addi(7, 0, 7)}),
+      isa::HaltReason::kSentinel, true, "below the program");
+}
+
+TEST(TrapSled, AcrossAFetchRegion) {
+  // The sled starts at commit 3 and fills the budget with whole words, so
+  // only replayed words fetch from the second region.
+  expect_sled_on_every_core(
+      isa::assemble({isa::nop(), load_address(6, isa::kDramBase + 0x2000),
+                     isa::jalr(0, 6, -40)}),
+      isa::HaltReason::kBudget, true, "across a 4 KiB region");
+}
+
+TEST(TrapSled, ThroughTheHandlersCacheSet) {
+  // DRAM + 0x800 shares I$ set 0 with the handler line on every core (and
+  // with kProgramBase's line on cva6), so each word's fetch and the
+  // handler's reorder that set.
+  const std::vector<isa::Word> program =
+      isa::assemble({load_address(6, isa::kDramBase + 0x1000), isa::addi(6, 6, -0x800),
+                     isa::jalr(0, 6, -8)});
+  expect_sled_on_every_core(program, isa::HaltReason::kBudget, true, "set 0");
+  // A one-line I$: the sled's fetch and the handler's evict each other,
+  // two misses in every word, stepped and replayed alike.
+  soc::PipelineParams params = soc::core_params(soc::CoreKind::kCva6);
+  params.icache = soc::CacheParams{1, 1, 32};
+  PathPair paths(soc::CoreKind::kCva6, params);
+  expect_sled(paths, program, isa::HaltReason::kBudget, true, "one-line I$");
+}
+
+TEST(TrapSled, StoredZerosHeldInTheDataCache) {
+  // The line at scratch + 0x40 sits in the D$ holding stored zeros, so the
+  // replayed words there take the fetch-from-D$ point.
+  expect_sled_on_every_core(
+      isa::assemble({load_address(6, isa::kScratchBase), isa::sd(6, 0, 0x40),
+                     isa::jalr(0, 6, 0)}),
+      isa::HaltReason::kBudget, true, "D$-held zeros");
+}
+
+TEST(TrapSled, StoredWordStopsTheSled) {
+  // A nop stored at scratch + 0x40 stays in the D$ over DRAM zeros: the
+  // pipeline fetches it from there, so its sled must stop at it, step it,
+  // and start again on the zeros after it.
+  const isa::Word nop = isa::assemble({isa::nop()})[0];
+  std::vector<isa::Instruction> program = load_word(7, nop);
+  program.push_back(load_address(6, isa::kScratchBase));
+  program.push_back(isa::sw(6, 7, 0x40));
+  program.push_back(isa::jalr(0, 6, 0));
+  for (const soc::CoreKind kind : soc::kAllCores) {
+    PathPair paths(kind, soc::default_bugs(kind));
+    expect_sled(paths, isa::assemble(program), isa::HaltReason::kBudget, true,
+                "stored nop");
+    const auto& commits = paths.dut_pre_out.arch.commits;
+    EXPECT_TRUE(std::any_of(commits.begin(), commits.end(), [&](const isa::CommitRecord& r) {
+      return (r.pc & isa::kPhysAddrMask) == isa::kScratchBase + 0x40 && r.word == nop &&
+             !r.trapped;
+    })) << soc::core_name(kind) << ": the stored nop was not executed";
+  }
+}
+
+TEST(TrapSled, LoopAfterTheSledIsStillSkipped) {
+  // An `ecall; jal x0, -4` trap loop (LoopSkip.TrapLoop) stored 64 words
+  // into the zeros ends the sled after the loop probe's first scheduled
+  // look, so the probe must be moved to the end of the jump to find it.
+  const std::vector<isa::Word> loop = isa::assemble({isa::ecall(), isa::jal(0, -4)});
+  std::vector<isa::Instruction> program = {load_address(6, isa::kScratchBase)};
+  for (std::size_t i = 0; i < loop.size(); ++i) {
+    for (const isa::Instruction& instr : load_word(7, loop[i])) {
+      program.push_back(instr);
+    }
+    program.push_back(isa::sw(6, 7, static_cast<std::int64_t>(0x100 + 4 * i)));
+  }
+  program.push_back(isa::jalr(0, 6, 0));
+  for (const soc::CoreKind kind : soc::kAllCores) {
+    PathPair paths(kind, soc::default_bugs(kind));
+    expect_sled(paths, isa::assemble(program), isa::HaltReason::kBudget, true,
+                "self-loop after the sled");
+    EXPECT_GT(paths.dut_pre.skipped_steps(), 0U) << soc::core_name(kind);
+    EXPECT_GT(paths.iss_pre.skipped_steps(), 0U) << soc::core_name(kind);
+  }
+}
+
+TEST(TrapSled, OffTheEndOfDram) {
+  expect_sled_on_every_core(
+      isa::assemble({load_address(6, isa::kDramBase + isa::kDramSizeDefault),
+                     isa::jalr(0, 6, -40)}),
+      isa::HaltReason::kFetchOutOfRange, true, "off the end of DRAM");
+}
+
+TEST(TrapSled, MovedTrapVectorIsNotReplayed) {
+  // The stub copied to scratch + 0x100 and mtvec pointed there: the words
+  // still trap and return one by one, but not through kHandlerBase.
+  std::vector<isa::Instruction> program = {load_address(6, isa::kScratchBase)};
+  const std::vector<isa::Word>& stub = isa::assembled_trap_handler();
+  for (std::size_t i = 0; i < stub.size(); ++i) {
+    for (const isa::Instruction& instr : load_word(7, stub[i])) {
+      program.push_back(instr);
+    }
+    program.push_back(isa::sw(6, 7, static_cast<std::int64_t>(0x100 + 4 * i)));
+  }
+  program.push_back(isa::addi(8, 6, 0x100));
+  program.push_back(isa::csrrw(0, isa::csr::kMtvec, 8));
+  program.push_back(isa::jalr(0, 6, 0x400));
+  expect_sled_on_every_core(isa::assemble(program), isa::HaltReason::kBudget, false,
+                            "moved mtvec");
+}
+
+TEST(TrapSled, OverwrittenHandlerIsNotReplayed) {
+  // addi t6, t6, 8 over the stub's addi: every trap skips a word. A sled,
+  // but not the stub's.
+  std::vector<isa::Instruction> program =
+      load_word(7, isa::assemble({isa::addi(isa::kTrapScratchReg, isa::kTrapScratchReg, 8)})[0]);
+  program.push_back(load_address(6, isa::kHandlerBase));
+  program.push_back(isa::sw(6, 7, 4));
+  program.push_back(isa::jal(0, 0x800));
+  expect_sled_on_every_core(isa::assemble(program), isa::HaltReason::kBudget, false,
+                            "overwritten handler");
 }
 
 // A backend reusing its ExecutionContext (decode cache + run buffers +

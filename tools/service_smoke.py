@@ -24,11 +24,12 @@ second connection floods 1 MiB without a newline: it must get exactly
 one over-long-line error and be disconnected while the first client keeps
 being served. The same flood on stdin must be skipped through its newline.
 The reference run's control connection also submits a job no campaign can
-run (`arms=0`) and a job whose artifact prefix lies in a missing directory
-(`artifact-out=<workdir>/no-such-dir/x`): each must get exactly one
-`error:` reply naming the offending key (`arms`, `artifact-out`), neither
-job may appear in the status or the events, and the daemon must carry on
-serving the accepted jobs.
+run (`arms=0`), a job whose artifact prefix lies in a missing directory
+(`artifact-out=<workdir>/no-such-dir/x`) and a job whose corpus store
+could never be loaded back (`corpus-cap=2000000` with a `corpus-out`):
+each must get exactly one `error:` reply naming the offending key (`arms`,
+`artifact-out`, `corpus-cap`), none of them may appear in the status or
+the events, and the daemon must carry on serving the accepted jobs.
 
 Usage: tools/service_smoke.py [--cli PATH] [--workdir DIR]
 """
@@ -64,7 +65,8 @@ FLOOD = b"x" * (1 << 20)  # 1 MiB, no newline
 LINE_TOO_LONG = f"error: command line longer than {MAX_LINE} bytes"
 # Jobs the reference run must see refused: name -> the key its one error
 # reply must name.
-REFUSED = {"smoke-bad": "arms", "smoke-no-dir": "artifact-out"}
+REFUSED = {"smoke-bad": "arms", "smoke-no-dir": "artifact-out",
+           "smoke-cap": "corpus-cap"}
 
 
 def fail(message):
@@ -144,15 +146,18 @@ def submit_all(client):
 
 
 def check_bad_submits_refused(client, workdir):
-    """A config no campaign can run and an artifact prefix in a missing
-    directory are each refused with one error reply that names the
-    offending key; the daemon keeps serving (the status that follows
-    proves no second reply line and no lost job)."""
+    """A config no campaign can run, an artifact prefix in a missing
+    directory and a corpus cap above the bound a store loads with are each
+    refused with one error reply that names the offending key; the daemon
+    keeps serving (the status that follows proves no second reply line and
+    no lost job)."""
     pairs = {
         "smoke-bad": "artifact-out=smoke-bad fuzzer=ucb core=rocket "
                      "tests=100 arms=0",
         "smoke-no-dir": f"artifact-out={workdir / 'no-such-dir' / 'x'} "
                         "fuzzer=ucb core=rocket tests=100",
+        "smoke-cap": "artifact-out=smoke-cap fuzzer=ucb core=rocket "
+                     "tests=100 corpus-cap=2000000 corpus-out=smoke-cap.corpus",
     }
     for name, key in REFUSED.items():
         reply = client.command(f"submit tenant=smoke job={name} {pairs[name]}")
@@ -261,7 +266,8 @@ def main():
             fail(f"refused job {name} emitted events")
     reference = read_artifacts(ref_dir)
     print(f"service_smoke: reference OK ({len(ref_events)} events, arms=0, "
-          "missing artifact directory and over-long line refused)")
+          "missing artifact directory, oversized corpus-cap and over-long "
+          "line refused)")
     check_stdin_line_cap(cli)
     print("service_smoke: stdin over-long line skipped")
 
