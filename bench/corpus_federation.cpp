@@ -39,11 +39,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <exception>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 
+#include "common/bytes.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
@@ -237,11 +239,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "error: failed writing '" << json_path << "'\n";
-      return 1;
-    }
+    std::ostringstream out;
     common::JsonWriter json(out);
     json.begin_object();
     json.key("schema").value("mabfuzz-bench-corpus-federation-v1");
@@ -290,8 +288,9 @@ int main(int argc, char** argv) {
     json.end_object();
     json.end_object();
     out << "\n";
-    out.flush();
-    if (!out) {
+    try {
+      common::write_file_atomic(json_path, out.str());
+    } catch (const std::exception&) {
       std::cerr << "error: failed writing '" << json_path << "'\n";
       return 1;
     }

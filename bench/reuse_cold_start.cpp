@@ -26,10 +26,12 @@
 // comparison from the per-cell spreads at several seeds, not one median.)
 
 #include <algorithm>
-#include <fstream>
+#include <exception>
 #include <iostream>
+#include <sstream>
 #include <string>
 
+#include "common/bytes.hpp"
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -148,12 +150,11 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (out) {
-      harness::write_experiment_json(out, result);
-      out.flush();
-    }
-    if (!out) {
+    std::ostringstream json;
+    harness::write_experiment_json(json, result);
+    try {
+      common::write_file_atomic(json_path, json.str());
+    } catch (const std::exception&) {
       std::cerr << "error: failed writing '" << json_path << "'\n";
       return 1;
     }

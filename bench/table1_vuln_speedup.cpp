@@ -15,9 +15,11 @@
 // Paper scale: --tests 50000 --runs 3. Defaults are container-sized.
 
 #include <algorithm>
-#include <fstream>
+#include <exception>
 #include <iostream>
+#include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "harness/experiment.hpp"
@@ -97,10 +99,11 @@ int main(int argc, char** argv) {
 
     if (!json_path.empty()) {
       const std::string path = json_path + "." + std::string(info.name) + ".json";
-      std::ofstream out(path);
-      harness::write_experiment_json(out, result);
-      out.flush();
-      if (!out) {
+      std::ostringstream json;
+      harness::write_experiment_json(json, result);
+      try {
+        common::write_file_atomic(path, json.str());
+      } catch (const std::exception&) {
         std::cerr << "error: failed writing '" << path << "'\n";
         return 1;
       }

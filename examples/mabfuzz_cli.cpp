@@ -2,7 +2,7 @@
 // registered scheduling policy on any core with any bug set, streams
 // progress through the campaign observer, and ends with a coverage ranking
 // and detection report — or, in trial-matrix mode, runs a whole
-// (fuzzer × seed) experiment on the worker pool and emits aggregate
+// (fuzzer × seed) experiment on worker lanes and emits aggregate
 // statistics plus machine-readable artifacts. Everything the library can
 // do, from flags.
 //

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
     config.rng_seed = seed;
 
     harness::Campaign campaign(config);
-    campaign.run_until(harness::StopCondition::bug_detected(*bug) ||
-                       harness::StopCondition::max_tests(max_tests));
+    campaign.run_until(harness::StopCondition::bug_detected(*bug, max_tests));
     const bool found = campaign.bug_detected(*bug);
     table.add_row({std::string(campaign.fuzzer().name()),
                    found ? std::to_string(campaign.first_detection_test(*bug))

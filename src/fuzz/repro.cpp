@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "isa/disasm.hpp"
@@ -48,25 +47,6 @@ std::optional<TestCase> parse_test(const std::string& text) {
     return std::nullopt;
   }
   return test;
-}
-
-bool save_test(const TestCase& test, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << serialize_test(test);
-  return static_cast<bool>(out);
-}
-
-std::optional<TestCase> load_test(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_test(buffer.str());
 }
 
 MinimizeResult minimize_test(

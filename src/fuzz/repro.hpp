@@ -1,6 +1,6 @@
 #pragma once
 // Reproduction tooling: serialize failing tests to a stable text format,
-// load them back, and minimise them to the smallest program that still
+// parse them back, and minimise them to the smallest program that still
 // trips the oracle — the triage workflow that turns a fuzzer finding into
 // a bug report.
 
@@ -22,12 +22,6 @@ namespace mabfuzz::fuzz {
 /// Parses the serialize_test format (comments and blank lines ignored).
 /// Returns nullopt on any malformed word line.
 [[nodiscard]] std::optional<TestCase> parse_test(const std::string& text);
-
-/// Writes `test` to `path`; false on I/O failure.
-bool save_test(const TestCase& test, const std::string& path);
-
-/// Reads a test from `path`; nullopt on I/O or parse failure.
-[[nodiscard]] std::optional<TestCase> load_test(const std::string& path);
 
 struct MinimizeResult {
   TestCase test;           // the minimised reproducer

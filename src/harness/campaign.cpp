@@ -34,16 +34,27 @@ std::uint64_t parse_u64(std::string_view key, std::string_view value) {
   return out;
 }
 
-/// For 32-bit fields: a value above 2^32-1 is refused, never wrapped.
-std::uint32_t parse_u32(std::string_view key, std::string_view value) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+// Caps on the count keys whose memory or time grows with the value, so no
+// outside config (a serve client's included) can ask for unbounded work.
+// Each sits far above every bench and paper setting.
+constexpr std::uint64_t kMaxArms = 1024;     // largest use: 20 (ablation)
+constexpr std::uint64_t kMaxMutants = 1024;  // paper: 5
+// TheHuzz keeps only the last pool_cap initial seeds.
+constexpr std::uint64_t kMaxInitialSeeds = fuzz::TheHuzzConfig{}.pool_cap;
+// A 4096-instruction seed image ends far below isa::kScratchBase.
+constexpr std::uint64_t kMaxSeedLength = 4096;
+constexpr std::size_t kMaxLengthChoices = 64;
+
+/// A value above `cap` is refused, naming the key and the cap.
+std::uint64_t parse_capped(std::string_view key, std::string_view value,
+                           std::uint64_t cap) {
   const std::uint64_t out = parse_u64(key, value);
-  if (out > kMax) {
+  if (out > cap) {
     throw std::invalid_argument("campaign key '" + std::string(key) + "': " +
-                                std::string(value) + " exceeds " +
-                                std::to_string(kMax));
+                                std::string(value) + " exceeds the cap " +
+                                std::to_string(cap));
   }
-  return static_cast<std::uint32_t>(out);
+  return out;
 }
 
 double parse_f64(std::string_view key, std::string_view value) {
@@ -117,9 +128,19 @@ soc::BugSet parse_bug_set(std::string_view value, soc::CoreKind core) {
 }
 
 std::vector<unsigned> parse_lengths(std::string_view key, std::string_view value) {
+  // Counted before splitting: split() keeps interior empty tokens and
+  // drops a trailing one.
+  const auto entries = static_cast<std::size_t>(
+      std::count(value.begin(), value.end(), ',') + (value.ends_with(',') ? 0 : 1));
+  if (entries > kMaxLengthChoices) {
+    throw std::invalid_argument("campaign key '" + std::string(key) + "': " +
+                                std::to_string(entries) +
+                                " lengths exceed the cap " +
+                                std::to_string(kMaxLengthChoices));
+  }
   std::vector<unsigned> out;
   for (const std::string& token : common::split(value, ',')) {
-    out.push_back(parse_u32(key, token));
+    out.push_back(static_cast<unsigned>(parse_capped(key, token, kMaxSeedLength)));
   }
   if (out.empty()) {
     throw std::invalid_argument("campaign key '" + std::string(key) +
@@ -208,9 +229,9 @@ constexpr ConfigKey kConfigKeys[] = {
        c.snapshot_every = parse_u64("snapshot-every", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.snapshot_every); }},
-    {"arms", "number of bandit arms (paper: 10)",
+    {"arms", "number of bandit arms, 1..1024 (paper: 10)",
      [](CampaignConfig& c, std::string_view v) {
-       const std::uint64_t arms = parse_u64("arms", v);
+       const std::uint64_t arms = parse_capped("arms", v, kMaxArms);
        if (arms == 0) {
          throw std::invalid_argument("campaign key 'arms': must be at least 1");
        }
@@ -237,9 +258,10 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.gamma = parse_u64("gamma", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.gamma); }},
-    {"mutants", "mutant burst per interesting test (paper: 5)",
+    {"mutants", "mutant burst per interesting test, <= 1024 (paper: 5)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.mutants_per_interesting = parse_u32("mutants", v);
+       c.policy.mutants_per_interesting =
+           static_cast<unsigned>(parse_capped("mutants", v, kMaxMutants));
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.mutants_per_interesting); }},
     {"pool-cap", "per-arm test pool capacity",
@@ -247,9 +269,10 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.arm_pool_cap = parse_u64("pool-cap", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.arm_pool_cap); }},
-    {"initial-seeds", "TheHuzz initial seed count",
+    {"initial-seeds", "TheHuzz initial seed count, <= 4096",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.thehuzz.initial_seeds = parse_u32("initial-seeds", v);
+       c.policy.thehuzz.initial_seeds = static_cast<unsigned>(
+           parse_capped("initial-seeds", v, kMaxInitialSeeds));
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.thehuzz.initial_seeds); }},
     {"feed-op-rewards", "feed operator-level rewards to the mutation policy",
@@ -272,7 +295,7 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.adaptive_length = parse_flag("adaptive-length", v);
      },
      [](const CampaignConfig& c) { return std::string(c.policy.adaptive_length ? "true" : "false"); }},
-    {"length-choices", "candidate seed lengths for adaptive-length",
+    {"length-choices", "adaptive-length candidate seed lengths, <= 64 of <= 4096",
      [](CampaignConfig& c, std::string_view v) {
        c.policy.length_choices = parse_lengths("length-choices", v);
      },
@@ -400,71 +423,14 @@ std::vector<std::string> CampaignConfig::to_pairs() const {
   return out;
 }
 
-// --- StopCondition --------------------------------------------------------------
+// --- StopReason -----------------------------------------------------------------
 
 std::string_view stop_reason_name(StopReason reason) noexcept {
   switch (reason) {
     case StopReason::kMaxTests: return "max-tests";
-    case StopReason::kWallClock: return "wall-clock";
     case StopReason::kBugDetected: return "bug-detected";
-    case StopReason::kAllBugsDetected: return "all-bugs-detected";
-    case StopReason::kCustom: return "custom";
   }
   return "?";
-}
-
-StopCondition::StopCondition(StopReason reason, std::string label,
-                             Predicate satisfied) {
-  clauses_.push_back({reason, std::move(label), std::move(satisfied)});
-}
-
-StopCondition StopCondition::max_tests(std::uint64_t n) {
-  return {StopReason::kMaxTests, "max_tests(" + std::to_string(n) + ")",
-          [n](const Campaign& c) { return c.tests_executed() >= n; }};
-}
-
-// Wall-clock stops are nondeterministic by design: the budget decides *when*
-// a campaign halts, never what any executed test produced.
-// detlint:allow(nondet-source)
-StopCondition StopCondition::wall_clock(std::chrono::steady_clock::duration budget) {
-  const double seconds = std::chrono::duration<double>(budget).count();
-  return {StopReason::kWallClock,
-          "wall_clock(" + std::to_string(seconds) + "s)",
-          [seconds](const Campaign& c) { return c.elapsed_seconds() >= seconds; }};
-}
-
-StopCondition StopCondition::bug_detected(soc::BugId bug) {
-  return {StopReason::kBugDetected,
-          "bug_detected(" + std::string(soc::bug_info(bug).name) + ")",
-          [bug](const Campaign& c) { return c.bug_detected(bug); }};
-}
-
-StopCondition StopCondition::all_bugs_detected() {
-  return {StopReason::kAllBugsDetected, "all_bugs_detected",
-          [](const Campaign& c) { return c.all_enabled_bugs_detected(); }};
-}
-
-StopCondition StopCondition::custom(std::string label, Predicate fn) {
-  return {StopReason::kCustom, std::move(label), std::move(fn)};
-}
-
-StopCondition StopCondition::operator||(StopCondition other) const {
-  StopCondition combined = *this;
-  for (Clause& clause : other.clauses_) {
-    combined.clauses_.push_back(std::move(clause));
-  }
-  return combined;
-}
-
-std::string StopCondition::describe() const {
-  std::string out;
-  for (const Clause& clause : clauses_) {
-    if (!out.empty()) {
-      out += " || ";
-    }
-    out += clause.label;
-  }
-  return out;
 }
 
 // --- Campaign -------------------------------------------------------------------
@@ -621,20 +587,6 @@ std::size_t Campaign::detected_bug_count() const noexcept {
   return count;
 }
 
-bool Campaign::all_enabled_bugs_detected() const noexcept {
-  std::size_t enabled = 0;
-  for (const soc::BugInfo& info : soc::all_bugs()) {
-    if (!config_.bugs.enabled(info.id)) {
-      continue;
-    }
-    ++enabled;
-    if (!bug_detected(info.id)) {
-      return false;
-    }
-  }
-  return enabled > 0;
-}
-
 void Campaign::add_observer(CampaignObserver& observer) {
   observers_.push_back(&observer);
 }
@@ -690,26 +642,19 @@ void Campaign::take_snapshot() {
 std::optional<RunResult> Campaign::run_slice(const StopCondition& stop,
                                              std::uint64_t quantum) {
   const std::uint64_t batch = config_.effective_snapshot_every();
-  std::uint64_t executed = 0;
-  const StopCondition::Clause* fired = nullptr;
-  auto first_satisfied = [&]() -> const StopCondition::Clause* {
-    for (const StopCondition::Clause& clause : stop.clauses_) {
-      if (clause.satisfied(*this)) {
-        return &clause;
-      }
-    }
-    return nullptr;
+  const auto detected = [&] {
+    return stop.target_bug && bug_detected(*stop.target_bug);
   };
-  // Evaluated between steps (including before the first), so an already
+  // Checked between steps (including before the first), so an already
   // satisfied condition executes zero tests. The snapshot cadence keys on
   // the campaign-global step count, not a per-call counter, so slicing
   // does not perturb the snapshot sequence.
-  while ((fired = first_satisfied()) == nullptr) {
+  for (std::uint64_t executed = 0; !detected() && steps_ < stop.test_cap;
+       ++executed) {
     if (executed == quantum) {
       return std::nullopt;
     }
     step();
-    ++executed;
     if (steps_ % batch == 0) {
       take_snapshot();
     }
@@ -720,8 +665,7 @@ std::optional<RunResult> Campaign::run_slice(const StopCondition& stop,
   }
 
   RunResult result;
-  result.reason = fired->reason;
-  result.trigger = fired->label;
+  result.reason = detected() ? StopReason::kBugDetected : StopReason::kMaxTests;
   result.tests_executed = steps_;
   result.covered = covered();
   result.elapsed_seconds = elapsed_seconds();
@@ -732,7 +676,7 @@ std::optional<RunResult> Campaign::run_slice(const StopCondition& stop,
 }
 
 RunResult Campaign::run_until(const StopCondition& stop) {
-  // A quantum that can never be exhausted before a stop clause fires.
+  // A quantum that can never be exhausted before the condition holds.
   return *run_slice(stop, std::numeric_limits<std::uint64_t>::max());
 }
 

@@ -7,11 +7,11 @@
 //    with every policy knob in the nested fuzz::PolicyConfig. Parseable
 //    from "key=value" pairs (and from common::CliArgs), so every binary
 //    shares one flag vocabulary.
-//  - Campaign: the run driver. Batched stepping via run_until() with
-//    composable StopConditions (max tests, wall-clock budget, bug
-//    detection, all-injected-bugs-detected), per-batch coverage snapshots
-//    feeding harness/curves, and an observer interface replacing the
-//    hand-rolled step loops that used to poke fuzzer internals.
+//  - Campaign: the run driver. Batched stepping via run_until() until a
+//    StopCondition (a test cap, optionally ended early by a target bug's
+//    first detection), per-batch coverage snapshots feeding
+//    harness/curves, and an observer interface replacing the hand-rolled
+//    step loops that used to poke fuzzer internals.
 //
 // Observer callback order within one step is part of the contract:
 //   on_arm_selected  (iff the policy selected an arm)
@@ -23,7 +23,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -125,55 +124,29 @@ struct Checkpoint;  // harness/checkpoint.hpp
 /// Why a run_until() returned.
 enum class StopReason : std::uint8_t {
   kMaxTests,
-  kWallClock,
   kBugDetected,
-  kAllBugsDetected,
-  kCustom,
 };
 
 [[nodiscard]] std::string_view stop_reason_name(StopReason reason) noexcept;
 
-/// A composable stop condition: an ordered list of clauses, evaluated
-/// between steps; the first satisfied clause ends the run and names the
-/// StopReason. Order is precedence — in
-///   StopCondition::bug_detected(bug) || StopCondition::max_tests(n)
-/// a detection on the very last allowed test still reports kBugDetected.
-class StopCondition {
- public:
-  using Predicate = std::function<bool(const Campaign&)>;
+/// When a run stops: once the campaign has executed `test_cap` tests, or
+/// at `target_bug`'s first detection (mismatch + firing in one test) if it
+/// comes first. Checked between steps, so an already satisfied condition
+/// executes zero tests; a detection on the capped test itself reports
+/// kBugDetected.
+struct StopCondition {
+  std::uint64_t test_cap = 0;
+  std::optional<soc::BugId> target_bug;
 
   /// Stop after `n` total tests have been executed.
-  [[nodiscard]] static StopCondition max_tests(std::uint64_t n);
-  /// Stop once the campaign's running wall-clock exceeds `budget`.
-  /// Nondeterministic by design: it decides when to halt, never results.
-  [[nodiscard]] static StopCondition wall_clock(
-      std::chrono::steady_clock::duration budget);  // detlint:allow(nondet-source)
-  /// Stop once `bug` has been detected (mismatch + firing in one test).
-  [[nodiscard]] static StopCondition bug_detected(soc::BugId bug);
-  /// Stop once every bug enabled in the campaign's BugSet is detected.
-  /// Never satisfied when no bugs are enabled (compose with max_tests).
-  [[nodiscard]] static StopCondition all_bugs_detected();
-  /// Escape hatch for experiment-specific conditions.
-  [[nodiscard]] static StopCondition custom(std::string label, Predicate fn);
-
-  /// Ordered composition: this condition's clauses first, then `other`'s.
-  [[nodiscard]] StopCondition operator||(StopCondition other) const;
-
-  /// Human-readable description ("bug_detected(V5) || max_tests(5000)").
-  [[nodiscard]] std::string describe() const;
-
- private:
-  struct Clause {
-    StopReason reason;
-    std::string label;
-    Predicate satisfied;
-  };
-
-  StopCondition(StopReason reason, std::string label, Predicate satisfied);
-
-  std::vector<Clause> clauses_;
-
-  friend class Campaign;
+  [[nodiscard]] static StopCondition max_tests(std::uint64_t n) noexcept {
+    return {n, std::nullopt};
+  }
+  /// Stop at `bug`'s first detection, or after `n` total tests.
+  [[nodiscard]] static StopCondition bug_detected(soc::BugId bug,
+                                                  std::uint64_t n) noexcept {
+    return {n, bug};
+  }
 };
 
 /// One per-batch coverage sample (the raw material of harness/curves).
@@ -188,7 +161,6 @@ struct BatchSnapshot {
 /// What a run_until() call did.
 struct RunResult {
   StopReason reason = StopReason::kMaxTests;
-  std::string trigger;                // label of the clause that fired
   std::uint64_t tests_executed = 0;   // campaign total at stop
   std::size_t covered = 0;
   double elapsed_seconds = 0.0;
@@ -295,7 +267,6 @@ class Campaign {
   [[nodiscard]] std::uint64_t first_detection_test(soc::BugId bug) const noexcept;
   [[nodiscard]] std::size_t enabled_bug_count() const noexcept;
   [[nodiscard]] std::size_t detected_bug_count() const noexcept;
-  [[nodiscard]] bool all_enabled_bugs_detected() const noexcept;
 
  private:
   // Checkpoint capture and resume read and overwrite the private state.

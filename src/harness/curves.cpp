@@ -1,11 +1,5 @@
 #include "harness/curves.hpp"
 
-#include <stdexcept>
-#include <string>
-#include <utility>
-
-#include "harness/experiment.hpp"
-
 namespace mabfuzz::harness {
 
 CoverageCurve curve_from_snapshots(const std::vector<BatchSnapshot>& snapshots) {
@@ -19,46 +13,6 @@ CoverageCurve curve_from_snapshots(const std::vector<BatchSnapshot>& snapshots) 
   }
   curve.final_covered = curve.covered.empty() ? 0.0 : curve.covered.back();
   return curve;
-}
-
-CoverageCurve measure_coverage(const CampaignConfig& config,
-                               std::uint64_t sample_every) {
-  CampaignConfig run_config = config;
-  run_config.snapshot_every = sample_every == 0 ? 1 : sample_every;
-  Campaign campaign(run_config);
-  campaign.run();
-  CoverageCurve curve = curve_from_snapshots(campaign.snapshots());
-  curve.universe = campaign.coverage_universe();
-  return curve;
-}
-
-CoverageCurve measure_coverage_multi(CampaignConfig config,
-                                     std::uint64_t sample_every,
-                                     std::uint64_t runs) {
-  if (runs == 0) {
-    return {};
-  }
-  config.snapshot_every = sample_every == 0 ? 1 : sample_every;
-  const std::string fuzzer = config.fuzzer;
-  TrialMatrix matrix;
-  matrix.base = std::move(config);
-  matrix.trials = runs;
-  const ExperimentResult result = Experiment(std::move(matrix)).run();
-  for (const TrialResult& trial : result.trials) {
-    if (trial.failed) {
-      throw std::runtime_error("measure_coverage_multi: trial " +
-                               std::to_string(trial.index) +
-                               " failed: " + trial.error);
-    }
-  }
-  const CellStats* cell = result.find_cell(fuzzer);
-  if (cell == nullptr) {
-    throw std::runtime_error(
-        "measure_coverage_multi: experiment produced no result cell for "
-        "fuzzer '" +
-        fuzzer + "'");
-  }
-  return cell->mean_curve;
 }
 
 std::optional<std::uint64_t> tests_to_reach(const CoverageCurve& curve,

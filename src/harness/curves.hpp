@@ -28,16 +28,6 @@ struct CoverageCurve {
 [[nodiscard]] CoverageCurve curve_from_snapshots(
     const std::vector<BatchSnapshot>& snapshots);
 
-/// Runs one campaign for config.max_tests, sampling accumulated coverage
-/// every `sample_every` tests (plus the final point).
-[[nodiscard]] CoverageCurve measure_coverage(const CampaignConfig& config,
-                                             std::uint64_t sample_every);
-
-/// Averages per-run curves over `runs` repetitions (same grid).
-[[nodiscard]] CoverageCurve measure_coverage_multi(CampaignConfig config,
-                                                   std::uint64_t sample_every,
-                                                   std::uint64_t runs);
-
 /// First test count at which `curve` reaches `target` coverage, or
 /// std::nullopt when the curve never reaches it. (A returned 0 is a real
 /// sample point — e.g. a target of 0 satisfied before any test — not a

@@ -1,16 +1,18 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
 #include "fuzz/corpus.hpp"
-#include "harness/worker_pool.hpp"
 
 namespace mabfuzz::harness {
 
@@ -40,9 +42,9 @@ std::vector<TrialSpec> TrialMatrix::expand() const {
           CampaignConfig::from_pairs(variant.overrides, cell_base);
       // corpus_out in a matrix means sharded federation: each trial writes
       // its own `<target>.shard-<index>` store (no two trials share a
-      // file) and Experiment::run() merges the shards into `target` after
-      // the pool drains. Validate the destination and the cross-cell core
-      // agreement here, before any trial burns its budget.
+      // file) and Experiment::run() merges the shards into `target` once
+      // every lane has joined. Validate the destination and the cross-cell
+      // core agreement here, before any trial burns its budget.
       if (!cell_config.corpus_out.empty()) {
         validate_output_directory(cell_config.corpus_out, "matrix corpus_out");
         const auto known = std::find_if(
@@ -156,14 +158,6 @@ SpeedupReport speedup_report(const ExperimentResult& result,
 Experiment::Experiment(TrialMatrix matrix, ExperimentOptions options)
     : options_(options), specs_(matrix.expand()) {}
 
-StopCondition Experiment::stop_condition(const TrialSpec& spec) const {
-  if (options_.target_bug) {
-    return StopCondition::bug_detected(*options_.target_bug) ||
-           StopCondition::max_tests(spec.config.max_tests);
-  }
-  return StopCondition::max_tests(spec.config.max_tests);
-}
-
 TrialResult finished_trial(const Campaign& campaign, const RunResult& run) {
   const CampaignConfig& config = campaign.config();
   TrialResult trial;
@@ -196,10 +190,21 @@ TrialResult Experiment::run_trial(const TrialSpec& spec) const {
   result.run_index = spec.run_index;
   result.corpus_in = spec.config.corpus_in;
   result.corpus_out = spec.config.corpus_out;
+  const auto fail = [&](const char* what) {
+    result.failed = true;
+    result.error = what;
+    MABFUZZ_WARN() << "trial " << spec.index << " (" << spec.fuzzer
+                   << (spec.variant.empty() ? "" : "/" + spec.variant)
+                   << ", run " << spec.run_index << ") failed: " << what;
+  };
+  // The one place a trial's failure is caught: whatever the trial throws,
+  // std::exception or not, fails that trial alone.
   try {
     Campaign campaign(spec.config);
     result.corpus_entries = campaign.corpus_loaded_entries();
-    result = finished_trial(campaign, campaign.run_until(stop_condition(spec)));
+    result = finished_trial(
+        campaign,
+        campaign.run_until({spec.config.max_tests, options_.target_bug}));
     if (options_.target_bug) {
       result.target_detected = campaign.bug_detected(*options_.target_bug);
       result.detection_tests =
@@ -208,11 +213,9 @@ TrialResult Experiment::run_trial(const TrialSpec& spec) const {
               : spec.config.max_tests;  // right-censored at the cap
     }
   } catch (const std::exception& e) {
-    result.failed = true;
-    result.error = e.what();
-    MABFUZZ_WARN() << "trial " << spec.index << " (" << spec.fuzzer
-                   << (spec.variant.empty() ? "" : "/" + spec.variant)
-                   << ", run " << spec.run_index << ") failed: " << e.what();
+    fail(e.what());
+  } catch (...) {
+    fail("unknown exception");
   }
   result.index = spec.index;
   result.variant = spec.variant;
@@ -304,34 +307,69 @@ void aggregate_experiment(ExperimentResult& result) {
   }
 }
 
+namespace {
+
+/// Runs fn(i) for every i in [0, tasks) on min(workers, tasks) lanes
+/// (`workers` 0 = hardware concurrency): lane 0 is the calling thread, the
+/// rest are threads joined before this returns. Lanes claim indices in
+/// chunks from a shared counter, so they balance uneven trials. Whatever
+/// escapes a lane is rethrown here once every lane has joined, first lane
+/// first. Which thread runs an index never changes what it computes.
+template <typename Fn>
+void run_lanes(std::size_t tasks, unsigned workers, const Fn& fn) {
+  if (tasks == 0) {
+    return;
+  }
+  if (workers == 0) {
+    workers = std::max(1u, std::thread::hardware_concurrency());
+  }
+  const auto lanes =
+      static_cast<unsigned>(std::min<std::size_t>(workers, tasks));
+  const std::size_t chunk =
+      std::max<std::size_t>(1, tasks / (std::size_t{8} * lanes));
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(lanes);
+  const auto lane = [&](unsigned id) {
+    try {
+      for (std::size_t begin = next.fetch_add(chunk); begin < tasks;
+           begin = next.fetch_add(chunk)) {
+        for (std::size_t i = begin; i < std::min(tasks, begin + chunk); ++i) {
+          fn(i);
+        }
+      }
+    } catch (...) {
+      errors[id] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(lanes - 1);
+    for (unsigned id = 1; id < lanes; ++id) {
+      threads.emplace_back(lane, id);
+    }
+    lane(0);
+  }  // joins every spawned lane
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+}
+
+}  // namespace
+
 ExperimentResult Experiment::run() const {
   ExperimentResult result;
   result.trials.resize(specs_.size());
-
-  // Workers write disjoint slots; determinism needs no ordering here
-  // because every aggregate below iterates in trial-index order.
-  const PoolReport pool =
-      run_indexed(specs_.size(), options_.workers, [&](std::uint64_t i) {
-        result.trials[i] = run_trial(specs_[i]);
-      });
-  // run_trial captures campaign exceptions itself; anything the pool still
-  // caught (e.g. allocation failure assembling the result) becomes a
-  // failed trial rather than vanishing.
-  for (const TaskFailure& failure : pool.failures) {
-    TrialResult& trial = result.trials[failure.index];
-    const TrialSpec& spec = specs_[failure.index];
-    trial.index = spec.index;
-    trial.fuzzer = spec.fuzzer;
-    trial.variant = spec.variant;
-    trial.run_index = spec.run_index;
-    trial.failed = true;
-    trial.error = failure.message;
-  }
-
+  // Lanes write disjoint slots; determinism needs no ordering here because
+  // every aggregate below iterates in trial-index order.
+  run_lanes(specs_.size(), options_.workers, [&](std::size_t i) {
+    result.trials[i] = run_trial(specs_[i]);
+  });
   merge_corpus_shards(result);
-  // Every trial slot carries its spec's (fuzzer, variant) — including pool
-  // failures, filled above — so first-appearance order over the trials is
-  // exactly the fuzzer-major matrix order the cell schema documents.
+  // Every trial slot carries its spec's (fuzzer, variant), failed trials
+  // included, so first-appearance order over the trials is exactly the
+  // fuzzer-major matrix order the cell schema documents.
   aggregate_experiment(result);
   return result;
 }

@@ -8,19 +8,20 @@
 //    resolved CampaignConfig whose RNG streams derive from
 //    (rng_seed, run_index), so a trial's result depends only on its spec —
 //    never on scheduling.
-//  - Experiment: executes every trial across the shared chunked worker
-//    pool (harness/worker_pool.hpp). Results land in matrix-expansion
-//    order and aggregation runs after the pool drains, so aggregate
-//    statistics are bit-identical regardless of the worker count. Each
+//  - Experiment: executes every trial on chunked worker lanes (the caller
+//    plus threads joined before run() returns). Results land in
+//    matrix-expansion order and aggregation runs after every lane has
+//    joined, so aggregate statistics are bit-identical regardless of the
+//    worker count. Each
 //    trial's Campaign owns one Backend whose ExecutionContext (decode
 //    cache, DUT/ISS run buffers, dirty-region DRAM) is recycled across
 //    every test of the trial — the per-worker hot path allocates nothing
 //    per executed test. A cell with corpus_out makes each trial write a
-//    private `<path>.shard-<index>` store; after the pool drains the
+//    private `<path>.shard-<index>` store; after the lanes join the
 //    engine folds the shards (Corpus::merge, spec-index order) into the
 //    one requested store + manifest and deletes the shards.
-//  - ExperimentResult: per-trial results (failures included — a throwing
-//    trial is counted and surfaced, not dropped), per-cell aggregate
+//  - ExperimentResult: per-trial results (failures included — whatever a
+//    trial throws is counted and surfaced, not dropped), per-cell aggregate
 //    statistics (mean/median/stddev/percentiles via common/stats), and
 //    pairwise speedup reports against a baseline fuzzer (paper Table I /
 //    Fig. 4 accounting).
@@ -168,8 +169,8 @@ struct ExperimentResult {
 /// Recomputes `result.cells` (first-appearance (fuzzer, variant) order
 /// over `result.trials`, which for Experiment::run() equals fuzzer-major
 /// matrix order) and `result.failed_trials`. Experiment::run() calls this
-/// after the pool drains; the campaign service reuses it to wrap a single
-/// finished campaign in the same experiment-v1 artifact schema.
+/// once every lane has joined; the campaign service reuses it to wrap a
+/// single finished campaign in the same experiment-v1 artifact schema.
 void aggregate_experiment(ExperimentResult& result);
 
 /// Table I / Fig. 4-style pairwise comparison of every non-baseline cell
@@ -208,13 +209,15 @@ class Experiment {
     return options_;
   }
 
-  /// Executes every trial on the worker pool and aggregates. Results are
+  /// Executes every trial on the worker lanes and aggregates. Results are
   /// bit-identical for any worker count.
   [[nodiscard]] ExperimentResult run() const;
 
  private:
+  /// Runs one trial. The only place a trial's failure is caught: anything
+  /// it throws marks it failed with the exception's what(), or "unknown
+  /// exception" for a throw that is not a std::exception.
   [[nodiscard]] TrialResult run_trial(const TrialSpec& spec) const;
-  [[nodiscard]] StopCondition stop_condition(const TrialSpec& spec) const;
   /// Post-barrier federation: folds every successful trial's corpus shard
   /// into its merge target (spec-index order, so the result is independent
   /// of worker count and completion order), writes the merged store +

@@ -1,8 +1,10 @@
 #include "isa/encoder.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/bitops.hpp"
+#include "isa/disasm.hpp"
 
 namespace mabfuzz::isa {
 
@@ -106,6 +108,11 @@ std::optional<Word> encode(const Instruction& instr) noexcept {
 Word encode_or_die(const Instruction& instr) noexcept {
   const auto w = encode(instr);
   if (!w) {
+    // Every encode() failure is an immediate out of its format's range.
+    std::fprintf(stderr,
+                 "isa::encode_or_die: cannot encode '%s': immediate %lld "
+                 "does not fit its format\n",
+                 disassemble(instr).c_str(), static_cast<long long>(instr.imm));
     std::abort();
   }
   return *w;

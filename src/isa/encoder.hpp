@@ -12,8 +12,9 @@ namespace mabfuzz::isa {
 /// Register indices are masked to 5 bits; CSR addresses to 12 bits.
 [[nodiscard]] std::optional<Word> encode(const Instruction& instr) noexcept;
 
-/// Encoder for trusted inputs (tests, examples): aborts on failure so that
-/// malformed literals are caught immediately.
+/// Encoder for trusted inputs (tests, examples): on failure it writes the
+/// instruction and its immediate to stderr and aborts, so that malformed
+/// literals are caught immediately.
 [[nodiscard]] Word encode_or_die(const Instruction& instr) noexcept;
 
 /// True when `instr`'s operands are representable in its format.

@@ -713,8 +713,8 @@ TEST(ReuseFuzzer, DetectsEasyBugEventually) {
   config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
   harness::Campaign campaign(config);
   const harness::RunResult result = campaign.run_until(
-      harness::StopCondition::bug_detected(soc::BugId::kV5SilentLoadFault) ||
-      harness::StopCondition::max_tests(config.max_tests));
+      harness::StopCondition::bug_detected(soc::BugId::kV5SilentLoadFault,
+                                           config.max_tests));
   EXPECT_EQ(result.reason, harness::StopReason::kBugDetected);
 }
 

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "fuzz/registry.hpp"
 #include "harness/experiment.hpp"
 
 namespace mabfuzz::harness {
@@ -142,6 +144,43 @@ TEST(ExperimentRun, FailedTrialsAreCountedAndSurfacedNotDropped) {
   ASSERT_NE(ok, nullptr);
   EXPECT_EQ(ok->failed_trials, 0u);
   EXPECT_EQ(ok->tests.count, 2u);
+}
+
+TEST(ExperimentRun, NonStandardThrowFailsOnlyThatFuzzersTrials) {
+  // A throw that is not a std::exception fails its own trials, each as
+  // "unknown exception", and the cell beside it still aggregates.
+  fuzz::FuzzerRegistry::instance().add(
+      "throws-int",
+      [](fuzz::Backend&, const fuzz::PolicyConfig&) -> std::unique_ptr<fuzz::Fuzzer> {
+        throw 42;
+      });
+  TrialMatrix matrix = small_matrix();
+  matrix.fuzzers = {"thehuzz", "throws-int"};
+  matrix.trials = 2;
+  const ExperimentResult result = Experiment(matrix).run();
+  fuzz::FuzzerRegistry::instance().remove("throws-int");
+
+  ASSERT_EQ(result.trials.size(), 4u);
+  EXPECT_EQ(result.failed_trials, 2u);
+  for (const TrialResult& trial : result.trials) {
+    EXPECT_EQ(trial.failed, trial.fuzzer == "throws-int") << trial.index;
+    EXPECT_EQ(trial.error, trial.failed ? "unknown exception" : "");
+  }
+  const CellStats* ok = result.find_cell("thehuzz");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_EQ(ok->failed_trials, 0u);
+  EXPECT_EQ(ok->tests.count, 2u);
+  EXPECT_EQ(result.find_cell("throws-int")->failed_trials, 2u);
+}
+
+TEST(ExperimentRun, ZeroTrialsReturnsAnEmptyResult) {
+  TrialMatrix matrix = small_matrix();
+  matrix.fuzzers = {"thehuzz", "ucb"};
+  matrix.trials = 0;
+  const ExperimentResult result = Experiment(matrix).run();
+  EXPECT_TRUE(result.trials.empty());
+  EXPECT_TRUE(result.cells.empty());
+  EXPECT_EQ(result.failed_trials, 0u);
 }
 
 // --- Table I-style detection experiment (acceptance case) -----------------------

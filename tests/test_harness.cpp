@@ -1,24 +1,20 @@
 // Harness tests: campaign construction for every registered policy,
 // tests-to-detection through Experiment's target_bug path, coverage
-// curves, the Fig. 4 speedup/increment math, the shared worker pool and
-// the report renderers.
+// curves, the Fig. 4 speedup/increment math and the report renderers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "harness/worker_pool.hpp"
 
 namespace mabfuzz::harness {
 namespace {
@@ -137,7 +133,10 @@ TEST(Detection, MultiRunAggregates) {
 TEST(Curves, MonotoneNonDecreasing) {
   CampaignConfig config = small_config("thehuzz");
   config.max_tests = 120;
-  const CoverageCurve curve = measure_coverage(config, 10);
+  config.snapshot_every = 10;
+  Campaign campaign(config);
+  campaign.run();
+  const CoverageCurve curve = curve_from_snapshots(campaign.snapshots());
   ASSERT_FALSE(curve.grid.empty());
   for (std::size_t i = 1; i < curve.covered.size(); ++i) {
     EXPECT_GE(curve.covered[i], curve.covered[i - 1]);
@@ -147,9 +146,14 @@ TEST(Curves, MonotoneNonDecreasing) {
 }
 
 TEST(Curves, MultiRunAveragesOnSameGrid) {
-  CampaignConfig config = small_config("thehuzz");
-  config.max_tests = 60;
-  const CoverageCurve curve = measure_coverage_multi(config, 20, 2);
+  TrialMatrix matrix;
+  matrix.base = small_config("thehuzz");
+  matrix.base.max_tests = 60;
+  matrix.base.snapshot_every = 20;
+  matrix.trials = 2;
+  const ExperimentResult result = Experiment(std::move(matrix)).run();
+  ASSERT_EQ(result.failed_trials, 0u);
+  const CoverageCurve& curve = result.find_cell("thehuzz")->mean_curve;
   EXPECT_EQ(curve.grid.size(), 3u);  // 20, 40, 60
   EXPECT_GT(curve.final_covered, 0.0);
 }
@@ -232,62 +236,6 @@ TEST(Curves, BuiltFromCampaignSnapshots) {
   EXPECT_EQ(curve.covered, (std::vector<double>{10.0, 30.0}));
   EXPECT_EQ(curve.universe, 100u);
   EXPECT_DOUBLE_EQ(curve.final_covered, 30.0);
-}
-
-// --- worker pool --------------------------------------------------------------------
-
-TEST(WorkerPool, ExecutesAllIndicesExactlyOnce) {
-  std::vector<std::atomic<int>> counts(32);
-  const PoolReport report =
-      run_indexed(32, 0, [&](std::uint64_t r) { counts[r].fetch_add(1); });
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.tasks, 32u);
-  for (const auto& c : counts) {
-    EXPECT_EQ(c.load(), 1);
-  }
-}
-
-TEST(WorkerPool, CollectsEveryFailureAndKeepsRunning) {
-  // The old parallel_runs helper recorded only the first exception and
-  // dropped the rest; the pool must capture all of them, per index, while
-  // the non-throwing tasks still run.
-  std::vector<std::atomic<int>> counts(6);
-  const PoolReport report = run_indexed(6, 3, [&](std::uint64_t r) {
-    counts[r].fetch_add(1);
-    if (r == 1) {
-      throw std::runtime_error("boom-1");
-    }
-    if (r == 4) {
-      throw std::runtime_error("boom-4");
-    }
-  });
-  EXPECT_FALSE(report.ok());
-  ASSERT_EQ(report.failed(), 2u);
-  EXPECT_EQ(report.failures[0].index, 1u);  // sorted by index
-  EXPECT_EQ(report.failures[0].message, "boom-1");
-  EXPECT_EQ(report.failures[1].index, 4u);
-  EXPECT_EQ(report.failures[1].message, "boom-4");
-  for (const auto& c : counts) {
-    EXPECT_EQ(c.load(), 1) << "a failure must not starve other tasks";
-  }
-}
-
-TEST(WorkerPool, SingleWorkerCollectsFailuresToo) {
-  const PoolReport report = run_indexed(3, 1, [&](std::uint64_t r) {
-    if (r != 1) {
-      throw std::invalid_argument("bad " + std::to_string(r));
-    }
-  });
-  ASSERT_EQ(report.failed(), 2u);
-  EXPECT_EQ(report.failures[0].message, "bad 0");
-  EXPECT_EQ(report.failures[1].message, "bad 2");
-}
-
-TEST(WorkerPool, ZeroTasksIsNoop) {
-  const PoolReport report =
-      run_indexed(0, 0, [&](std::uint64_t) { FAIL(); });
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.tasks, 0u);
 }
 
 // --- report renderers ------------------------------------------------------------------

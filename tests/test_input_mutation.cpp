@@ -114,9 +114,8 @@ CampaignConfig tiny(std::string fuzzer, std::uint64_t tests,
 
 /// Runs `campaign` forward by exactly `steps` tests without finalizing.
 void advance(Campaign& campaign, std::uint64_t steps) {
-  const StopCondition never =
-      StopCondition::custom("never", [](const Campaign&) { return false; });
-  ASSERT_FALSE(campaign.run_slice(never, steps).has_value());
+  ASSERT_FALSE(campaign.run_slice(StopCondition::max_tests(UINT64_MAX), steps)
+                   .has_value());
 }
 
 /// A fresh scratch directory under the test temp dir.
@@ -213,7 +212,7 @@ TEST(InputMutationTest, EveryServeLineGetsExactlyOneReply) {
   }
   seeds.push_back("submit job=kitchen fuzzer=epsilon-greedy core=cva6 "
                   "adaptive-ops=true adaptive-length=true "
-                  "length-choices=8,16,32 mutants=5 initial-seeds=4 "
+                  "length-choices=8,16,32 mutants=5 initial-seeds=4 arms=1024 "
                   "pool-cap=64 corpus-cap=32 snapshot-every=100 "
                   "epsilon=0.1 eta=0.1 alpha=0.25 tests=300 artifact-out=" +
                   dir + "kitchen");

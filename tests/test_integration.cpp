@@ -119,14 +119,16 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CampaignDeterminism,
 TEST(PaperProperties, MabCoverageIsCompetitiveWithBaseline) {
   // At small scale MABFuzz must at least keep pace with TheHuzz on the
   // hard core (the paper's CVA6 gap grows with scale).
-  CampaignConfig base;
-  base.core = soc::CoreKind::kCva6;
-  base.max_tests = 600;
-  base.fuzzer = "thehuzz";
-  const CoverageCurve huzz = measure_coverage_multi(base, 100, 2);
-
-  base.fuzzer = "ucb";
-  const CoverageCurve ucb = measure_coverage_multi(base, 100, 2);
+  TrialMatrix matrix;
+  matrix.base.core = soc::CoreKind::kCva6;
+  matrix.base.max_tests = 600;
+  matrix.base.snapshot_every = 100;
+  matrix.fuzzers = {"thehuzz", "ucb"};
+  matrix.trials = 2;
+  const ExperimentResult result = Experiment(std::move(matrix)).run();
+  ASSERT_EQ(result.failed_trials, 0u);
+  const CoverageCurve& huzz = result.find_cell("thehuzz")->mean_curve;
+  const CoverageCurve& ucb = result.find_cell("ucb")->mean_curve;
 
   EXPECT_GT(ucb.final_covered, 0.95 * huzz.final_covered);
 }

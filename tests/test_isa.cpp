@@ -12,6 +12,7 @@
 #include "isa/disasm.hpp"
 #include "isa/encoder.hpp"
 #include "isa/opcode.hpp"
+#include "isa/platform.hpp"
 
 namespace mabfuzz::isa {
 namespace {
@@ -207,6 +208,12 @@ TEST(Encoder, AcceptsBoundaryImmediates) {
   EXPECT_TRUE(encodable(make_i(Mnemonic::kAddi, 1, 2, -2048)));
   EXPECT_TRUE(encodable(make_i(Mnemonic::kAddi, 1, 2, 2047)));
   EXPECT_TRUE(encodable(make_i(Mnemonic::kSlli, 1, 2, 63)));
+}
+
+TEST(EncoderDeathTest, EncodeOrDieNamesWhatItCannotEncode) {
+  // lui takes the upper 20 bits only; the low 0x800 cannot be encoded.
+  EXPECT_DEATH((void)encode_or_die(lui(6, kDramBase + 0x800)),
+               "cannot encode 'lui t1, 0x80000': immediate 2147485696");
 }
 
 // --- decoder strictness ------------------------------------------------------------

@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "common/bitops.hpp"
 #include "fuzz/repro.hpp"
 #include "isa/builder.hpp"
@@ -49,18 +46,6 @@ TEST(Repro, ParseRejectsMalformedWords) {
   EXPECT_FALSE(parse_test("0013\n").has_value());        // wrong width
   EXPECT_FALSE(parse_test("0000001g\n").has_value());    // non-hex
   EXPECT_FALSE(parse_test("# only comments\n").has_value());
-}
-
-TEST(Repro, SaveLoadFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mabfuzz_repro_test.txt").string();
-  const TestCase original = test_of(assemble({li(3, 9), ebreak()}));
-  ASSERT_TRUE(save_test(original, path));
-  const auto loaded = load_test(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->words, original.words);
-  std::remove(path.c_str());
-  EXPECT_FALSE(load_test(path).has_value());
 }
 
 // --- minimiser ------------------------------------------------------------------

@@ -504,7 +504,11 @@ TEST(ServeProtocolTest, SubmitErrorsAreReplies) {
   EXPECT_EQ(reply_to(service, "submit job=a arms=0"),
             "error: campaign key 'arms': must be at least 1");
   EXPECT_EQ(reply_to(service, "submit job=a mutants=4294967296"),
-            "error: campaign key 'mutants': 4294967296 exceeds 4294967295");
+            "error: campaign key 'mutants': 4294967296 exceeds the cap 1024");
+  std::string sixty_five_lengths = "12";
+  for (int i = 1; i < 65; ++i) {
+    sixty_five_lengths += ",12";
+  }
   // (line, what its error reply must name)
   const std::vector<std::pair<std::string, std::string>> refused = {
       {"submit job=a no-such-knob=1", "no-such-knob"},
@@ -512,6 +516,14 @@ TEST(ServeProtocolTest, SubmitErrorsAreReplies) {
       {"submit job=../a", "job name"},
       {"submit job=a artifact-out=" + testing::TempDir() + "no-such-dir/a",
        "artifact-out"},
+      {"submit job=a arms=20000", "'arms': 20000 exceeds the cap 1024"},
+      {"submit job=a mutants=2000000", "'mutants': 2000000 exceeds the cap 1024"},
+      {"submit job=a initial-seeds=4097",
+       "'initial-seeds': 4097 exceeds the cap 4096"},
+      {"submit job=a length-choices=12,65536",
+       "'length-choices': 65536 exceeds the cap 4096"},
+      {"submit job=a length-choices=" + sixty_five_lengths,
+       "'length-choices': 65 lengths exceed the cap 64"},
   };
   for (const auto& [line, named] : refused) {
     const std::string reply = reply_to(service, line);
