@@ -168,11 +168,11 @@ int main(int argc, char** argv) {
   fuzz::Corpus transferred(std::string(soc::core_name(soc::CoreKind::kBoom)),
                            boom_backend.coverage_universe(),
                            merged.max_entries());
-  fuzz::TestOutcome outcome;
   std::uint64_t transfer_admits = 0;
   for (const fuzz::CorpusEntry& entry : merged.entries()) {
-    boom_backend.run_test(entry.test, outcome);
-    transfer_admits += transferred.offer(entry.test, outcome.coverage) ? 1 : 0;
+    const coverage::Map& replayed =
+        boom_backend.run_test(entry.test).dut.test_coverage;
+    transfer_admits += transferred.offer(entry.test, replayed) ? 1 : 0;
   }
   transferred.save(boom_path);
   fuzz::Corpus distilled = transferred;

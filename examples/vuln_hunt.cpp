@@ -72,23 +72,18 @@ int main(int argc, char** argv) {
   backend_config.bugs = soc::BugSet::single(*bug);
   backend_config.rng_seed = seed;
   fuzz::Backend backend(backend_config);
-  // Drive the backend directly so we can hold on to the failing test case;
-  // one reused outcome keeps the replay loop allocation-free.
-  fuzz::TestOutcome outcome;
+  // Drive the backend directly so we can hold on to the failing test case.
+  const auto detects = fuzz::mismatch_predicate(*bug);
   for (std::uint64_t t = 0; t < max_tests; ++t) {
     const fuzz::TestCase test = backend.make_seed();
-    backend.run_test(test, outcome);
-    bool fired = false;
-    for (const soc::BugFiring& f : outcome.firings) {
-      fired |= f.id == *bug;
-    }
-    if (outcome.mismatch && fired) {
+    const fuzz::TestOutcome& outcome = backend.run_test(test);
+    if (outcome.mismatch && detects(outcome)) {
       std::cout << "\n" << fuzz::to_listing(test) << "\n  oracle: "
-                << outcome.mismatch_description << "\n";
+                << outcome.mismatch->description << "\n";
 
       // Triage: shrink the finding to the minimal reproducer.
-      const fuzz::MinimizeResult minimized = fuzz::minimize_test(
-          backend, test, fuzz::mismatch_predicate(*bug));
+      const fuzz::MinimizeResult minimized =
+          fuzz::minimize_test(backend, test, detects);
       std::cout << "\nminimized reproducer (" << minimized.removed
                 << " instructions removed in " << minimized.executions
                 << " executions):\n"

@@ -3,7 +3,6 @@
 // micro-architectural substrate. All helpers are constexpr and total.
 
 #include <cstdint>
-#include <type_traits>
 
 namespace mabfuzz::common {
 
@@ -51,13 +50,6 @@ namespace mabfuzz::common {
 /// True when `value` is aligned to `align` (a power of two).
 [[nodiscard]] constexpr bool is_aligned(std::uint64_t value, std::uint64_t align) noexcept {
   return (value & (align - 1)) == 0;
-}
-
-/// Integer ceil-division for unsigned operands; div must be nonzero.
-template <typename T>
-  requires std::is_unsigned_v<T>
-[[nodiscard]] constexpr T ceil_div(T num, T div) noexcept {
-  return static_cast<T>((num + div - 1) / div);
 }
 
 }  // namespace mabfuzz::common

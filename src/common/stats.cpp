@@ -24,32 +24,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStats::ci95_half_width() const noexcept {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 namespace {
 
 double percentile_sorted(std::span<const double> sorted, double p) {
@@ -105,18 +79,6 @@ double percentile(std::span<const double> samples, double p) {
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
   return percentile_sorted(sorted, p);
-}
-
-double geometric_mean(std::span<const double> samples) {
-  double log_sum = 0.0;
-  std::size_t n = 0;
-  for (double x : samples) {
-    if (x > 0.0) {
-      log_sum += std::log(x);
-      ++n;
-    }
-  }
-  return n ? std::exp(log_sum / static_cast<double>(n)) : 0.0;
 }
 
 double median(std::span<const double> samples) { return percentile(samples, 50.0); }

@@ -1,7 +1,7 @@
 #pragma once
 // Streaming and batch statistics used by the experiment harness to
-// aggregate multi-run results (means, medians, confidence intervals) in the
-// same way the paper reports repetition-averaged numbers.
+// aggregate multi-run results (means, medians, percentiles) in the same way
+// the paper reports repetition-averaged numbers.
 
 #include <cstddef>
 #include <span>
@@ -21,10 +21,6 @@ class RunningStats {
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  /// Half-width of the 95% normal-approximation confidence interval.
-  [[nodiscard]] double ci95_half_width() const noexcept;
-
-  void merge(const RunningStats& other) noexcept;
 
  private:
   std::size_t n_ = 0;
@@ -59,10 +55,6 @@ struct Summary {
 /// so censored cells read as "no measurable speedup" instead of dividing
 /// by zero.
 [[nodiscard]] double speedup_ratio(double baseline, double candidate) noexcept;
-
-/// Geometric mean of strictly positive samples; non-positive entries are
-/// skipped. Empty/all-skipped input -> 0.
-[[nodiscard]] double geometric_mean(std::span<const double> samples);
 
 /// Median convenience wrapper.
 [[nodiscard]] double median(std::span<const double> samples);

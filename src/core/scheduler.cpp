@@ -47,22 +47,23 @@ fuzz::StepResult MabScheduler::step() {
   }
   const fuzz::TestCase test = arm.next();
 
-  // 2. Simulate on DUT + golden model (reusing the step-outcome buffers).
-  backend_.run_test(test, outcome_);
+  // 2. Simulate on DUT + golden model.
+  const fuzz::TestOutcome& outcome = backend_.run_test(test);
+  const coverage::Map& test_coverage = outcome.dut.test_coverage;
 
   // 3. Reward from coverage feedback (computed against the pre-update maps).
   const RewardBreakdown reward = compute_reward(
-      reward_config_, outcome_.coverage, arm.coverage(), global_.global());
+      reward_config_, test_coverage, arm.coverage(), global_.global());
 
   fuzz::StepResult result;
   result.test_index = ++steps_;
-  result.mismatch = outcome_.mismatch;
-  result.firings = outcome_.firings;
+  result.mismatch = outcome.mismatch.has_value();
+  result.firings = outcome.dut.firings;
   result.arm = selected;
-  result.new_global_points = global_.absorb(outcome_.coverage);
-  arm.coverage().merge(outcome_.coverage);
+  result.new_global_points = global_.absorb(test_coverage);
+  arm.coverage().merge(test_coverage);
   if (config_.corpus) {
-    config_.corpus->offer(test, outcome_.coverage);
+    config_.corpus->offer(test, test_coverage);
   }
 
   // 4. Interesting (arm-locally novel) tests extend the arm's lineage.

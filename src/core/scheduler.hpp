@@ -70,7 +70,6 @@ class MabScheduler final : public fuzz::Fuzzer {
   std::vector<Arm> arms_;
   std::vector<unsigned> pending_seed_length_;  // per arm; 0 = no feedback due
   coverage::Accumulator global_;
-  fuzz::TestOutcome outcome_;  // reused across steps (backend scratch swap)
   std::string name_;
   std::uint64_t steps_ = 0;
   std::uint64_t total_resets_ = 0;

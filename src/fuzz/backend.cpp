@@ -14,35 +14,15 @@ Backend::Backend(const BackendConfig& config)
                 common::make_stream(config.rng_seed, config.rng_run, "mutation"),
                 config.operator_policy) {}
 
-TestOutcome Backend::run_test(const TestCase& test) {
-  TestOutcome outcome;
-  run_test(test, outcome);
-  return outcome;
-}
-
-void Backend::run_test(const TestCase& test, TestOutcome& out) {
+const TestOutcome& Backend::run_test(const TestCase& test) {
   ++tests_executed_;
   // One shared decode cache serves both simulators: the pipeline's fetches
   // warm entries the ISS reuses (and vice versa on trap-handler detours).
-  scratch_.decoded.build(test.words);
-  dut_.run(test.words, scratch_.decoded, scratch_.dut_out);
-  golden_.run(test.words, scratch_.decoded, scratch_.golden_out);
-
-  // Swap, don't copy: the outcome takes this test's buffers; the scratch
-  // takes the caller's previous ones, recycled on the next run.
-  out.coverage.swap(scratch_.dut_out.test_coverage);
-  out.firings.swap(scratch_.dut_out.firings);
-  out.dut_cycles = scratch_.dut_out.cycles;
-  out.commits = scratch_.dut_out.arch.commits.size();
-  out.mismatch = false;
-  out.mismatch_description.clear();
-  out.mismatch_commit = 0;
-  if (const auto mismatch =
-          compare(scratch_.dut_out.arch, scratch_.golden_out)) {
-    out.mismatch = true;
-    out.mismatch_description = mismatch->description;
-    out.mismatch_commit = mismatch->commit_index;
-  }
+  decoded_.build(test.words);
+  dut_.run(test.words, decoded_, outcome_.dut);
+  golden_.run(test.words, decoded_, outcome_.golden);
+  outcome_.mismatch = compare(outcome_.dut.arch, outcome_.golden);
+  return outcome_;
 }
 
 TestCase Backend::make_seed() { return make_seed(0); }

@@ -9,15 +9,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
-#include "coverage/map.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/seedgen.hpp"
 #include "fuzz/test_case.hpp"
 #include "golden/iss.hpp"
+#include "isa/decoded_program.hpp"
 #include "mutation/engine.hpp"
 #include "soc/cores.hpp"
 #include "soc/pipeline.hpp"
@@ -36,26 +37,15 @@ struct BackendConfig {
   std::uint64_t rng_run = 0;  // repetition index (decorrelates repetitions)
 };
 
-/// Everything one executed test tells the scheduler.
+/// The backend's record of its last test: the DUT run (architectural
+/// trace, coverage map, bug firings, cycles), the golden model's trace and
+/// the oracle's verdict on the two.
 struct TestOutcome {
-  coverage::Map coverage;            // per-test hit map
-  bool mismatch = false;             // golden-model divergence detected
-  std::string mismatch_description;
-  std::size_t mismatch_commit = 0;
-  soc::FiringLog firings;            // injected-bug activations in the DUT
-  std::uint64_t dut_cycles = 0;
-  std::size_t commits = 0;
-};
+  soc::RunOutput dut;
+  isa::ArchResult golden;
+  std::optional<Mismatch> mismatch;  // engaged on a golden-model divergence
 
-/// Execution scratch, reused across runs: the decode cache shared by the
-/// DUT pipeline and the golden ISS, and both simulators' output buffers
-/// (commit vectors, firing log, coverage map). Steady-state execution
-/// performs no heap allocation through these (the equivalence suite in
-/// tests/test_differential.cpp locks in that reuse changes no result).
-struct ExecutionContext {
-  isa::DecodedProgram decoded;
-  soc::RunOutput dut_out;
-  isa::ArchResult golden_out;
+  friend bool operator==(const TestOutcome&, const TestOutcome&) = default;
 };
 
 class Backend {
@@ -65,14 +55,11 @@ class Backend {
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
-  /// Simulates `test` on the DUT and the golden model and compares.
-  [[nodiscard]] TestOutcome run_test(const TestCase& test);
-
-  /// Same, recycling the caller's outcome buffers: `out` is fully
-  /// overwritten; its coverage map and firing log are swapped with the
-  /// backend scratch, so a caller that reuses one TestOutcome across steps
-  /// allocates nothing per test.
-  void run_test(const TestCase& test, TestOutcome& out);
+  /// Simulates `test` on the DUT and the golden model and compares. The
+  /// outcome is the backend's own and stays valid until the next run_test,
+  /// which overwrites it in place (its buffers are recycled, so steady-state
+  /// execution allocates nothing per test).
+  [[nodiscard]] const TestOutcome& run_test(const TestCase& test);
 
   /// Fresh random seed test (ids assigned by this backend).
   [[nodiscard]] TestCase make_seed();
@@ -99,12 +86,10 @@ class Backend {
   [[nodiscard]] std::uint64_t tests_executed() const noexcept {
     return tests_executed_;
   }
-  /// The reusable scratch. The decode-cache counters and the raw
-  /// architectural traces (dut_out.arch / cycles, golden_out) are from the
-  /// last run_test; the scratch's coverage map and firing log are NOT — they
-  /// were swapped into the caller's TestOutcome.
-  [[nodiscard]] const ExecutionContext& execution_context() const noexcept {
-    return scratch_;
+  /// The decode cache both simulators share (its hit counters are
+  /// diagnostics; its contents never change a result).
+  [[nodiscard]] const isa::DecodedProgram& decode_cache() const noexcept {
+    return decoded_;
   }
 
   /// Appends the backend's complete mutable state: both RNG streams (seed
@@ -122,7 +107,8 @@ class Backend {
   golden::Iss golden_;
   SeedGenerator seedgen_;
   mutation::Engine mutation_;
-  ExecutionContext scratch_;
+  isa::DecodedProgram decoded_;
+  TestOutcome outcome_;
   std::uint64_t next_test_id_ = 1;
   std::uint64_t tests_executed_ = 0;
 };

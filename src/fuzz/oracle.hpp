@@ -17,6 +17,8 @@ struct Mismatch {
   /// end-state-only differences.
   std::size_t commit_index = 0;
   std::string description;
+
+  friend bool operator==(const Mismatch&, const Mismatch&) = default;
 };
 
 /// Compares traces; nullopt when architecturally identical.

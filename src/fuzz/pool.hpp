@@ -34,7 +34,6 @@ class TestPool {
 
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
-  [[nodiscard]] std::size_t max_size() const noexcept { return max_size_; }
 
   /// Total tests ever dropped by the cap (for stats/tests).
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }

@@ -16,12 +16,12 @@ class RandomFuzzer final : public Fuzzer {
 
   StepResult step() override {
     const TestCase test = backend_.make_seed();
-    backend_.run_test(test, outcome_);
+    const TestOutcome& outcome = backend_.run_test(test);
     StepResult result;
     result.test_index = ++steps_;
-    result.mismatch = outcome_.mismatch;
-    result.firings = outcome_.firings;
-    result.new_global_points = accumulated_.absorb(outcome_.coverage);
+    result.mismatch = outcome.mismatch.has_value();
+    result.firings = outcome.dut.firings;
+    result.new_global_points = accumulated_.absorb(outcome.dut.test_coverage);
     return result;
   }
 
@@ -45,7 +45,6 @@ class RandomFuzzer final : public Fuzzer {
  private:
   Backend& backend_;
   coverage::Accumulator accumulated_;
-  TestOutcome outcome_;  // reused across steps (backend scratch swap)
   std::uint64_t steps_ = 0;
 };
 

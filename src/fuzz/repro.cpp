@@ -55,12 +55,9 @@ MinimizeResult minimize_test(
   MinimizeResult result;
   result.test = test;
 
-  // One outcome reused across the whole bisection (backend scratch swap).
-  TestOutcome outcome;
   auto check = [&](const TestCase& candidate) {
     ++result.executions;
-    backend.run_test(candidate, outcome);
-    return still_fails(outcome);
+    return still_fails(backend.run_test(candidate));
   };
 
   // Chunked deletion: try removing halves, then quarters, ... then singles.
@@ -100,7 +97,7 @@ std::function<bool(const TestOutcome&)> mismatch_predicate(
     if (!bug) {
       return true;
     }
-    return std::any_of(outcome.firings.begin(), outcome.firings.end(),
+    return std::any_of(outcome.dut.firings.begin(), outcome.dut.firings.end(),
                        [&](const soc::BugFiring& f) { return f.id == *bug; });
   };
 }

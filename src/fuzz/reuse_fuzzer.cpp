@@ -78,20 +78,20 @@ StepResult ReuseFuzzer::step() {
   } else {
     test = backend_.make_mutant(arm.parent);
   }
-  backend_.run_test(test, outcome_);
+  const TestOutcome& outcome = backend_.run_test(test);
 
   StepResult result;
   result.test_index = ++steps_;
-  result.mismatch = outcome_.mismatch;
-  result.firings = outcome_.firings;
+  result.mismatch = outcome.mismatch.has_value();
+  result.firings = outcome.dut.firings;
   result.arm = selected;
-  result.new_global_points = global_.absorb(outcome_.coverage);
+  result.new_global_points = global_.absorb(outcome.dut.test_coverage);
 
   // 3. Feed the store; an admitted mutant becomes the arm's working test
   // (hill-climb toward the newest interesting descendant). A corpus-loaded
   // parent's id belongs to a previous campaign's id space, so the replay
   // flag — not an id comparison — distinguishes parent from mutant.
-  const bool admitted = corpus_->offer(test, outcome_.coverage);
+  const bool admitted = corpus_->offer(test, outcome.dut.test_coverage);
   if (admitted && !is_replay) {
     arm.parent = test;
   }

@@ -101,7 +101,6 @@ class ReuseFuzzer final : public Fuzzer {
   std::size_t reserve_cursor_ = 0;
   std::size_t arms_from_corpus_ = 0;
   coverage::Accumulator global_;
-  TestOutcome outcome_;  // reused across steps (backend scratch swap)
   std::string name_;
   std::uint64_t steps_ = 0;
   std::uint64_t total_resets_ = 0;

@@ -38,15 +38,15 @@ StepResult TheHuzz::step() {
     refill_from_database();
   }
   const TestCase test = *pool_.pop();
-  backend_.run_test(test, outcome_);
+  const TestOutcome& outcome = backend_.run_test(test);
 
   StepResult result;
   result.test_index = ++steps_;
-  result.mismatch = outcome_.mismatch;
-  result.firings = outcome_.firings;
-  result.new_global_points = accumulated_.absorb(outcome_.coverage);
+  result.mismatch = outcome.mismatch.has_value();
+  result.firings = outcome.dut.firings;
+  result.new_global_points = accumulated_.absorb(outcome.dut.test_coverage);
   if (corpus_) {
-    corpus_->offer(test, outcome_.coverage);
+    corpus_->offer(test, outcome.dut.test_coverage);
   }
 
   // Static policy: every test that covered anything new is "interesting";

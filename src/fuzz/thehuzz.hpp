@@ -41,10 +41,6 @@ class TheHuzz final : public Fuzzer {
   }
   [[nodiscard]] std::string_view name() const override { return "TheHuzz"; }
 
-  [[nodiscard]] std::size_t database_size() const noexcept {
-    return database_.size();
-  }
-
   /// The pool, the database and its cursor, the coverage map and steps.
   void save_state(std::string& out) const override;
   void restore_state(common::ByteReader& in) override;
@@ -60,7 +56,6 @@ class TheHuzz final : public Fuzzer {
   std::deque<TestCase> database_;  // interesting tests, insertion order
   std::size_t db_cursor_ = 0;      // static FIFO replay position
   coverage::Accumulator accumulated_;
-  TestOutcome outcome_;  // reused across steps (backend scratch swap)
   std::uint64_t steps_ = 0;
 };
 

@@ -138,9 +138,21 @@ std::vector<unsigned> parse_lengths(std::string_view key, std::string_view value
                                 " lengths exceed the cap " +
                                 std::to_string(kMaxLengthChoices));
   }
+  // Every length must be a distinct arm the policy can credit: 0 reads as
+  // "no feedback due" and a repeat is never credited (the first match
+  // takes the feedback), so either arm keeps its infinite UCB bonus.
   std::vector<unsigned> out;
   for (const std::string& token : common::split(value, ',')) {
-    out.push_back(static_cast<unsigned>(parse_capped(key, token, kMaxSeedLength)));
+    const auto length =
+        static_cast<unsigned>(parse_capped(key, token, kMaxSeedLength));
+    if (length == 0 || std::find(out.begin(), out.end(), length) != out.end()) {
+      throw std::invalid_argument(
+          "campaign key '" + std::string(key) + "': length " +
+          std::to_string(length) +
+          (length == 0 ? " is not a seed length (must be at least 1)"
+                       : " is listed twice (lengths must be distinct)"));
+    }
+    out.push_back(length);
   }
   if (out.empty()) {
     throw std::invalid_argument("campaign key '" + std::string(key) +
@@ -295,7 +307,7 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.adaptive_length = parse_flag("adaptive-length", v);
      },
      [](const CampaignConfig& c) { return std::string(c.policy.adaptive_length ? "true" : "false"); }},
-    {"length-choices", "adaptive-length candidate seed lengths, <= 64 of <= 4096",
+    {"length-choices", "adaptive-length candidate seed lengths, <= 64 distinct of 1..4096",
      [](CampaignConfig& c, std::string_view v) {
        c.policy.length_choices = parse_lengths("length-choices", v);
      },

@@ -82,8 +82,8 @@ std::uint64_t probe_fingerprint(Campaign& campaign, std::string& bytes) {
 }
 
 // Payload is built in memory (little-endian bytes appended to a string)
-// so the FNV-1a trailer covers it exactly and load() can checksum before
-// parsing a single field.
+// so the FNV-1a trailer covers it exactly and from_image() can checksum
+// before parsing a single field.
 
 std::string serialize_payload(const Checkpoint& checkpoint) {
   std::string out;
@@ -217,25 +217,23 @@ Checkpoint Checkpoint::capture(const Campaign& campaign) {
   return out;
 }
 
-void Checkpoint::save(const std::string& path) const {
+std::string Checkpoint::image() const {
   const std::string payload = serialize_payload(*this);
   std::string file(kMagic);
   file.reserve(kMagic.size() + 12 + payload.size() + 8);
   common::put_u32(file, kVersion);
   common::put_blob(file, payload);
   common::put_u64(file, fnv1a64(payload));
-  common::write_file_atomic(path, file);
+  return file;
 }
 
-Checkpoint Checkpoint::load(const std::string& path) {
-  std::string file =
-      common::read_file(path, kMagic.size() + 12 + kMaxPayload + 8);
-  const std::string context = "checkpoint load: '" + path + "'";
-  if (!std::string_view(file).starts_with(kMagic)) {
+Checkpoint Checkpoint::from_image(std::string image,
+                                  const std::string& context) {
+  if (!std::string_view(image).starts_with(kMagic)) {
     throw std::runtime_error(context +
                              " is not a mabfuzz checkpoint (bad magic)");
   }
-  common::ByteReader in(std::string_view(file).substr(kMagic.size()),
+  common::ByteReader in(std::string_view(image).substr(kMagic.size()),
                         context);
   const std::uint32_t version = in.u32("version");
   if (version != kVersion) {
@@ -255,13 +253,23 @@ Checkpoint Checkpoint::load(const std::string& path) {
   }
   Checkpoint out;
   const std::string_view state = parse_payload(payload, out);
-  // The state is most of the file: it takes over the file's buffer rather
-  // than a copy of its bytes.
-  const auto begin = static_cast<std::size_t>(state.data() - file.data());
-  file.resize(begin + state.size());
-  file.erase(0, begin);
-  out.state = std::move(file);
+  // The state is most of the image: it takes over the image's buffer
+  // rather than a copy of its bytes.
+  const auto begin = static_cast<std::size_t>(state.data() - image.data());
+  image.resize(begin + state.size());
+  image.erase(0, begin);
+  out.state = std::move(image);
   return out;
+}
+
+void Checkpoint::save(const std::string& path) const {
+  common::write_file_atomic(path, image());
+}
+
+Checkpoint Checkpoint::load(const std::string& path) {
+  return from_image(
+      common::read_file(path, kMagic.size() + 12 + kMaxPayload + 8),
+      "checkpoint load: '" + path + "'");
 }
 
 std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {

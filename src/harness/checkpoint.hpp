@@ -1,6 +1,6 @@
 #pragma once
 // Crash-safe campaign checkpointing: the "mabfuzz-checkpoint-v3" binary
-// format plus capture / save / load / resume.
+// format plus capture / image / save / load / resume.
 //
 // Design: a checkpoint carries the campaign's state, and a resume
 // restores it instead of replaying the campaign's history. It records
@@ -90,14 +90,23 @@ struct Checkpoint {
   /// captures reuse it.
   [[nodiscard]] static Checkpoint capture(const Campaign& campaign);
 
-  /// Atomically writes "<path>.tmp" then renames onto `path`. Throws
-  /// std::runtime_error (with strerror context) on I/O failure.
-  void save(const std::string& path) const;
+  /// The checkpoint file's bytes (the layout in the file comment).
+  [[nodiscard]] std::string image() const;
 
-  /// Parses a checkpoint file. Throws std::runtime_error naming the file
-  /// and the defect (bad magic, version skew, checksum mismatch,
+  /// Parses an image(). The state takes over `image`'s buffer rather than
+  /// a copy of its bytes. Throws std::runtime_error starting with `context`
+  /// and naming the defect (bad magic, version skew, checksum mismatch,
   /// truncation, trailing bytes, field bounds) — never returns partial
   /// state.
+  [[nodiscard]] static Checkpoint from_image(std::string image,
+                                             const std::string& context);
+
+  /// Atomically writes image() to "<path>.tmp" then renames onto `path`.
+  /// Throws std::runtime_error (with strerror context) on I/O failure.
+  void save(const std::string& path) const;
+
+  /// from_image() of the file at `path`, with the context
+  /// "checkpoint load: '<path>'".
   [[nodiscard]] static Checkpoint load(const std::string& path);
 };
 

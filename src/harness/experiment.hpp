@@ -13,10 +13,9 @@
 //    matrix-expansion order and aggregation runs after every lane has
 //    joined, so aggregate statistics are bit-identical regardless of the
 //    worker count. Each
-//    trial's Campaign owns one Backend whose ExecutionContext (decode
-//    cache, DUT/ISS run buffers, dirty-region DRAM) is recycled across
-//    every test of the trial — the per-worker hot path allocates nothing
-//    per executed test. A cell with corpus_out makes each trial write a
+//    trial's Campaign owns one Backend whose decode cache, outcome buffers
+//    and dirty-region DRAM are recycled across every test of the trial —
+//    the per-worker hot path allocates nothing per executed test. A cell with corpus_out makes each trial write a
 //    private `<path>.shard-<index>` store; after the lanes join the
 //    engine folds the shards (Corpus::merge, spec-index order) into the
 //    one requested store + manifest and deletes the shards.

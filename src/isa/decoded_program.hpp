@@ -49,7 +49,6 @@ class DecodedProgram {
     return slot.result;
   }
 
-  [[nodiscard]] std::size_t slot_count() const noexcept { return slots_.size(); }
   /// Lifetime lookup/decode-miss counters (diagnostics and benchmarks only;
   /// they never influence execution).
   [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }

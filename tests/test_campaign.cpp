@@ -35,11 +35,24 @@ CampaignConfig tiny(std::string fuzzer, std::uint64_t tests = 60) {
   return config;
 }
 
-/// A length-choices value: `entries` copies of `each`, comma-separated.
-std::string lengths(std::size_t entries, const char* each) {
-  std::string out = each;
-  for (std::size_t i = 1; i < entries; ++i) {
-    out += std::string(",") + each;
+/// The first `entries` of the distinct seed lengths 4096 (the length cap),
+/// 12, 13, 14, ...
+std::vector<unsigned> distinct_lengths(std::size_t entries) {
+  std::vector<unsigned> out = {4096};
+  for (unsigned length = 12; out.size() < entries; ++length) {
+    out.push_back(length);
+  }
+  return out;
+}
+
+/// A length-choices value: distinct_lengths(entries), comma-separated.
+std::string lengths(std::size_t entries) {
+  std::string out;
+  for (const unsigned length : distinct_lengths(entries)) {
+    if (!out.empty()) {
+      out += ',';
+    }
+    out += std::to_string(length);
   }
   return out;
 }
@@ -228,8 +241,19 @@ TEST(CampaignConfigTest, RejectsMalformedValues) {
   expect_capped("initial-seeds", "4294967297", "4096");
   expect_capped("length-choices", "4,4097", "4096");
   expect_capped("length-choices", "4,4294967308", "4096");
-  expect_capped("length-choices", lengths(65, "12"), "64");
-  expect_capped("length-choices", lengths(2'000'000, "12"), "64");
+  expect_capped("length-choices", lengths(65), "64");
+  expect_capped("length-choices", lengths(2'000'000), "64");
+  // A zero or repeated length is refused, naming the key: the length
+  // policy could never credit that arm, so its bonus would win forever.
+  for (const char* value : {"0,20", "20,20"}) {
+    try {
+      config.set("length-choices", value);
+      ADD_FAILURE() << "length-choices=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("length-choices"), std::string::npos)
+          << e.what();
+    }
+  }
   // The caps themselves are accepted.
   config.set("arms", "1024");
   EXPECT_EQ(config.policy.bandit.num_arms, 1024u);
@@ -237,10 +261,11 @@ TEST(CampaignConfigTest, RejectsMalformedValues) {
   EXPECT_EQ(config.policy.mutants_per_interesting, 1024u);
   config.set("initial-seeds", "4096");
   EXPECT_EQ(config.policy.thehuzz.initial_seeds, 4096u);
-  config.set("length-choices", lengths(64, "4096"));
-  EXPECT_EQ(config.policy.length_choices, std::vector<unsigned>(64, 4096));
-  config.set("length-choices", lengths(64, "12") + ",");  // trailing comma
-  EXPECT_EQ(config.policy.length_choices.size(), 64u);
+  config.set("length-choices", lengths(64));
+  EXPECT_EQ(config.policy.length_choices, distinct_lengths(64));
+  config.set("length-choices", "20");
+  config.set("length-choices", lengths(64) + ",");  // trailing comma
+  EXPECT_EQ(config.policy.length_choices, distinct_lengths(64));
   // A corpus-cap the corpus loader would refuse is refused up front, naming
   // the key and the bound; the bound itself is accepted.
   try {
@@ -255,12 +280,13 @@ TEST(CampaignConfigTest, RejectsMalformedValues) {
 }
 
 TEST(CampaignConfigTest, CapValuesBuildAndRun) {
-  // Every capped key at its cap, one length choice at the length cap.
+  // Every capped key at its cap: 64 distinct length choices, one of them
+  // at the length cap.
   for (const char* fuzzer : {"thehuzz", "ucb"}) {
     const std::vector<std::string> pairs = {
         std::string("fuzzer=") + fuzzer, "core=rocket", "tests=20",
         "arms=1024", "mutants=1024", "initial-seeds=4096",
-        "adaptive-length=true", "length-choices=4096," + lengths(63, "12")};
+        "adaptive-length=true", "length-choices=" + lengths(64)};
     Campaign campaign(CampaignConfig::from_pairs(pairs));
     EXPECT_EQ(campaign.run().tests_executed, 20u) << fuzzer;
   }

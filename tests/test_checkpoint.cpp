@@ -65,6 +65,7 @@ TEST(CheckpointFormatTest, SaveLoadRoundTripPreservesEveryField) {
 
   const std::string path = testing::TempDir() + "roundtrip.ckpt";
   before.save(path);
+  EXPECT_EQ(read_file(path), before.image());
   const Checkpoint after = Checkpoint::load(path);
 
   EXPECT_EQ(after.job_name, before.job_name);
@@ -116,40 +117,45 @@ TEST(CheckpointFormatTest, EmbedsCorpusImageWhenConfigured) {
 TEST(CheckpointCorruptionTest, EveryTruncationLengthIsRejected) {
   Campaign campaign(tiny("ucb", 60));
   advance(campaign, 30);
-  const std::string path = testing::TempDir() + "trunc.ckpt";
-  Checkpoint::capture(campaign).save(path);
-  const std::string bytes = read_file(path);
+  const std::string bytes = Checkpoint::capture(campaign).image();
   ASSERT_GT(bytes.size(), 40u);
 
-  const std::string mutilated = testing::TempDir() + "trunc-cut.ckpt";
   // Every strictly-shorter prefix must throw: the trailing checksum (and
   // before it, the header's payload length) makes truncation detectable
   // at any byte boundary.
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    write_file(mutilated, bytes.substr(0, cut));
-    EXPECT_THROW((void)Checkpoint::load(mutilated), std::runtime_error)
+    EXPECT_THROW((void)Checkpoint::from_image(bytes.substr(0, cut), "trunc"),
+                 std::runtime_error)
         << "prefix of " << cut << " bytes parsed successfully";
   }
+  // The file path reads through the same parser.
+  const std::string path = testing::TempDir() + "trunc-cut.ckpt";
+  write_file(path, bytes.substr(0, bytes.size() - 1));
+  EXPECT_THROW((void)Checkpoint::load(path), std::runtime_error);
 }
 
 TEST(CheckpointCorruptionTest, BitFlipsAreRejectedEverywhere) {
   Campaign campaign(tiny("thompson", 60));
   advance(campaign, 30);
-  const std::string path = testing::TempDir() + "flip.ckpt";
-  Checkpoint::capture(campaign).save(path);
-  const std::string bytes = read_file(path);
+  const std::string bytes = Checkpoint::capture(campaign).image();
 
-  const std::string mutilated = testing::TempDir() + "flip-bad.ckpt";
   // A flip in the magic/header fails structurally; a flip anywhere in the
   // payload or trailer fails the checksum gate. Stride keeps it fast
   // while still probing every region of the file.
+  std::string corrupt = bytes;
   for (std::size_t at = 0; at < bytes.size(); at += 7) {
-    std::string corrupt = bytes;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x20);
-    write_file(mutilated, corrupt);
-    EXPECT_THROW((void)Checkpoint::load(mutilated), std::runtime_error)
+    corrupt[at] = static_cast<char>(bytes[at] ^ 0x20);
+    EXPECT_THROW((void)Checkpoint::from_image(corrupt, "flip"),
+                 std::runtime_error)
         << "flip at byte " << at << " parsed successfully";
+    corrupt[at] = bytes[at];
   }
+  // The file path reads through the same parser.
+  const std::string path = testing::TempDir() + "flip-bad.ckpt";
+  const std::size_t at = bytes.size() / 3;
+  corrupt[at] = static_cast<char>(bytes[at] ^ 0x20);
+  write_file(path, corrupt);
+  EXPECT_THROW((void)Checkpoint::load(path), std::runtime_error);
 }
 
 TEST(CheckpointCorruptionTest, ErrorsAreDescriptive) {
@@ -468,8 +474,8 @@ TEST(CheckpointResumeTest, ResumeRunsOneTestNotTheHistory) {
   // what one test of a fresh campaign costs, not 400 tests' worth.
   Campaign fresh(config);
   (void)fresh.step();
-  EXPECT_LE(resumed->backend().execution_context().decoded.lookups(),
-            fresh.backend().execution_context().decoded.lookups());
+  EXPECT_LE(resumed->backend().decode_cache().lookups(),
+            fresh.backend().decode_cache().lookups());
 }
 
 }  // namespace

@@ -192,21 +192,6 @@ TEST(Stats, RunningStatsBasics) {
   EXPECT_DOUBLE_EQ(rs.max(), 9.0);
 }
 
-TEST(Stats, RunningStatsMergeMatchesCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(Stats, SummarizeEmptyIsZero) {
   const Summary s = summarize({});
   EXPECT_EQ(s.count, 0u);
@@ -280,13 +265,6 @@ TEST(Stats, SpeedupRatioGuardsDivisionByZero) {
   EXPECT_DOUBLE_EQ(speedup_ratio(0.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(speedup_ratio(-1.0, 5.0), 0.0);
   EXPECT_DOUBLE_EQ(speedup_ratio(5.0, -1.0), 0.0);
-}
-
-TEST(Stats, GeometricMean) {
-  const std::vector<double> v = {1.0, 100.0};
-  EXPECT_NEAR(geometric_mean(v), 10.0, 1e-9);
-  const std::vector<double> with_zero = {0.0, 10.0};
-  EXPECT_NEAR(geometric_mean(with_zero), 10.0, 1e-9);  // zeros skipped
 }
 
 // --- json --------------------------------------------------------------------

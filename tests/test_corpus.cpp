@@ -135,8 +135,8 @@ Corpus executed_corpus(std::size_t tests = 40, std::size_t cap = 16,
   for (std::size_t i = 0; i < tests; ++i) {
     const TestCase test = i % 3 == 0 ? backend.make_seed()
                                      : backend.make_mutant(parent);
-    const fuzz::TestOutcome outcome = backend.run_test(test);
-    if (corpus.offer(test, outcome.coverage) && !test.is_seed()) {
+    if (corpus.offer(test, backend.run_test(test).dut.test_coverage) &&
+        !test.is_seed()) {
       parent = test;
     }
   }

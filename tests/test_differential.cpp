@@ -110,8 +110,9 @@ INSTANTIATE_TEST_SUITE_P(AllCores, CleanCoreDifferential,
 // reset, and (c) reused run buffers. None of it may change any architectural
 // bit: the pre-decoded overloads must be bit-identical to the per-word-decode
 // reference path, on clean cores AND with every injected bug enabled, and a
-// backend whose ExecutionContext is reused across many tests must produce
-// the same outcomes as a backend constructed fresh for each test.
+// backend whose decode cache and outcome buffers are reused across many
+// tests must produce the same outcomes as a backend constructed fresh for
+// each test.
 
 // Both simulators on both paths: the per-word-decode reference overloads,
 // which step every instruction, against the pre-decoded hot path with its
@@ -574,9 +575,9 @@ TEST(TrapSled, OverwrittenHandlerIsNotReplayed) {
                             "overwritten handler");
 }
 
-// A backend reusing its ExecutionContext (decode cache + run buffers +
-// dirty-region DRAM) across a long test sequence must report exactly what a
-// backend constructed from scratch for every single test reports.
+// A backend reusing its decode cache, outcome buffers and dirty-region DRAM
+// across a long test sequence must report exactly what a backend
+// constructed from scratch for every single test reports.
 TEST(ExecutionContextReuse, ReusedBackendMatchesFreshBackendPerTest) {
   fuzz::BackendConfig config;
   config.core = soc::CoreKind::kCva6;
@@ -591,7 +592,6 @@ TEST(ExecutionContextReuse, ReusedBackendMatchesFreshBackendPerTest) {
   mutation::Engine engine(mutation::EngineConfig{},
                           common::make_stream(99, 0, "ctx-reuse-mut"));
 
-  fuzz::TestOutcome outcome;  // reused across all iterations
   for (int t = 0; t < 30; ++t) {
     fuzz::TestCase test;
     test.id = static_cast<std::uint64_t>(t) + 1;
@@ -600,32 +600,22 @@ TEST(ExecutionContextReuse, ReusedBackendMatchesFreshBackendPerTest) {
       test.words = engine.mutate(test.words);
     }
 
-    reused.run_test(test, outcome);
     fuzz::Backend fresh(config);
-    const fuzz::TestOutcome expected = fresh.run_test(test);
-
-    ASSERT_TRUE(expected.coverage == outcome.coverage)
-        << "coverage diverged on test " << t;
-    EXPECT_EQ(expected.mismatch, outcome.mismatch) << "test " << t;
-    EXPECT_EQ(expected.mismatch_description, outcome.mismatch_description);
-    EXPECT_EQ(expected.mismatch_commit, outcome.mismatch_commit);
-    EXPECT_EQ(expected.firings, outcome.firings) << "test " << t;
-    EXPECT_EQ(expected.dut_cycles, outcome.dut_cycles) << "test " << t;
-    EXPECT_EQ(expected.commits, outcome.commits) << "test " << t;
+    EXPECT_TRUE(reused.run_test(test) == fresh.run_test(test))
+        << "outcome diverged on test " << t;
   }
-  // The reused context must actually have been reused (cache warm across
-  // tests), or this test proves nothing about the scratch path.
-  EXPECT_GT(reused.execution_context().decoded.lookups(),
-            reused.execution_context().decoded.misses());
+  // The decode cache must actually have been reused (warm across tests),
+  // or this test proves nothing about the reuse path.
+  EXPECT_GT(reused.decode_cache().lookups(), reused.decode_cache().misses());
 }
 
 // --- behaviour lock -------------------------------------------------------------
 //
 // The equivalence tests compare two execution paths of one build, so a
-// change that moves both paths at once passes them. This lock folds every
-// TestOutcome field of a fixed lineage stream into one FNV-1a-64 digest per
-// (core, bug set) and compares it with constants recorded before the
-// steady-state loop skip (docs/ARCHITECTURE.md, "Steady-state loops")
+// change that moves both paths at once passes them. This lock folds the DUT
+// results and the verdicts of a fixed lineage stream into one FNV-1a-64
+// digest per (core, bug set) and compares it with constants recorded before
+// the steady-state loop skip (docs/ARCHITECTURE.md, "Steady-state loops")
 // landed. About a fifth of these tests run into the instruction budget, so
 // the skip path is inside the lock. A deliberate behaviour change updates
 // the constants in the same change, and says so.
@@ -651,17 +641,19 @@ class Fnv1a64 {
 };
 
 void fold_outcome(const fuzz::TestOutcome& outcome, Fnv1a64& digest) {
-  digest.add(outcome.coverage.universe());
-  for (const std::uint64_t word : outcome.coverage.words()) {
+  const soc::RunOutput& dut = outcome.dut;
+  digest.add(dut.test_coverage.universe());
+  for (const std::uint64_t word : dut.test_coverage.words()) {
     digest.add(word);
   }
-  digest.add(outcome.commits);
-  digest.add(outcome.dut_cycles);
+  digest.add(dut.arch.commits.size());
+  digest.add(dut.cycles);
   digest.add(outcome.mismatch ? 1 : 0);
-  digest.add(outcome.mismatch_description);
-  digest.add(outcome.mismatch_commit);
-  digest.add(outcome.firings.size());
-  for (const soc::BugFiring& firing : outcome.firings) {
+  digest.add(outcome.mismatch ? std::string_view(outcome.mismatch->description)
+                              : std::string_view());
+  digest.add(outcome.mismatch ? outcome.mismatch->commit_index : 0);
+  digest.add(dut.firings.size());
+  for (const soc::BugFiring& firing : dut.firings) {
     digest.add(static_cast<std::uint64_t>(firing.id));
     digest.add(firing.commit_index);
   }
@@ -695,7 +687,6 @@ TEST(BehaviourLock, LineageOutcomesMatchRecordedDigests) {
     fuzz::Backend backend(config);
 
     Fnv1a64 digest;
-    fuzz::TestOutcome outcome;
     int tests = 0;
     int budget_bound = 0;
     for (int s = 0; s < kSeeds; ++s) {
@@ -704,13 +695,11 @@ TEST(BehaviourLock, LineageOutcomesMatchRecordedDigests) {
         if (depth > 0) {
           test = backend.make_mutant(test);
         }
-        backend.run_test(test, outcome);
+        const fuzz::TestOutcome& outcome = backend.run_test(test);
         fold_outcome(outcome, digest);
         ++tests;
-        budget_bound += backend.execution_context().dut_out.arch.halt ==
-                                isa::HaltReason::kBudget
-                            ? 1
-                            : 0;
+        budget_bound +=
+            outcome.dut.arch.halt == isa::HaltReason::kBudget ? 1 : 0;
       }
     }
     EXPECT_EQ(digest.value(), c.digest)

@@ -259,10 +259,10 @@ TEST(Backend, RunsSeedsWithoutMismatchOnCleanCore) {
   Backend backend(config);
   for (int i = 0; i < 30; ++i) {
     const TestCase seed = backend.make_seed();
-    const TestOutcome outcome = backend.run_test(seed);
-    EXPECT_FALSE(outcome.mismatch) << outcome.mismatch_description;
-    EXPECT_GT(outcome.coverage.count(), 0u);
-    EXPECT_GT(outcome.commits, 0u);
+    const TestOutcome& outcome = backend.run_test(seed);
+    EXPECT_FALSE(outcome.mismatch.has_value()) << outcome.mismatch->description;
+    EXPECT_GT(outcome.dut.test_coverage.count(), 0u);
+    EXPECT_GT(outcome.dut.arch.commits.size(), 0u);
   }
   EXPECT_EQ(backend.tests_executed(), 30u);
 }

@@ -524,6 +524,8 @@ TEST(ServeProtocolTest, SubmitErrorsAreReplies) {
        "'length-choices': 65536 exceeds the cap 4096"},
       {"submit job=a length-choices=" + sixty_five_lengths,
        "'length-choices': 65 lengths exceed the cap 64"},
+      {"submit job=a length-choices=0,20", "'length-choices': length 0"},
+      {"submit job=a length-choices=20,20", "'length-choices': length 20"},
   };
   for (const auto& [line, named] : refused) {
     const std::string reply = reply_to(service, line);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""detlint — the MABFuzz determinism & ownership linter.
+"""detlint — the MABFuzz determinism linter.
 
 The repo's load-bearing guarantee is that experiment and corpus artifacts
 are byte-identical across 1/2/8 workers and save->load->save round trips
@@ -20,11 +20,6 @@ Rules (see docs/STATIC_ANALYSIS.md for the full catalogue):
                          implementation-defined => not reproducible)
   pragma-once            every header starts with #pragma once
   using-namespace-header no `using namespace` in headers
-  context-read           Backend::execution_context() is a test/bench
-                         introspection hook; library and example code must
-                         read results from TestOutcome (ownership rule)
-  outcome-in-loop        a TestOutcome declared inside a loop body defeats
-                         the backend scratch-swap reuse pattern; hoist it
 
 Suppressions:
 
@@ -70,15 +65,6 @@ RULES = {
         "header does not start with #pragma once",
     "using-namespace-header":
         "`using namespace` in a header leaks into every includer",
-    "context-read":
-        "Backend::execution_context() outside tests/ and bench/; after "
-        "run_test the scratch holds the caller's *previous* buffers — read "
-        "results from the TestOutcome (docs/ARCHITECTURE.md ownership "
-        "rules)",
-    "outcome-in-loop":
-        "TestOutcome constructed inside a loop; hoist it out and reuse it "
-        "so the backend scratch swap stays allocation-free "
-        "(docs/ARCHITECTURE.md ownership rules)",
 }
 
 # Files that feed the deterministic artifact emitters (experiment JSON/CSV,
@@ -100,14 +86,6 @@ ARTIFACT_PATH_GLOBS = [
 
 # The one module allowed to name raw generators: it *is* the RNG.
 RNG_EXEMPT_GLOBS = ["src/common/rng.*"]
-
-# execution_context() is legitimate in the tests/benches that inspect
-# decode-cache counters, and in the backend that defines it.
-CONTEXT_READ_ALLOWED_GLOBS = ["tests/*", "bench/*", "src/fuzz/backend.*"]
-
-# outcome-in-loop applies to library and example code; equivalence tests
-# construct fresh outcomes per test on purpose (reused vs fresh suites).
-OUTCOME_RULE_GLOBS = ["src/*", "examples/*"]
 
 DEFAULT_SCAN_ROOTS = ["src", "tests", "bench", "examples"]
 EXCLUDED_DIR_NAMES = {"lint_fixtures", "build"}
@@ -154,11 +132,6 @@ RNG_TOKENS = [
 UNORDERED_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
 USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
-CONTEXT_READ_RE = re.compile(r"\bexecution_context\s*\(")
-OUTCOME_DECL_RE = re.compile(
-    r"(?:^\s*|[{};]\s*)(?:(?:::)?(?:mabfuzz::)?fuzz::)?TestOutcome\s+\w+\s*"
-    r"(?:;|\{\s*\}\s*;|=)")
-LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
 
 ALLOW_RE = re.compile(r"//\s*detlint:allow\(([^)]*)\)")
 ALLOW_FILE_RE = re.compile(r"//\s*detlint:allow-file\(([^)]*)\)")
@@ -264,45 +237,6 @@ class _Suppressions:
             line, set())
 
 
-def _scan_outcome_in_loop(code: list[str]):
-    """Yields line numbers where a TestOutcome is declared inside a loop.
-
-    Lightweight brace/paren tracking: a `for`/`while`/`do` keyword arms the
-    next top-level `{` as a loop scope; declarations while any loop scope
-    is open are findings. Good enough for lint (no macros games in this
-    repo), and locked in by the lint fixtures.
-    """
-    brace_stack = []  # True = loop scope
-    pending_loop = False
-    paren_depth = 0
-    for lineno, line in enumerate(code, start=1):
-        if any(brace_stack) and OUTCOME_DECL_RE.search(line):
-            yield lineno
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == "(":
-                paren_depth += 1
-            elif ch == ")":
-                paren_depth = max(0, paren_depth - 1)
-            elif ch == "{":
-                brace_stack.append(pending_loop)
-                pending_loop = False
-            elif ch == "}":
-                if brace_stack:
-                    brace_stack.pop()
-            elif ch == ";" and paren_depth == 0:
-                pending_loop = False
-            elif ch.isalpha():
-                m = LOOP_KEYWORD_RE.match(line, i)
-                if m and (i == 0 or not (line[i - 1].isalnum()
-                                         or line[i - 1] == "_")):
-                    pending_loop = True
-                    i = m.end()
-                    continue
-            i += 1
-
-
 def lint_file(relpath: str, text: str) -> list:
     """Lints one file; relpath is repo-relative with forward slashes."""
     relpath = relpath.replace("\\", "/")
@@ -318,8 +252,6 @@ def lint_file(relpath: str, text: str) -> list:
     is_header = relpath.endswith((".hpp", ".hh", ".h"))
     artifact_path = _matches_any(relpath, ARTIFACT_PATH_GLOBS)
     rng_exempt = _matches_any(relpath, RNG_EXEMPT_GLOBS)
-    context_allowed = _matches_any(relpath, CONTEXT_READ_ALLOWED_GLOBS)
-    outcome_rule = _matches_any(relpath, OUTCOME_RULE_GLOBS)
 
     for lineno, cline in enumerate(code, start=1):
         if artifact_path:
@@ -338,8 +270,6 @@ def lint_file(relpath: str, text: str) -> list:
         if is_header and USING_NAMESPACE_RE.search(cline):
             report(lineno, "using-namespace-header",
                    RULES["using-namespace-header"])
-        if not context_allowed and CONTEXT_READ_RE.search(cline):
-            report(lineno, "context-read", RULES["context-read"])
 
     if is_header:
         first_code = next(
@@ -348,10 +278,6 @@ def lint_file(relpath: str, text: str) -> list:
         if first_code is None or not PRAGMA_ONCE_RE.match(first_code[1]):
             report(first_code[0] if first_code else 1, "pragma-once",
                    RULES["pragma-once"])
-
-    if outcome_rule:
-        for lineno in _scan_outcome_in_loop(code):
-            report(lineno, "outcome-in-loop", RULES["outcome-in-loop"])
 
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings

@@ -6,7 +6,8 @@ path named by its `// detlint-path:` directive (so artifact-path and
 module-exemption rules apply exactly as they would in the tree), and the
 findings must match the `// detlint-expect: <rule>[,<rule>]` markers
 line-for-line. Files named pass_* must produce no findings; files named
-fail_* must produce at least one.
+fail_* must produce at least one. The rule-catalogue table in
+docs/STATIC_ANALYSIS.md must list exactly the rules of detlint.RULES.
 
 Run directly or via CTest (registered as tier-1 `detlint_fixtures`).
 Exit status: 0 = all fixtures behave, 1 = mismatch, 2 = fixture malformed.
@@ -24,7 +25,11 @@ import detlint  # noqa: E402
 PATH_DIRECTIVE_RE = re.compile(r"//\s*detlint-path:\s*(\S+)")
 EXPECT_RE = re.compile(r"//\s*detlint-expect:\s*([\w-]+(?:\s*,\s*[\w-]+)*)")
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "tests" / "lint_fixtures"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_DIR = REPO_ROOT / "tests" / "lint_fixtures"
+CATALOGUE_DOC = REPO_ROOT / "docs" / "STATIC_ANALYSIS.md"
+# A catalogue row: | `rule` | scope | invariant |
+CATALOGUE_ROW_RE = re.compile(r"^\|\s*`([\w-]+)`\s*\|")
 
 
 def check_fixture(path: Path) -> list:
@@ -66,6 +71,35 @@ def check_fixture(path: Path) -> list:
     return errors
 
 
+def documented_rules() -> list:
+    """Returns the rule names of the "### Rule catalogue" table, in order."""
+    rules = []
+    in_catalogue = False
+    for line in CATALOGUE_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            in_catalogue = line.strip() == "### Rule catalogue"
+            continue
+        m = CATALOGUE_ROW_RE.match(line) if in_catalogue else None
+        if m:
+            rules.append(m.group(1))
+    return rules
+
+
+def check_catalogue() -> list:
+    """Returns errors where the docs' rule table and detlint.RULES differ."""
+    documented = documented_rules()
+    errors = [f"{CATALOGUE_DOC.name}: rule '{rule}' is listed twice in the "
+              f"rule catalogue" for rule in sorted(set(documented))
+              if documented.count(rule) > 1]
+    for rule in sorted(detlint.RULES.keys() - set(documented)):
+        errors.append(f"{CATALOGUE_DOC.name}: rule '{rule}' is missing from "
+                      f"the rule catalogue table")
+    for rule in sorted(set(documented) - detlint.RULES.keys()):
+        errors.append(f"{CATALOGUE_DOC.name}: the rule catalogue lists "
+                      f"'{rule}', which detlint does not have")
+    return errors
+
+
 def main() -> int:
     if not FIXTURE_DIR.is_dir():
         print(f"detlint_test: fixture dir {FIXTURE_DIR} missing",
@@ -100,6 +134,7 @@ def main() -> int:
     for rule in sorted(uncovered):
         failures.append(f"rule '{rule}' has no fixture coverage "
                         f"(add a fail_* fixture with an expect marker)")
+    failures.extend(check_catalogue())
 
     for failure in failures:
         print(failure)
