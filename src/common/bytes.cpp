@@ -1,5 +1,8 @@
 #include "common/bytes.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +22,32 @@ namespace {
 }
 
 }  // namespace
+
+std::uint64_t hash64(std::string_view bytes) {
+  // 2^64 / golden ratio, odd. The premultiply spreads each word bit upward
+  // and the rotation brings high bits down: no bit passes every step unmixed.
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  const auto step = [](std::uint64_t lane, std::uint64_t word) {
+    return std::rotl(lane ^ (word * kMul), 31) * kMul;
+  };
+  const std::size_t n = bytes.size();
+  const std::uint64_t seed = n * kMul;
+  std::array<std::uint64_t, 4> lanes = {seed, seed + 1, seed + 2, seed + 3};
+  // Word i goes to lane i mod 4, the 0-7 tail bytes making one last word.
+  std::size_t at = 0;
+  for (; at + 32 <= n; at += 32) {
+    for (std::size_t j = 0; j < lanes.size(); ++j) {
+      lanes[j] = step(lanes[j], load_le(bytes.data() + at + 8 * j, 8));
+    }
+  }
+  for (std::size_t j = 0; at < n; at += 8, ++j) {
+    lanes[j] = step(lanes[j], load_le(bytes.data() + at,
+                                      std::min<std::size_t>(n - at, 8)));
+  }
+  const std::uint64_t hash =
+      step(step(step(lanes[0], lanes[1]), lanes[2]), lanes[3]);
+  return hash ^ (hash >> 32);
+}
 
 void write_file_atomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";

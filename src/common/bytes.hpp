@@ -4,9 +4,9 @@
 // store (fuzz/corpus.hpp) and every save_state / restore_state pair of
 // the engine's stateful components. Doubles travel as their IEEE-754 bit
 // patterns and RNG streams as their raw 256-bit state, so an image is
-// bit-exact, never round-tripped through decimal. The two whole-file
-// helpers at the end are the one path every artifact file takes to and
-// from disk.
+// bit-exact, never round-tripped through decimal. hash64 checksums such
+// an image, and the two whole-file helpers at the end are the one path
+// every artifact file takes to and from disk.
 
 #include <array>
 #include <bit>
@@ -81,6 +81,20 @@ inline void put_blob(std::string& out, std::string_view s) {
   out.append(s);
 }
 
+/// The `n` (at most 8) bytes at `p` as a little-endian word, zero-padded:
+/// a plain copy on little-endian hosts.
+inline std::uint64_t load_le(const char* p, std::size_t n) {
+  std::uint64_t word = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&word, p, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      word |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+    }
+  }
+  return word;
+}
+
 /// Cursor over a byte image. Every read names its field and is
 /// bounds-checked, so an image that lies about its lengths throws
 /// std::runtime_error("<context>: truncated payload (<field>)") instead
@@ -97,22 +111,10 @@ class ByteReader {
   }
 
   std::uint32_t u32(std::string_view what) {
-    const char* p = take(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-    }
-    return v;
+    return static_cast<std::uint32_t>(load_le(take(4, what), 4));
   }
 
-  std::uint64_t u64(std::string_view what) {
-    const char* p = take(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-    }
-    return v;
-  }
+  std::uint64_t u64(std::string_view what) { return load_le(take(8, what), 8); }
 
   double f64(std::string_view what) {
     return std::bit_cast<double>(u64(what));
@@ -224,6 +226,11 @@ class ByteReader {
   std::string context_;
   std::size_t pos_ = 0;
 };
+
+/// The checkpoint-v4 trailer and fingerprint hash (docs/ARTIFACTS.md): 8
+/// little-endian bytes per step into four lanes, every step a bijection of
+/// its lane, so a change within one aligned 8-byte word always shows.
+[[nodiscard]] std::uint64_t hash64(std::string_view bytes);
 
 /// Writes `bytes` to "<path>.tmp", flushes it and renames it onto `path`,
 /// so an interrupted or failed write leaves the previous file intact (no

@@ -1,7 +1,6 @@
 #include "harness/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string_view>
@@ -28,44 +27,6 @@ constexpr std::uint64_t kMaxPayload = fuzz::Corpus::kMaxImageBytes +
                                       kMaxState + kMaxString +
                                       (kMaxCount * 32);
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-/// kFnvPrime^n mod 2^64.
-constexpr std::uint64_t fnv_prime_power(unsigned n) {
-  std::uint64_t power = 1;
-  for (unsigned i = 0; i < n; ++i) {
-    power *= kFnvPrime;
-  }
-  return power;
-}
-
-/// FNV-1a-64. A zero byte only multiplies the hash by the prime, so an
-/// 8-byte run of zeros is one multiplication by its eighth power: one step
-/// instead of eight dependent ones over the mostly-zero coverage words of a
-/// state or corpus image, and the same value.
-std::uint64_t fnv1a64(std::string_view bytes) {
-  constexpr std::uint64_t kPrime8 = fnv_prime_power(8);
-  std::uint64_t hash = 14695981039346656037ULL;
-  std::size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, bytes.data() + i, 8);
-    if (word == 0) {
-      hash *= kPrime8;
-      continue;
-    }
-    for (std::size_t j = i; j < i + 8; ++j) {
-      hash ^= static_cast<unsigned char>(bytes[j]);
-      hash *= kFnvPrime;
-    }
-  }
-  for (; i < bytes.size(); ++i) {
-    hash ^= static_cast<unsigned char>(bytes[i]);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 /// Runs `campaign`'s first test and hashes the state it reaches: its
 /// save_state bytes plus its shared-corpus image, built in `bytes` (cleared
 /// first, so a caller can reuse one buffer). Equal configs on equal code
@@ -78,15 +39,11 @@ std::uint64_t probe_fingerprint(Campaign& campaign, std::string& bytes) {
   if (campaign.corpus() != nullptr) {
     bytes += campaign.corpus()->image();
   }
-  return fnv1a64(bytes);
+  return common::hash64(bytes);
 }
 
-// Payload is built in memory (little-endian bytes appended to a string)
-// so the FNV-1a trailer covers it exactly and from_image() can checksum
-// before parsing a single field.
-
-std::string serialize_payload(const Checkpoint& checkpoint) {
-  std::string out;
+/// Appends the payload (every field after the header) to `out`.
+void append_payload(const Checkpoint& checkpoint, std::string& out) {
   common::put_str(out, checkpoint.job_name);
   common::put_str(out, checkpoint.tenant);
   common::put_str(out, checkpoint.artifact_out);
@@ -119,7 +76,6 @@ std::string serialize_payload(const Checkpoint& checkpoint) {
   }
   common::put_u64(out, checkpoint.fingerprint);
   common::put_blob(out, checkpoint.state);
-  return out;
 }
 
 /// Parses every field of `payload` into `out` but the state, its last
@@ -218,12 +174,19 @@ Checkpoint Checkpoint::capture(const Campaign& campaign) {
 }
 
 std::string Checkpoint::image() const {
-  const std::string payload = serialize_payload(*this);
+  // The payload goes straight into the file, behind a length patched after
+  // it. Reserving the bulk fields plus slack keeps appends from reallocating.
   std::string file(kMagic);
-  file.reserve(kMagic.size() + 12 + payload.size() + 8);
+  file.reserve(4096 + 24 * snapshots.size() + fuzzer_state.size() +
+               8 * coverage_words.size() + corpus_image.size() + state.size());
   common::put_u32(file, kVersion);
-  common::put_blob(file, payload);
-  common::put_u64(file, fnv1a64(payload));
+  common::put_u64(file, 0);
+  const std::size_t begin = file.size();
+  append_payload(*this, file);
+  std::string length;
+  common::put_u64(length, file.size() - begin);
+  file.replace(begin - 8, 8, length);
+  common::put_u64(file, common::hash64(std::string_view(file).substr(begin)));
   return file;
 }
 
@@ -245,7 +208,7 @@ Checkpoint Checkpoint::from_image(std::string image,
   const std::uint64_t stored = in.u64("checksum trailer");
   // Checksum gate first: a corrupt payload is rejected wholesale, never
   // parsed into partial state.
-  if (stored != fnv1a64(payload)) {
+  if (stored != common::hash64(payload)) {
     in.fail("checksum mismatch (corrupt or truncated file)");
   }
   if (!in.exhausted()) {

@@ -1,5 +1,5 @@
 #pragma once
-// Crash-safe campaign checkpointing: the "mabfuzz-checkpoint-v3" binary
+// Crash-safe campaign checkpointing: the "mabfuzz-checkpoint-v4" binary
 // format plus capture / image / save / load / resume.
 //
 // Design: a checkpoint carries the campaign's state, and a resume
@@ -10,7 +10,7 @@
 // the fuzzer's save_state (RNG streams, test ids, bandit statistics,
 // arms, pools, coverage maps), (d) witnesses of that state (the fuzzer's
 // append_state, the global coverage words) and (e) a fingerprint: the
-// FNV-1a-64 hash of the state a campaign built from (a) reaches after its
+// common::hash64 of the state a campaign built from (a) reaches after its
 // first test. resume_campaign() builds the campaign from (a), runs that
 // one probe test and requires its hash to equal (e), then overwrites the
 // campaign with (b) and (c), and finally requires a fresh save_state to
@@ -24,8 +24,8 @@
 // then continues under the new code from the restored state.
 //
 // File layout (all integers little-endian):
-//   magic "MABFUZZK" | u32 version=3 | u64 payload_len | payload
-//   | u64 fnv1a64(payload)
+//   magic "MABFUZZK" | u32 version=4 | u64 payload_len | payload
+//   | u64 common::hash64(payload)
 // The checksum is validated before any payload field is parsed, so a
 // bit flip or truncation anywhere is rejected up front, never surfaced
 // as a half-parsed campaign. Writes go to "<path>.tmp" then rename(2),
@@ -44,7 +44,7 @@ namespace mabfuzz::harness {
 /// Produced by capture() / load(); consumed by save() / resume_campaign().
 struct Checkpoint {
   /// Format version this code reads and writes.
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   // --- service metadata (empty for bare in-process checkpoints) ---
   std::string job_name;
@@ -77,7 +77,7 @@ struct Checkpoint {
   std::string corpus_image;
 
   // --- restore (new in v3) ---
-  /// FNV-1a-64 of the save_state bytes plus shared-corpus image a
+  /// common::hash64 of the save_state bytes plus shared-corpus image a
   /// campaign built from config_pairs reaches after its first test.
   std::uint64_t fingerprint = 0;
   /// Campaign::save_state(): the backend's state, then the fuzzer's.

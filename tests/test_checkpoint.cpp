@@ -1,4 +1,4 @@
-// Checkpoint-v3 tests: struct round-trip through the binary format,
+// Checkpoint-v4 tests: struct round-trip through the binary format,
 // corruption rejection (truncation at every byte boundary, bit flips,
 // bad magic/version — always a descriptive throw, never partial state;
 // test_input_mutation covers mutants that pass the checksum), restore
@@ -191,22 +191,28 @@ TEST(CheckpointCorruptionTest, ErrorsAreDescriptive) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
   }
 
-  // A version-1 file (its config section names keys this build no longer
-  // knows) is refused up front, not half-resumed.
+  // An older file is refused up front by its version, not half-resumed:
+  // version 1 (its config section names keys this build no longer knows)
+  // and version 3, the last one before the word-wise checksum.
   const std::string old_version = testing::TempDir() + "version.ckpt";
   Checkpoint::capture(campaign).save(old_version);
-  bytes = read_file(old_version);
-  ASSERT_GT(bytes.size(), 12u);
-  bytes[8] = 1;  // u32 version, little-endian, right after the 8-byte magic
-  bytes[9] = bytes[10] = bytes[11] = 0;
-  write_file(old_version, bytes);
-  try {
-    (void)Checkpoint::load(old_version);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
-              std::string::npos)
-        << e.what();
+  const std::string current = read_file(old_version);
+  ASSERT_GT(current.size(), 12u);
+  for (const char version : {'\1', '\3'}) {
+    bytes = current;
+    bytes[8] = version;  // u32 version, little-endian, after the 8-byte magic
+    bytes[9] = bytes[10] = bytes[11] = 0;
+    write_file(old_version, bytes);
+    try {
+      (void)Checkpoint::load(old_version);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "unsupported version " + std::to_string(version) +
+                    " (this build reads version 4)"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Unit tests for the common substrate: RNG, bit ops, statistics, table
-// rendering and CLI parsing.
+// rendering, CLI parsing and the checkpoint hash.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -10,8 +11,11 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "common/bitops.hpp"
+#include "common/bytes.hpp"
 #include "common/fastmod.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -443,6 +447,75 @@ TEST(FastMod, DefaultAndZeroDivisorReduceToZero) {
   EXPECT_EQ(def(std::numeric_limits<std::uint64_t>::max()), 0u);
   const FastMod zero(0);  // tolerated (callers would have UB with `%`)
   EXPECT_EQ(zero(12345), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// hash64 — the checkpoint-v4 trailer and probe fingerprint. The recorded
+// values match a reimplementation from docs/ARTIFACTS.md; a change to any
+// of them is a checkpoint format change.
+
+/// `n` bytes of a fixed pattern with period 256: no two of its first 32
+/// aligned words are equal.
+std::string pattern(std::size_t n) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>(i * 131 + 7);
+  }
+  return out;
+}
+
+TEST(Hash64, MatchesRecordedValues) {
+  EXPECT_EQ(hash64(""), 0xaeff9dd1da94e555ULL);
+  // One to seven tail bytes and no whole word.
+  const std::array<std::uint64_t, 7> tails = {
+      0xf6360a44087c627dULL, 0x144d7ed16c6f1791ULL, 0x10d50f64426cf3d1ULL,
+      0x211a506765962ef4ULL, 0x4e85d02fcb9074c0ULL, 0xbf8ab75bfbbe9279ULL,
+      0xa72d70e7c6cd0cb5ULL};
+  for (std::size_t n = 1; n <= tails.size(); ++n) {
+    EXPECT_EQ(hash64(std::string_view("mabfuzz", n)), tails[n - 1]) << n;
+  }
+  // Around one 32-byte block: three words and a tail, four words, four
+  // words and a tail.
+  EXPECT_EQ(hash64(pattern(31)), 0xe6d6c1f4ac1a49bdULL);
+  EXPECT_EQ(hash64(pattern(32)), 0xbea3b630c4826218ULL);
+  EXPECT_EQ(hash64(pattern(33)), 0x98882204dbc4e669ULL);
+  // Mostly zero, like the coverage words of a state image.
+  std::string sparse(200 * 1024, '\0');
+  sparse[3] = 'a';
+  sparse[100000] = 'b';
+  sparse.back() = 'c';
+  EXPECT_EQ(hash64(sparse), 0xb6ae824168a317b0ULL);
+}
+
+TEST(Hash64, EverySingleBitFlipChangesTheHash) {
+  // Guaranteed by construction: every step is a bijection of its lane.
+  std::string bytes = pattern(1024);
+  const std::uint64_t original = hash64(bytes);
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_NE(hash64(bytes), original) << "bit " << bit;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+  }
+}
+
+TEST(Hash64, EveryTwoBitFlipChangesTheHash) {
+  // Not guaranteed, but pinned: without the premultiply and the rotation
+  // a flip of one word's top bit passes every step as the same top-bit
+  // difference, and two such flips cancel.
+  for (std::string bytes : {pattern(64), std::string(64, '\0')}) {
+    const std::uint64_t original = hash64(bytes);
+    std::size_t collisions = 0;
+    for (std::size_t a = 0; a < bytes.size() * 8; ++a) {
+      bytes[a / 8] = static_cast<char>(bytes[a / 8] ^ (1 << (a % 8)));
+      for (std::size_t b = a + 1; b < bytes.size() * 8; ++b) {
+        bytes[b / 8] = static_cast<char>(bytes[b / 8] ^ (1 << (b % 8)));
+        collisions += hash64(bytes) == original ? 1 : 0;
+        bytes[b / 8] = static_cast<char>(bytes[b / 8] ^ (1 << (b % 8)));
+      }
+      bytes[a / 8] = static_cast<char>(bytes[a / 8] ^ (1 << (a % 8)));
+    }
+    EXPECT_EQ(collisions, 0u);
+  }
 }
 
 }  // namespace

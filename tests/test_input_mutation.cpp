@@ -1,5 +1,5 @@
 // Seeded mutation tests of every input that reaches the process from
-// outside: serve command lines, corpus-v2 images and checkpoint-v3 files.
+// outside: serve command lines, corpus-v2 images and checkpoint-v4 files.
 // Campaign config pairs ride in two of those carriers (submit lines and
 // the checkpoint's pair section); RandomKeySoupNeverCrashesTheParser in
 // test_campaign covers the bare parser. One mutator makes every mutant,
@@ -316,16 +316,7 @@ TEST(InputMutationTest, CorpusImagesAreRefusedOrSound) {
   std::filesystem::remove_all(dir);
 }
 
-// --- checkpoint-v3 files --------------------------------------------------------
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+// --- checkpoint-v4 files --------------------------------------------------------
 
 TEST(InputMutationTest, CheckpointFilesAreRefusedOrResume) {
   // The mutants carry a recomputed checksum, so they reach the payload
@@ -347,14 +338,14 @@ TEST(InputMutationTest, CheckpointFilesAreRefusedOrResume) {
     advance(campaign, 120);
     Checkpoint::capture(campaign).save(path);
     const std::string file = common::read_file(path, 1u << 26);
-    // magic (8) | u32 version | u64 payload length | payload | u64 FNV
+    // magic (8) | u32 version | u64 payload length | payload | u64 hash64
     const std::string payload = file.substr(20, file.size() - 28);
     std::size_t refused = 0;
     for (int i = 0; i < 300; ++i) {
       const std::string mutated = mutate(payload, rng, Input::kBinary);
       std::string bytes = file.substr(0, 12);
       common::put_blob(bytes, mutated);
-      common::put_u64(bytes, fnv1a64(mutated));
+      common::put_u64(bytes, common::hash64(mutated));
       write_bytes(path, bytes);
       std::unique_ptr<Campaign> resumed;
       std::uint64_t steps = 0;
