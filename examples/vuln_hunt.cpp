@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     const fuzz::TestOutcome& outcome = backend.run_test(test);
     if (outcome.mismatch && detects(outcome)) {
       std::cout << "\n" << fuzz::to_listing(test) << "\n  oracle: "
-                << outcome.mismatch->description << "\n";
+                << fuzz::describe(*outcome.mismatch) << "\n";
 
       // Triage: shrink the finding to the minimal reproducer.
       const fuzz::MinimizeResult minimized =

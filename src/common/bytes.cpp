@@ -5,9 +5,12 @@
 #include <bit>
 #include <cerrno>
 #include <cstdio>
-#include <filesystem>
+#include <cstring>
 #include <fstream>
-#include <system_error>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 namespace mabfuzz::common {
 
@@ -20,6 +23,19 @@ namespace {
   throw std::runtime_error(std::string(action) + " '" + path +
                            "': " + std::strerror(error));
 }
+
+/// Closes a descriptor (if any) when the read leaves, by return or throw.
+struct FileCloser {
+  explicit FileCloser(int descriptor) noexcept : fd(descriptor) {}
+  FileCloser(const FileCloser&) = delete;
+  FileCloser& operator=(const FileCloser&) = delete;
+  ~FileCloser() {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+  int fd;
+};
 
 }  // namespace
 
@@ -72,24 +88,40 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
 }
 
 std::string read_file(const std::string& path, std::uint64_t max_bytes) {
-  // Regular files only: a directory or a device has no size to bound.
-  std::error_code error;
-  const std::uintmax_t size = std::filesystem::file_size(path, error);
-  if (error) {
-    fail_io("cannot read", path, error.value());
+  // One open, fstat and read, checked in the order a stat-then-open read
+  // would fail. O_NONBLOCK keeps the open of a FIFO from waiting for a
+  // writer; a regular file reads the same either way.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  const int open_error = errno;
+  const FileCloser closer{fd};
+  struct stat st {};
+  if ((fd >= 0 ? ::fstat(fd, &st) : ::stat(path.c_str(), &st)) != 0) {
+    fail_io("cannot read", path, errno);
   }
+  // Regular files only: a directory or a device has no size to bound.
+  if (!S_ISREG(st.st_mode)) {
+    fail_io("cannot read", path, S_ISDIR(st.st_mode) ? EISDIR : ENOTSUP);
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
   if (size > max_bytes) {
     throw std::runtime_error("'" + path + "' is " + std::to_string(size) +
                              " bytes, above the " + std::to_string(max_bytes) +
                              "-byte bound");
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    fail_io("cannot open", path, errno);
+  if (fd < 0) {
+    fail_io("cannot open", path, open_error);
   }
   std::string bytes(static_cast<std::size_t>(size), '\0');
-  if (!is.read(bytes.data(), static_cast<std::streamsize>(size))) {
-    fail_io("cannot read", path, errno);
+  for (std::size_t at = 0; at < bytes.size();) {
+    const ssize_t got = ::read(fd, bytes.data() + at, bytes.size() - at);
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got <= 0) {
+      // A file that shrank under the read ends early without an errno.
+      fail_io("cannot read", path, got < 0 ? errno : EIO);
+    }
+    at += static_cast<std::size_t>(got);
   }
   return bytes;
 }

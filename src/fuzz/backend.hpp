@@ -1,8 +1,8 @@
 #pragma once
 // The fuzzing backend: everything below the scheduling policy. It owns the
 // DUT pipeline, the golden ISS, the seed generator and the mutation engine,
-// and executes one test end-to-end (simulate DUT -> simulate golden ->
-// differential compare -> coverage extraction). Every scheduling policy
+// and executes one test end-to-end (simulate DUT -> check its trace on the
+// golden model -> verdict -> coverage extraction). Every scheduling policy
 // shares this object completely, so experiments isolate the policy — the
 // paper's experimental control (docs/ARCHITECTURE.md, "Campaign data
 // flow").
@@ -38,11 +38,10 @@ struct BackendConfig {
 };
 
 /// The backend's record of its last test: the DUT run (architectural
-/// trace, coverage map, bug firings, cycles), the golden model's trace and
-/// the oracle's verdict on the two.
+/// trace, coverage map, bug firings, cycles) and the oracle's verdict on
+/// it against the golden model.
 struct TestOutcome {
   soc::RunOutput dut;
-  isa::ArchResult golden;
   std::optional<Mismatch> mismatch;  // engaged on a golden-model divergence
 
   friend bool operator==(const TestOutcome&, const TestOutcome&) = default;
@@ -55,10 +54,13 @@ class Backend {
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
-  /// Simulates `test` on the DUT and the golden model and compares. The
-  /// outcome is the backend's own and stays valid until the next run_test,
-  /// which overwrites it in place (its buffers are recycled, so steady-state
-  /// execution allocates nothing per test).
+  /// Simulates `test` on the DUT, checks the DUT's trace on the golden
+  /// model in lockstep (golden::Iss::check) and completes the verdict with
+  /// fuzz::compare from where the check stopped: the verdict equals
+  /// compare(dut, Iss::run(test.words)). The outcome is the backend's own
+  /// and stays valid until the next run_test, which overwrites it in place
+  /// (its buffers are recycled, so steady-state execution allocates nothing
+  /// per test).
   [[nodiscard]] const TestOutcome& run_test(const TestCase& test);
 
   /// Fresh random seed test (ids assigned by this backend).
@@ -109,6 +111,7 @@ class Backend {
   mutation::Engine mutation_;
   isa::DecodedProgram decoded_;
   TestOutcome outcome_;
+  isa::ArchResult golden_out_;  // the golden model's records, up to the check's stop
   std::uint64_t next_test_id_ = 1;
   std::uint64_t tests_executed_ = 0;
 };

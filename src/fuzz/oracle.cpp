@@ -16,8 +16,10 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-std::optional<std::string> diff_commit(const isa::CommitRecord& dut,
-                                       const isa::CommitRecord& golden) {
+/// What differs between a record verdict's pair, which isa::differs found
+/// unequal, in the order the fields are checked.
+std::string diff_commit(const isa::CommitRecord& dut,
+                        const isa::CommitRecord& golden) {
   if (dut.pc != golden.pc) {
     return "pc " + hex(dut.pc) + " vs " + hex(golden.pc);
   }
@@ -50,20 +52,16 @@ std::optional<std::string> diff_commit(const isa::CommitRecord& dut,
   if (dut.wrote_mem != golden.wrote_mem) {
     return "memory write presence mismatch";
   }
-  if (dut.wrote_mem &&
-      (dut.mem_addr != golden.mem_addr || dut.mem_value != golden.mem_value ||
-       dut.mem_bytes != golden.mem_bytes)) {
-    std::string text = "mem[";
-    text += hex(dut.mem_addr);
-    text += "] = ";
-    text += hex(dut.mem_value);
-    text += " vs mem[";
-    text += hex(golden.mem_addr);
-    text += "] = ";
-    text += hex(golden.mem_value);
-    return text;
-  }
-  return std::nullopt;
+  // Only the memory write's address, value or width is left to differ.
+  std::string text = "mem[";
+  text += hex(dut.mem_addr);
+  text += "] = ";
+  text += hex(dut.mem_value);
+  text += " vs mem[";
+  text += hex(golden.mem_addr);
+  text += "] = ";
+  text += hex(golden.mem_value);
+  return text;
 }
 
 }  // namespace
@@ -94,35 +92,38 @@ std::string describe_commit(const isa::CommitRecord& record) {
   return text;
 }
 
+std::string describe(const Mismatch& mismatch) {
+  if (!mismatch.text.empty()) {
+    return mismatch.text;
+  }
+  // Built up incrementally (GCC 12's -Wrestrict mis-fires on long
+  // operator+ chains under -O3).
+  std::string text = "commit ";
+  text += std::to_string(mismatch.commit_index);
+  text += " (";
+  text += describe_commit(mismatch.golden);
+  text += "): ";
+  text += diff_commit(mismatch.dut, mismatch.golden);
+  return text;
+}
+
 std::optional<Mismatch> compare(const isa::ArchResult& dut,
-                                const isa::ArchResult& golden) {
+                                const isa::ArchResult& golden, std::size_t start) {
   const std::size_t n = std::min(dut.commits.size(), golden.commits.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    // Equal records cannot differ in any compared field; only unequal ones
-    // pay for diff_commit, which builds its description as a string.
-    if (dut.commits[i] == golden.commits[i]) {
-      continue;
-    }
-    if (auto diff = diff_commit(dut.commits[i], golden.commits[i])) {
+  for (std::size_t i = start; i < n; ++i) {
+    if (isa::differs(dut.commits[i], golden.commits[i])) {
       Mismatch m;
       m.commit_index = i;
-      // Built up incrementally (GCC 12's -Wrestrict mis-fires on long
-      // operator+ chains under -O3).
-      std::string text = "commit ";
-      text += std::to_string(i);
-      text += " (";
-      text += describe_commit(golden.commits[i]);
-      text += "): ";
-      text += *diff;
-      m.description = std::move(text);
+      m.dut = dut.commits[i];
+      m.golden = golden.commits[i];
       return m;
     }
   }
   if (dut.commits.size() != golden.commits.size()) {
     Mismatch m;
     m.commit_index = n;
-    m.description = "trace length " + std::to_string(dut.commits.size()) +
-                    " vs " + std::to_string(golden.commits.size());
+    m.text = "trace length " + std::to_string(dut.commits.size()) + " vs " +
+             std::to_string(golden.commits.size());
     return m;
   }
 
@@ -153,7 +154,7 @@ std::optional<Mismatch> compare(const isa::ArchResult& dut,
   if (auto diff = end_state()) {
     Mismatch m;
     m.commit_index = static_cast<std::size_t>(-1);
-    m.description = "end state: " + *diff;
+    m.text = "end state: " + *diff;
     return m;
   }
   return std::nullopt;

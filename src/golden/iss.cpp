@@ -125,33 +125,58 @@ void Iss::write_reg(isa::RegIndex rd, std::uint64_t value, CommitRecord& record)
 
 ArchResult Iss::run(const std::vector<Word>& program) {
   ArchResult result;
-  run_impl(program, nullptr, result);
+  run_impl(program, nullptr, result, {});
   return result;
 }
 
 void Iss::run(const std::vector<Word>& program, ArchResult& out) {
-  run_impl(program, nullptr, out);
+  run_impl(program, nullptr, out, {});
 }
 
 void Iss::run(const std::vector<Word>& program, isa::DecodedProgram& decoded,
               ArchResult& out) {
-  run_impl(program, &decoded, out);
+  run_impl(program, &decoded, out, {});
 }
 
-void Iss::run_impl(const std::vector<Word>& program,
-                   isa::DecodedProgram* decoded_program, ArchResult& result) {
+std::size_t Iss::check(const std::vector<Word>& program, isa::DecodedProgram& decoded,
+                       std::span<const CommitRecord> dut, ArchResult& out) {
+  return run_impl(program, &decoded, out, dut);
+}
+
+std::size_t Iss::run_impl(const std::vector<Word>& program,
+                          isa::DecodedProgram* decoded_program, ArchResult& result,
+                          std::span<const CommitRecord> expected) {
   load(program);
   reset_hart();
 
   result.commits.clear();
   result.halt = HaltReason::kBudget;
 
+  // The index of the first record that differs from `expected`, once found.
+  constexpr std::size_t kAgreed = ~std::size_t{0};
+  std::size_t diverged = kAgreed;
+  auto differs_at = [&](const CommitRecord& record, std::size_t index) {
+    return index < expected.size() && isa::differs(record, expected[index]);
+  };
+
   probe_.begin_test(decoded_program != nullptr);
   sled_.begin_test(decoded_program != nullptr);
   std::uint64_t next_probe = probe_.next_step();
   for (std::uint64_t step = 0; step < config_.instruction_budget; ++step) {
     if (step == next_probe) [[unlikely]] {
+      const std::uint64_t from = step;
       step += probe(result);
+      // A replayed sled or loop period is checked like stepped records.
+      const std::uint64_t checked_to = std::min<std::uint64_t>(step, expected.size());
+      for (std::uint64_t i = from; i < checked_to; ++i) {
+        if (isa::differs(result.commits[i], expected[i])) {
+          diverged = i;
+          break;
+        }
+      }
+      if (diverged != kAgreed) {
+        break;
+      }
       next_probe = std::min(probe_.next_step(), sled_.next_step());
       if (step == config_.instruction_budget) {
         break;
@@ -169,6 +194,10 @@ void Iss::run_impl(const std::vector<Word>& program,
       record.trapped = true;
       record.cause = static_cast<std::uint64_t>(TrapCause::kInstrAddrMisaligned);
       result.commits.push_back(record);
+      if (differs_at(record, step)) {
+        diverged = step;
+        break;
+      }
       csrs_.enter_trap(pc_, TrapCause::kInstrAddrMisaligned, pc_);
       pc_ = csrs_.mtvec();
       continue;
@@ -220,6 +249,10 @@ void Iss::run_impl(const std::vector<Word>& program,
     } else {
       pc_ = outcome.next_pc;
     }
+    if (differs_at(record, step)) [[unlikely]] {
+      diverged = step;
+      break;
+    }
   }
 
   result.regs = regs_;
@@ -230,6 +263,8 @@ void Iss::run_impl(const std::vector<Word>& program,
   result.mtval = csrs_.mtval();
   result.mtvec = csrs_.mtvec();
   result.mscratch = csrs_.mscratch();
+  return diverged != kAgreed ? diverged
+                             : std::min(result.commits.size(), expected.size());
 }
 
 std::uint64_t Iss::probe(ArchResult& out) {

@@ -3,10 +3,12 @@
 //
 // A purely functional RV64IM+Zicsr hart with precise synchronous-exception
 // semantics. Runs one bare-metal test program to completion and emits the
-// architectural commit trace the differential oracle consumes.
+// architectural commit trace the differential oracle consumes, or checks
+// the DUT's trace in lockstep and stops at its first divergence.
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "golden/csr.hpp"
@@ -49,6 +51,19 @@ class Iss {
   void run(const std::vector<isa::Word>& program, isa::DecodedProgram& decoded,
            isa::ArchResult& out);
 
+  /// Lockstep check (Backend::run_test): the pre-decoded run, comparing
+  /// each record as it commits with `dut`'s record of the same index and
+  /// stopping at the first that differs in a field the oracle compares
+  /// (isa::differs). Past the end of `dut` it runs on unchecked, so `out`
+  /// reaches the golden trace's length. Returns the records checked: the
+  /// divergent record's index, or the shorter trace's length when none
+  /// differs. fuzz::compare(dut, out, <that count>) then gives the verdict
+  /// compare gives on the unchecked run's trace.
+  [[nodiscard]] std::size_t check(const std::vector<isa::Word>& program,
+                                  isa::DecodedProgram& decoded,
+                                  std::span<const isa::CommitRecord> dut,
+                                  isa::ArchResult& out);
+
   [[nodiscard]] const IssConfig& config() const noexcept { return config_; }
 
   /// Lifetime count of steps the loop skip did not simulate (diagnostics
@@ -78,8 +93,11 @@ class Iss {
 
   void reset_hart() noexcept;
   void load(const std::vector<isa::Word>& program);
-  void run_impl(const std::vector<isa::Word>& program,
-                isa::DecodedProgram* decoded, isa::ArchResult& out);
+  /// Every run: records below `expected.size()` are checked as they
+  /// commit (empty for the unchecked runs). Returns check()'s count.
+  std::size_t run_impl(const std::vector<isa::Word>& program,
+                       isa::DecodedProgram* decoded, isa::ArchResult& out,
+                       std::span<const isa::CommitRecord> expected);
 
   /// Executes the decoded instruction at pc_, filling `record` with its
   /// architectural effects (rd/memory writes) and `out` with the next pc or

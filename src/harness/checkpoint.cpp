@@ -247,8 +247,10 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
 
   // 1. Probe: this config on this code must reach, after one test, the
   // state the capture-time probe reached. Its image and the round trip's
-  // share one buffer, sized for the larger.
-  std::string bytes;
+  // share one buffer, sized for the larger. The buffer outlives the call,
+  // one per thread, so a later resume on the thread writes into pages
+  // that are already mapped instead of faulting in fresh ones.
+  thread_local std::string bytes;
   bytes.reserve(checkpoint.state.size() + checkpoint.corpus_image.size());
   if (probe_fingerprint(*campaign, bytes) != checkpoint.fingerprint) {
     throw diverged("probe test");

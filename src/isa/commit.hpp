@@ -2,7 +2,7 @@
 // Architectural commit trace: the common output format of the golden ISS
 // and the substrate cores. The differential-testing oracle compares two of
 // these traces record-by-record — exactly the comparison TheHuzz performs
-// between the DUT simulation and SPIKE.
+// between the DUT simulation and SPIKE — by isa::differs below.
 
 #include <array>
 #include <cstdint>
@@ -34,6 +34,28 @@ struct CommitRecord {
   friend bool operator==(const CommitRecord&, const CommitRecord&) = default;
 };
 static_assert(sizeof(CommitRecord) == 56, "keep CommitRecord's fields ordered by size");
+
+/// True when `a` and `b` differ in a field the differential oracle
+/// compares: pc, word, whether it trapped, and the cause, rd write and
+/// memory write where the records mark them valid. A field marked invalid
+/// (a cause without a trap, an rd_value without wrote_rd, ...) is ignored.
+/// fuzz::compare and the golden model's lockstep check both decide a
+/// divergence by this one predicate.
+[[nodiscard]] constexpr bool differs(const CommitRecord& a,
+                                     const CommitRecord& b) noexcept {
+  if (a.pc != b.pc || a.word != b.word || a.trapped != b.trapped ||
+      a.wrote_rd != b.wrote_rd || a.wrote_mem != b.wrote_mem) {
+    return true;
+  }
+  if (a.trapped && a.cause != b.cause) {
+    return true;
+  }
+  if (a.wrote_rd && (a.rd != b.rd || a.rd_value != b.rd_value)) {
+    return true;
+  }
+  return a.wrote_mem && (a.mem_addr != b.mem_addr || a.mem_value != b.mem_value ||
+                         a.mem_bytes != b.mem_bytes);
+}
 
 /// Why a run ended.
 enum class HaltReason : std::uint8_t {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -516,6 +519,54 @@ TEST(Hash64, EveryTwoBitFlipChangesTheHash) {
     }
     EXPECT_EQ(collisions, 0u);
   }
+}
+
+// --- read_file ------------------------------------------------------------
+//
+// Every artifact file is read through read_file. Its refusals and their
+// messages are part of the loaders' error text.
+
+/// Expects read_file(path, max_bytes) to throw with exactly `message`.
+void expect_refused(const std::string& path, std::uint64_t max_bytes,
+                    const std::string& message) {
+  try {
+    (void)read_file(path, max_bytes);
+    ADD_FAILURE() << path << " was read";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()), message);
+  }
+}
+
+TEST(ReadFile, MissingFileNamesThePathAndTheReason) {
+  const std::string path = testing::TempDir() + "read-file-missing.bin";
+  std::remove(path.c_str());
+  expect_refused(path, 1024,
+                 "cannot read '" + path + "': " + std::strerror(ENOENT));
+}
+
+TEST(ReadFile, DirectoryIsRefused) {
+  const std::string path = testing::TempDir();
+  expect_refused(path, 1024,
+                 "cannot read '" + path + "': " + std::strerror(EISDIR));
+}
+
+TEST(ReadFile, OneByteOverTheBoundIsRefused) {
+  const std::string path = testing::TempDir() + "read-file-over.bin";
+  write_file_atomic(path, pattern(4097));
+  expect_refused(path, 4096,
+                 "'" + path + "' is 4097 bytes, above the 4096-byte bound");
+  std::remove(path.c_str());
+}
+
+TEST(ReadFile, EmptyFileAndFileAtTheBoundReadBack) {
+  const std::string path = testing::TempDir() + "read-file-exact.bin";
+  write_file_atomic(path, "");
+  EXPECT_EQ(read_file(path, 0), "");
+  // Zero bytes included: the read is binary.
+  const std::string bytes = pattern(64 * 1024) + std::string(3, '\0');
+  write_file_atomic(path, bytes);
+  EXPECT_EQ(read_file(path, bytes.size()), bytes);
+  std::remove(path.c_str());
 }
 
 }  // namespace

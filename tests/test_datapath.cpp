@@ -61,7 +61,7 @@ class DatapathEquivalence : public ::testing::TestWithParam<Mnemonic> {
     const auto mismatch = fuzz::compare(dut_out.arch, golden_out);
     ASSERT_FALSE(mismatch.has_value())
         << spec(GetParam()).name << " (" << label
-        << "): " << mismatch->description;
+        << "): " << fuzz::describe(*mismatch);
   }
 
   Pipeline dut_{core_params(CoreKind::kCva6, BugSet::none())};

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -17,6 +18,7 @@
 #include "golden/iss.hpp"
 #include "isa/builder.hpp"
 #include "isa/decoded_program.hpp"
+#include "isa/loop_probe.hpp"
 #include "isa/platform.hpp"
 #include "mutation/engine.hpp"
 #include "soc/cores.hpp"
@@ -47,7 +49,7 @@ TEST_P(CleanCoreDifferential, RandomSeedProgramsMatchGoldenIss) {
     const auto mismatch = fuzz::compare(dut_out.arch, golden);
     ASSERT_FALSE(mismatch.has_value())
         << soc::core_name(kind) << " diverged on clean-core program " << t
-        << ": " << mismatch->description;
+        << ": " << fuzz::describe(*mismatch);
     EXPECT_TRUE(dut_out.firings.empty())
         << "disabled bugs must never fire (program " << t << ")";
 
@@ -87,7 +89,7 @@ TEST_P(CleanCoreDifferential, MutatedProgramsMatchGoldenIss) {
     const auto mismatch = fuzz::compare(dut_out.arch, golden);
     ASSERT_FALSE(mismatch.has_value())
         << soc::core_name(kind) << " diverged on mutated program " << t
-        << ": " << mismatch->description;
+        << ": " << fuzz::describe(*mismatch);
     EXPECT_EQ(dut_out.arch.regs, golden.regs) << "program " << t;
     EXPECT_EQ(dut_out.arch.mcause, golden.mcause) << "program " << t;
     EXPECT_EQ(dut_out.arch.mtval, golden.mtval) << "program " << t;
@@ -222,27 +224,58 @@ soc::BugSet bugs_named(soc::CoreKind kind, std::string_view which) {
 
 class LoopSkipEquivalence : public ::testing::TestWithParam<soc::CoreKind> {};
 
+// Backend::run_test's lockstep verdict on `program`, text included, must
+// equal the reference compare(dut, Iss::run(program)) that
+// expect_equivalent just computed. Returns whether it diverged.
+bool expect_reference_verdict(fuzz::Backend& backend, const PathPair& paths,
+                              const std::vector<isa::Word>& program,
+                              const std::string& label) {
+  fuzz::TestCase test;
+  test.words = program;
+  const fuzz::TestOutcome& outcome = backend.run_test(test);
+  const std::optional<fuzz::Mismatch> expected =
+      fuzz::compare(paths.dut_ref_out.arch, paths.iss_ref_out);
+  EXPECT_EQ(outcome.mismatch.has_value(), expected.has_value()) << label;
+  if (outcome.mismatch && expected) {
+    EXPECT_TRUE(*outcome.mismatch == *expected) << label;
+    EXPECT_EQ(fuzz::describe(*outcome.mismatch), fuzz::describe(*expected))
+        << label;
+  }
+  return expected.has_value();
+}
+
 TEST_P(LoopSkipEquivalence, LineageStreamMatchesPerWordReference) {
   const soc::CoreKind kind = GetParam();
   for (const std::string_view bugs : {"none", "default", "all"}) {
     PathPair paths(kind, bugs_named(kind, bugs));
+    fuzz::BackendConfig config;
+    config.core = kind;
+    config.bugs = bugs_named(kind, bugs);
+    fuzz::Backend backend(config);
     fuzz::SeedGenerator gen(fuzz::SeedGenConfig{},
                             common::make_stream(5151, 0, "loop-skip"));
     mutation::Engine engine(mutation::EngineConfig{},
                             common::make_stream(5151, 0, "loop-skip-mut"));
+    int diverged = 0;
     for (int seed = 0; seed < 16; ++seed) {
       std::vector<isa::Word> program = gen.next_program();
       for (int depth = 0; depth <= 30; ++depth) {
         if (depth > 0) {
           program = engine.mutate(program);
         }
-        paths.expect_equivalent(program, "bugs " + std::string(bugs) + ", seed " +
-                                             std::to_string(seed) + ", depth " +
-                                             std::to_string(depth));
+        const std::string label = "bugs " + std::string(bugs) + ", seed " +
+                                  std::to_string(seed) + ", depth " +
+                                  std::to_string(depth);
+        paths.expect_equivalent(program, label);
         if (::testing::Test::HasFatalFailure()) {
           return;
         }
+        diverged += expect_reference_verdict(backend, paths, program, label) ? 1 : 0;
       }
+    }
+    // With every bug injected, the stream reaches the divergent verdicts.
+    if (bugs == "all") {
+      EXPECT_GT(diverged, 0) << soc::core_name(kind);
     }
     // The loop skip and the trap-sled replay ran, and only on the
     // pre-decoded side.
@@ -609,6 +642,157 @@ TEST(ExecutionContextReuse, ReusedBackendMatchesFreshBackendPerTest) {
   EXPECT_GT(reused.decode_cache().lookups(), reused.decode_cache().misses());
 }
 
+// --- lockstep check -------------------------------------------------------------
+//
+// Backend::run_test checks the DUT's trace on the golden model as it
+// commits (golden::Iss::check) and completes the verdict with fuzz::compare
+// from where the check stopped. Whatever the DUT's trace, that verdict must
+// equal the reference compare(dut, Iss::run(program)). Each case starts
+// from the golden model's own trace and alters one thing.
+
+struct Lockstep {
+  explicit Lockstep(std::vector<isa::Word> words)
+      : program(std::move(words)),
+        iss(soc::golden_config_for(soc::CoreKind::kRocket)),
+        reference(golden::Iss(soc::golden_config_for(soc::CoreKind::kRocket))
+                      .run(program)) {}
+
+  /// Checks `dut` in lockstep, expects the reference verdict and its text,
+  /// and returns the verdict; `checked` keeps where the check stopped.
+  std::optional<fuzz::Mismatch> verdict(const isa::ArchResult& dut) {
+    decoded.build(program);
+    checked = iss.check(program, decoded, dut.commits, golden);
+    std::optional<fuzz::Mismatch> lockstep = fuzz::compare(dut, golden, checked);
+    const std::optional<fuzz::Mismatch> expected = fuzz::compare(dut, reference);
+    EXPECT_EQ(lockstep.has_value(), expected.has_value());
+    if (lockstep && expected) {
+      EXPECT_TRUE(*lockstep == *expected);
+      EXPECT_EQ(fuzz::describe(*lockstep), fuzz::describe(*expected));
+    }
+    return lockstep;
+  }
+
+  std::vector<isa::Word> program;
+  golden::Iss iss;
+  isa::DecodedProgram decoded;
+  isa::ArchResult golden;
+  isa::ArchResult reference;
+  std::size_t checked = 0;
+};
+
+std::vector<isa::Word> straight_line() {
+  return isa::assemble({isa::addi(5, 0, 7), isa::addi(6, 5, 2),
+                        load_scratch_base(7), isa::sd(7, 6, 8),
+                        isa::ld(8, 7, 8), isa::addi(9, 8, 1)});
+}
+
+TEST(LockstepCheck, DivergenceAtRecordZeroStopsTheIss) {
+  Lockstep run(straight_line());
+  isa::ArchResult dut = run.reference;
+  dut.commits[0].rd_value += 1;
+  const auto verdict = run.verdict(dut);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->commit_index, 0U);
+  EXPECT_EQ(fuzz::describe(*verdict).rfind("commit 0 (", 0), 0U);
+  EXPECT_EQ(run.checked, 0U);
+  EXPECT_EQ(run.golden.commits.size(), 1U) << "the ISS ran past the divergence";
+}
+
+TEST(LockstepCheck, DivergenceInsideAReplicatedLoopTail) {
+  Lockstep run(isa::assemble({isa::addi(5, 0, 7), isa::jal(0, 0)}));
+  ASSERT_EQ(run.reference.halt, isa::HaltReason::kBudget);
+  isa::ArchResult dut = run.reference;
+  const std::size_t at = dut.commits.size() - 100;
+  dut.commits[at].pc += 4;
+  const auto verdict = run.verdict(dut);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->commit_index, at);
+  EXPECT_EQ(run.checked, at);
+  EXPECT_GT(run.iss.skipped_steps(), 0U) << "the loop was stepped, not replicated";
+  EXPECT_LT(isa::LoopProbe::kFirstStep + isa::LoopProbe::kMaxPeriod, at);
+}
+
+TEST(LockstepCheck, DivergenceInsideATrapSled) {
+  // Past the sentinel into zeroed DRAM: the sled runs to the budget.
+  Lockstep run(isa::assemble({isa::addi(5, 5, 1), isa::jal(0, 0x800)}));
+  isa::ArchResult dut = run.reference;
+  // A trapped sled word with another cause, as V3 can commit.
+  std::size_t at = dut.commits.size() / 2;
+  while (!dut.commits[at].trapped) {
+    ++at;
+  }
+  dut.commits[at].cause =
+      static_cast<std::uint64_t>(isa::TrapCause::kInstrAccessFault);
+  const auto verdict = run.verdict(dut);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->commit_index, at);
+  EXPECT_EQ(run.checked, at);
+  EXPECT_NE(fuzz::describe(*verdict).find("trap cause"), std::string::npos);
+  EXPECT_GT(run.iss.sled_steps(), 0U) << "the sled was stepped, not replayed";
+}
+
+TEST(LockstepCheck, DivergenceAtAMisalignedFetch) {
+  // jal to pc + 2: the fetch there commits a trap record with no word.
+  Lockstep run(isa::assemble({isa::addi(5, 0, 1), isa::jal(0, 2)}));
+  isa::ArchResult dut = run.reference;
+  ASSERT_GT(dut.commits.size(), 2U);
+  ASSERT_EQ(dut.commits[2].pc & 0b11, 2U);
+  dut.commits[2].cause =
+      static_cast<std::uint64_t>(isa::TrapCause::kInstrAccessFault);
+  const auto verdict = run.verdict(dut);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->commit_index, 2U);
+  EXPECT_EQ(run.checked, 2U);
+}
+
+TEST(LockstepCheck, DutTraceOneRecordShortRunsTheIssOn) {
+  Lockstep run(straight_line());
+  isa::ArchResult dut = run.reference;
+  dut.commits.pop_back();
+  const auto verdict = run.verdict(dut);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(run.checked, dut.commits.size());
+  // The golden length comes from running on past the DUT's last record.
+  EXPECT_EQ(run.golden.commits.size(), run.reference.commits.size());
+  EXPECT_EQ(fuzz::describe(*verdict),
+            "trace length " + std::to_string(dut.commits.size()) + " vs " +
+                std::to_string(run.reference.commits.size()));
+}
+
+TEST(LockstepCheck, DutTraceOneRecordLong) {
+  Lockstep run(straight_line());
+  isa::ArchResult dut = run.reference;
+  dut.commits.push_back(dut.commits.back());
+  const auto verdict = run.verdict(dut);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(run.checked, run.reference.commits.size());
+  EXPECT_EQ(verdict->commit_index, run.reference.commits.size());
+}
+
+TEST(LockstepCheck, EndStateOnlyDifference) {
+  Lockstep run(straight_line());
+  isa::ArchResult dut = run.reference;
+  dut.regs[9] += 1;
+  const auto verdict = run.verdict(dut);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(run.checked, dut.commits.size());
+  EXPECT_EQ(fuzz::describe(*verdict).rfind("end state: final x9", 0), 0U);
+}
+
+TEST(LockstepCheck, IgnoredFieldDifferenceIsRunPast) {
+  Lockstep run(straight_line());
+  isa::ArchResult dut = run.reference;
+  // The first addi writes no memory and does not trap, so its memory and
+  // cause fields are not compared.
+  ASSERT_FALSE(dut.commits[0].wrote_mem || dut.commits[0].trapped);
+  dut.commits[0].mem_value = 0xdead;
+  dut.commits[0].cause = 7;
+  ASSERT_FALSE(dut.commits[0] == run.reference.commits[0]);
+  EXPECT_FALSE(run.verdict(dut).has_value());
+  EXPECT_EQ(run.checked, dut.commits.size());
+  EXPECT_EQ(run.golden.commits, run.reference.commits);
+}
+
 // --- behaviour lock -------------------------------------------------------------
 //
 // The equivalence tests compare two execution paths of one build, so a
@@ -649,8 +833,8 @@ void fold_outcome(const fuzz::TestOutcome& outcome, Fnv1a64& digest) {
   digest.add(dut.arch.commits.size());
   digest.add(dut.cycles);
   digest.add(outcome.mismatch ? 1 : 0);
-  digest.add(outcome.mismatch ? std::string_view(outcome.mismatch->description)
-                              : std::string_view());
+  digest.add(outcome.mismatch ? fuzz::describe(*outcome.mismatch)
+                              : std::string());
   digest.add(outcome.mismatch ? outcome.mismatch->commit_index : 0);
   digest.add(dut.firings.size());
   for (const soc::BugFiring& firing : dut.firings) {

@@ -26,7 +26,7 @@ class DirectedPrograms : public ::testing::TestWithParam<CoreKind> {
     const RunOutput dut_out = dut.run(words);
     const ArchResult golden_out = iss.run(words);
     const auto mismatch = fuzz::compare(dut_out.arch, golden_out);
-    EXPECT_FALSE(mismatch.has_value()) << mismatch->description;
+    EXPECT_FALSE(mismatch.has_value()) << fuzz::describe(*mismatch);
     EXPECT_EQ(dut_out.arch.halt, HaltReason::kSentinel) << "program did not finish";
     return dut_out.arch.regs;
   }

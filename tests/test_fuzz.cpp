@@ -191,7 +191,7 @@ TEST(Oracle, DetectsRdValueDivergence) {
   const auto m = compare(dut, golden);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->commit_index, 0u);
-  EXPECT_NE(m->description.find("x5"), std::string::npos);
+  EXPECT_NE(describe(*m).find("x5"), std::string::npos);
 }
 
 TEST(Oracle, DetectsTrapPresenceDivergence) {
@@ -210,7 +210,7 @@ TEST(Oracle, DetectsCauseDivergence) {
   golden.commits[0].cause = 5;
   const auto m = compare(dut, golden);
   ASSERT_TRUE(m.has_value());
-  EXPECT_NE(m->description.find("cause"), std::string::npos);
+  EXPECT_NE(describe(*m).find("cause"), std::string::npos);
 }
 
 TEST(Oracle, DetectsTraceLengthDivergence) {
@@ -228,7 +228,7 @@ TEST(Oracle, DetectsFinalRegisterDivergence) {
   dut.regs[7] = 1;
   const auto m = compare(dut, golden);
   ASSERT_TRUE(m.has_value());
-  EXPECT_NE(m->description.find("end state"), std::string::npos);
+  EXPECT_NE(describe(*m).find("end state"), std::string::npos);
 }
 
 TEST(Oracle, DetectsMemValueDivergence) {
@@ -260,7 +260,7 @@ TEST(Backend, RunsSeedsWithoutMismatchOnCleanCore) {
   for (int i = 0; i < 30; ++i) {
     const TestCase seed = backend.make_seed();
     const TestOutcome& outcome = backend.run_test(seed);
-    EXPECT_FALSE(outcome.mismatch.has_value()) << outcome.mismatch->description;
+    EXPECT_FALSE(outcome.mismatch.has_value()) << describe(*outcome.mismatch);
     EXPECT_GT(outcome.dut.test_coverage.count(), 0u);
     EXPECT_GT(outcome.dut.arch.commits.size(), 0u);
   }

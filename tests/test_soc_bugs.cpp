@@ -35,7 +35,7 @@ TriggerOutcome run_trigger(CoreKind kind, BugSet bugs, BugId bug,
   }
   if (const auto mismatch = fuzz::compare(dut_out.arch, golden_out)) {
     out.mismatch = true;
-    out.description = mismatch->description;
+    out.description = fuzz::describe(*mismatch);
   }
   return out;
 }

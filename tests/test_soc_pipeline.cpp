@@ -26,7 +26,8 @@ void expect_equivalent(CoreKind kind, const std::vector<Word>& program,
   const ArchResult golden_out = iss.run(program);
   const auto mismatch = fuzz::compare(dut_out.arch, golden_out);
   EXPECT_FALSE(mismatch.has_value())
-      << label << " on " << core_name(kind) << ": " << mismatch->description;
+      << label << " on " << core_name(kind) << ": "
+      << fuzz::describe(*mismatch);
 }
 
 class CoreEquivalence : public ::testing::TestWithParam<CoreKind> {};
@@ -120,7 +121,7 @@ TEST_P(CoreEquivalence, RandomLegalPrograms) {
     const auto mismatch = fuzz::compare(dut_out.arch, golden_out);
     ASSERT_FALSE(mismatch.has_value())
         << "random program " << i << " on " << core_name(kind) << ": "
-        << mismatch->description;
+        << fuzz::describe(*mismatch);
   }
 }
 
@@ -140,7 +141,7 @@ TEST_P(CoreEquivalence, MutatedPrograms) {
     const auto mismatch = fuzz::compare(dut_out.arch, golden_out);
     ASSERT_FALSE(mismatch.has_value())
         << "mutant " << i << " on " << core_name(kind) << ": "
-        << mismatch->description;
+        << fuzz::describe(*mismatch);
     if (i % 25 == 24) {
       program = gen.next_program();  // fresh lineage, keep diversity
     }
