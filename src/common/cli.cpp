@@ -64,49 +64,19 @@ std::string CliArgs::get_string(std::string_view key, std::string fallback) cons
   return v ? *v : std::move(fallback);
 }
 
-namespace {
-
-template <typename T>
-T parse_number(std::string_view key, const std::string& text, T fallback) {
-  T out = fallback;
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  if (ec != std::errc{} || ptr != last) {
-    throw std::invalid_argument("option --" + std::string(key) +
-                                ": cannot parse '" + text + "'");
-  }
-  return out;
-}
-
-}  // namespace
-
-std::int64_t CliArgs::get_int(std::string_view key, std::int64_t fallback) const {
-  auto v = get(key);
-  return v ? parse_number<std::int64_t>(key, *v, fallback) : fallback;
-}
-
 std::uint64_t CliArgs::get_uint(std::string_view key, std::uint64_t fallback) const {
-  auto v = get(key);
-  return v ? parse_number<std::uint64_t>(key, *v, fallback) : fallback;
-}
-
-double CliArgs::get_double(std::string_view key, double fallback) const {
-  auto v = get(key);
+  const auto v = get(key);
   if (!v) {
     return fallback;
   }
-  try {
-    std::size_t pos = 0;
-    const double out = std::stod(*v, &pos);
-    if (pos != v->size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-    return out;
-  } catch (const std::exception&) {
+  std::uint64_t out = 0;
+  const char* last = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), last, out);
+  if (ec != std::errc{} || ptr != last) {
     throw std::invalid_argument("option --" + std::string(key) +
                                 ": cannot parse '" + *v + "'");
   }
+  return out;
 }
 
 bool CliArgs::get_bool(std::string_view key, bool fallback) const {

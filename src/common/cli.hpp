@@ -32,11 +32,8 @@ class CliArgs {
                                        std::string fallback) const;
 
   /// Throws std::invalid_argument when present but unparsable.
-  [[nodiscard]] std::int64_t get_int(std::string_view key,
-                                     std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t get_uint(std::string_view key,
                                        std::uint64_t fallback) const;
-  [[nodiscard]] double get_double(std::string_view key, double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
 
   /// Positional (non --key) arguments in order of appearance.

@@ -1,47 +1,13 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <mutex>
 
 namespace mabfuzz::common {
 
-namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-std::mutex g_emit_mutex;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-    case LogLevel::kOff: return "off";
-  }
-  return "?";
-}
-}  // namespace
-
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() noexcept {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-bool log_enabled(LogLevel level) noexcept {
-  return static_cast<int>(level) >= g_level.load(std::memory_order_relaxed) &&
-         level != LogLevel::kOff;
-}
-
-void log_line(LogLevel level, std::string_view message) {
-  if (!log_enabled(level)) {
-    return;
-  }
-  const std::scoped_lock lock(g_emit_mutex);
-  std::fprintf(stderr, "[%s] %.*s\n", level_name(level),
-               static_cast<int>(message.size()), message.data());
+void warn(std::string_view message) {
+  // One fprintf call: the stream's lock keeps concurrent lines whole.
+  std::fprintf(stderr, "[warn] %.*s\n", static_cast<int>(message.size()),
+               message.data());
 }
 
 }  // namespace mabfuzz::common

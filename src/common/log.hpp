@@ -1,55 +1,11 @@
 #pragma once
-// Lightweight levelled logging. The fuzzing loop is hot, so logging below
-// the configured level costs one branch and no formatting.
+// Warnings for conditions a run survives but its operator should see.
 
-#include <sstream>
-#include <string>
 #include <string_view>
 
 namespace mabfuzz::common {
 
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-global log level; defaults to kWarn so library users see only
-/// actionable output unless they opt in.
-void set_log_level(LogLevel level) noexcept;
-[[nodiscard]] LogLevel log_level() noexcept;
-
-[[nodiscard]] bool log_enabled(LogLevel level) noexcept;
-
-/// Emits one line to stderr: "[level] message".
-void log_line(LogLevel level, std::string_view message);
-
-namespace detail {
-
-class LogStream {
- public:
-  explicit LogStream(LogLevel level) : level_(level) {}
-  LogStream(const LogStream&) = delete;
-  LogStream& operator=(const LogStream&) = delete;
-  ~LogStream() { log_line(level_, buffer_.str()); }
-
-  template <typename T>
-  LogStream& operator<<(const T& value) {
-    buffer_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::ostringstream buffer_;
-};
-
-}  // namespace detail
+/// Writes "[warn] <message>" to stderr as one line.
+void warn(std::string_view message);
 
 }  // namespace mabfuzz::common
-
-#define MABFUZZ_LOG(level)                                      \
-  if (!::mabfuzz::common::log_enabled(level)) {                 \
-  } else                                                        \
-    ::mabfuzz::common::detail::LogStream(level)
-
-#define MABFUZZ_DEBUG() MABFUZZ_LOG(::mabfuzz::common::LogLevel::kDebug)
-#define MABFUZZ_INFO() MABFUZZ_LOG(::mabfuzz::common::LogLevel::kInfo)
-#define MABFUZZ_WARN() MABFUZZ_LOG(::mabfuzz::common::LogLevel::kWarn)
-#define MABFUZZ_ERROR() MABFUZZ_LOG(::mabfuzz::common::LogLevel::kError)

@@ -42,7 +42,7 @@ class Context {
   [[nodiscard]] const Map& test_map() const noexcept { return map_; }
 
   /// Moves the per-test map into `dst` via an O(1) storage swap —
-  /// observationally `dst.assign_from(test_map())`, without the word copy.
+  /// observationally `dst = test_map()`, without the word copy.
   /// The context re-sizes its own map when the swapped-in storage does not
   /// match the universe (a caller's first, empty outcome buffer), so the
   /// next begin_test() always starts from a correctly sized map.

@@ -77,17 +77,6 @@ std::size_t Map::count_new(const Map& other) const noexcept {
   return total;
 }
 
-Map Map::difference(const Map& other) const {
-  Map out(num_points_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    const std::uint64_t theirs = i < other.words_.size() ? other.words_[i] : 0;
-    out.words_[i] = words_[i] & ~theirs;
-  }
-  return out;
-}
-
-bool Map::subset_of(const Map& other) const noexcept { return count_new(other) == 0; }
-
 void Map::clear() noexcept {
   for (std::uint64_t& w : words_) {
     w = 0;

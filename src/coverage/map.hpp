@@ -70,12 +70,6 @@ class Map {
   /// Words of `this` beyond `other`'s storage count in full.
   [[nodiscard]] std::size_t count_new(const Map& other) const noexcept;
 
-  /// Bits set in `this` but not in `other`, as a new map.
-  [[nodiscard]] Map difference(const Map& other) const;
-
-  /// True when no bit of `this \ other` is set.
-  [[nodiscard]] bool subset_of(const Map& other) const noexcept;
-
   void clear() noexcept;
 
   /// True when at least one bit is set; returns at the first nonzero word
@@ -89,12 +83,6 @@ class Map {
     return false;
   }
   [[nodiscard]] bool empty() const noexcept { return !any(); }
-
-  /// Becomes a copy of `other`, reusing this map's existing word storage
-  /// (no reallocation when the universes already match). Behaviorally plain
-  /// copy assignment — the name exists to make buffer-reuse intent explicit
-  /// at hot-path call sites.
-  void assign_from(const Map& other) { *this = other; }
 
   /// The raw 64-bit backing words, lowest point id in bit 0 of word 0.
   /// Bits at or above universe() are always zero — the serialization

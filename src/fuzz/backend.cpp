@@ -8,11 +8,10 @@ Backend::Backend(const BackendConfig& config)
     : config_(config),
       dut_(soc::core_params(config.core, config.bugs)),
       golden_(soc::golden_config_for(config.core)),
-      seedgen_(config.seedgen,
-               common::make_stream(config.rng_seed, config.rng_run, "seedgen")),
-      mutation_(config.mutation,
-                common::make_stream(config.rng_seed, config.rng_run, "mutation"),
-                config.operator_policy) {}
+      seedgen_(common::make_stream(config.rng_seed, config.rng_run, "seedgen")),
+      mutation_(
+          common::make_stream(config.rng_seed, config.rng_run, "mutation"),
+          config.operator_policy) {}
 
 const TestOutcome& Backend::run_test(const TestCase& test) {
   ++tests_executed_;

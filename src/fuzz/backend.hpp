@@ -28,8 +28,6 @@ namespace mabfuzz::fuzz {
 struct BackendConfig {
   soc::CoreKind core = soc::CoreKind::kRocket;
   soc::BugSet bugs;  // bug set injected into the DUT
-  SeedGenConfig seedgen{};
-  mutation::EngineConfig mutation{};
   /// Optional adaptive mutation-operator policy (paper Sec. V extension);
   /// null keeps TheHuzz's static operator distribution.
   std::shared_ptr<mutation::OperatorPolicy> operator_policy;
@@ -67,7 +65,7 @@ class Backend {
   [[nodiscard]] TestCase make_seed();
 
   /// Fresh seed with an explicit instruction count (adaptive test-length
-  /// policies); 0 uses the configured length.
+  /// policies); 0 uses fuzz::kSeedLength.
   [[nodiscard]] TestCase make_seed(unsigned length);
 
   /// One mutant of `parent`; the applied operators are recorded in the

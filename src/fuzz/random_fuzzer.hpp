@@ -2,17 +2,24 @@
 // Random-regression baseline: fresh random seeds only, no coverage
 // feedback, no mutation — the pre-fuzzing verification practice the
 // paper's introduction contrasts hardware fuzzers against. Useful as a
-// scientific control: any fuzzer worth its name must beat this.
+// scientific control: any fuzzer worth its name must beat this. Like every
+// policy it offers each executed test to the campaign's shared corpus, if
+// any; the store never feeds back into its choices.
+
+#include <memory>
 
 #include "fuzz/backend.hpp"
+#include "fuzz/corpus.hpp"
 #include "fuzz/fuzzer.hpp"
+#include "fuzz/registry.hpp"
 
 namespace mabfuzz::fuzz {
 
 class RandomFuzzer final : public Fuzzer {
  public:
-  explicit RandomFuzzer(Backend& backend)
-      : backend_(backend), accumulated_(backend.coverage_universe()) {}
+  RandomFuzzer(Backend& backend, const PolicyConfig& policy)
+      : backend_(backend), corpus_(policy.corpus),
+        accumulated_(backend.coverage_universe()) {}
 
   StepResult step() override {
     const TestCase test = backend_.make_seed();
@@ -22,6 +29,9 @@ class RandomFuzzer final : public Fuzzer {
     result.mismatch = outcome.mismatch.has_value();
     result.firings = outcome.dut.firings;
     result.new_global_points = accumulated_.absorb(outcome.dut.test_coverage);
+    if (corpus_) {
+      corpus_->offer(test, outcome.dut.test_coverage);
+    }
     return result;
   }
 
@@ -44,6 +54,7 @@ class RandomFuzzer final : public Fuzzer {
 
  private:
   Backend& backend_;
+  std::shared_ptr<Corpus> corpus_;  // the campaign's shared store, or null
   coverage::Accumulator accumulated_;
   std::uint64_t steps_ = 0;
 };

@@ -27,8 +27,8 @@ const FuzzerRegistration kTheHuzzRegistration{
 
 const FuzzerRegistration kRandomRegistration{
     "random",
-    [](Backend& backend, const PolicyConfig&) -> std::unique_ptr<Fuzzer> {
-      return std::make_unique<RandomFuzzer>(backend);
+    [](Backend& backend, const PolicyConfig& config) -> std::unique_ptr<Fuzzer> {
+      return std::make_unique<RandomFuzzer>(backend, config);
     }};
 
 const FuzzerRegistration kReuseRegistration{

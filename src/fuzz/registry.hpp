@@ -62,8 +62,8 @@ struct PolicyConfig {
   /// campaigns share tests through — materialised by harness::Campaign
   /// from its corpus-in/corpus-out keys; when null, the "reuse" fuzzer
   /// creates a campaign-private store of `corpus_cap` entries. Every
-  /// corpus-feeding policy (thehuzz, the bandit schedulers, reuse) offers
-  /// its executed tests to the store when one is present. `reuse_bandit`
+  /// policy (thehuzz, random, the bandit schedulers, reuse) offers its
+  /// executed tests to the store when one is present. `reuse_bandit`
   /// names the mab::BanditRegistry policy the reuse fuzzer selects seeds
   /// with (Thompson sampling by default, per ReFuzz).
   std::string reuse_bandit = "thompson";

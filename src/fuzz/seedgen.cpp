@@ -13,9 +13,13 @@ using isa::Instruction;
 using isa::Mnemonic;
 using isa::RegIndex;
 
-SeedGenerator::SeedGenerator(const SeedGenConfig& config,
-                             common::Xoshiro256StarStar rng)
-    : config_(config), rng_(rng) {}
+namespace {
+// Instruction-class mix (need not be normalised), in next_program's
+// dispatch order: alu, muldiv, load, store, branch, jump, upper, csr,
+// fence, system, and the LUI/ADDI idiom constructing a valid DRAM address.
+constexpr std::array<double, 11> kClassWeights = {34, 8, 12, 10, 8, 3,
+                                                  7,  8, 2,  4,  6};
+}  // namespace
 
 RegIndex SeedGenerator::random_reg() {
   // x0 occasionally (tests the zero-register datapath), x31 is the trap
@@ -194,13 +198,9 @@ Instruction SeedGenerator::random_system() {
   }
 }
 
-std::vector<isa::Word> SeedGenerator::next_program() {
-  return next_program(config_.instructions_per_seed);
-}
-
 std::vector<isa::Word> SeedGenerator::next_program(unsigned length) {
   if (length == 0) {
-    length = config_.instructions_per_seed;
+    length = kSeedLength;
   }
   addr_regs_.clear();
   value_regs_.clear();
@@ -237,14 +237,8 @@ std::vector<isa::Word> SeedGenerator::next_program(unsigned length) {
     }
   }
 
-  const std::array<double, 11> weights = {
-      config_.w_alu,   config_.w_muldiv, config_.w_load,  config_.w_store,
-      config_.w_branch, config_.w_jump,  config_.w_upper, config_.w_csr,
-      config_.w_fence, config_.w_system, config_.w_addr_setup,
-  };
-
   for (unsigned i = start; i < length; ++i) {
-    switch (rng_.next_weighted(weights)) {
+    switch (rng_.next_weighted(kClassWeights)) {
       case 0: program.push_back(random_alu()); break;
       case 1: program.push_back(random_muldiv()); break;
       case 2: program.push_back(random_load()); break;

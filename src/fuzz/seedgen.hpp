@@ -15,34 +15,21 @@
 
 namespace mabfuzz::fuzz {
 
-struct SeedGenConfig {
-  unsigned instructions_per_seed = 20;  // TheHuzz's test length
-  /// Instruction-class mix (need not be normalised).
-  double w_alu = 34;
-  double w_muldiv = 8;
-  double w_load = 12;
-  double w_store = 10;
-  double w_branch = 8;
-  double w_jump = 3;
-  double w_upper = 7;
-  double w_csr = 8;
-  double w_fence = 2;
-  double w_system = 4;
-  double w_addr_setup = 6;  // LUI/ADDI idiom constructing a valid DRAM address
-};
+/// Instructions per seed program: TheHuzz's test length.
+inline constexpr unsigned kSeedLength = 20;
 
 class SeedGenerator {
  public:
-  SeedGenerator(const SeedGenConfig& config, common::Xoshiro256StarStar rng);
+  explicit SeedGenerator(common::Xoshiro256StarStar rng) : rng_(rng) {}
 
   /// Generates the next seed program (ids are assigned by the caller).
-  [[nodiscard]] std::vector<isa::Word> next_program();
+  [[nodiscard]] std::vector<isa::Word> next_program() {
+    return next_program(kSeedLength);
+  }
 
   /// Same, with an explicit instruction count (for adaptive test-length
-  /// policies); `length` == 0 falls back to the configured length.
+  /// policies); `length` == 0 falls back to kSeedLength.
   [[nodiscard]] std::vector<isa::Word> next_program(unsigned length);
-
-  [[nodiscard]] const SeedGenConfig& config() const noexcept { return config_; }
 
   /// The RNG stream is the generator's only state between programs (the
   /// register and store-site lists restart with every program).
@@ -72,7 +59,6 @@ class SeedGenerator {
   [[nodiscard]] std::uint16_t random_csr_addr();
   [[nodiscard]] std::int64_t random_mem_offset();
 
-  SeedGenConfig config_;
   common::Xoshiro256StarStar rng_;
   std::vector<isa::RegIndex> addr_regs_;   // registers set up as DRAM pointers
   std::vector<isa::RegIndex> value_regs_;  // registers holding non-zero data

@@ -10,7 +10,6 @@
 
 #include <unistd.h>
 
-#include "common/log.hpp"
 #include "core/adaptive.hpp"
 #include "core/scheduler.hpp"
 #include "fuzz/corpus.hpp"
@@ -70,6 +69,17 @@ double parse_f64(std::string_view key, std::string_view value) {
                                 "': cannot parse '" + std::string(value) +
                                 "' as a number");
   }
+}
+
+/// A probability or mixing weight: refused unless finite and in [0, 1].
+double parse_rate(std::string_view key, std::string_view value) {
+  const double out = parse_f64(key, value);
+  if (!(out >= 0.0 && out <= 1.0)) {  // also refuses NaN
+    throw std::invalid_argument("campaign key '" + std::string(key) + "': " +
+                                std::string(value) +
+                                " is not a rate in [0, 1]");
+  }
+  return out;
 }
 
 bool parse_flag(std::string_view key, std::string_view value) {
@@ -250,19 +260,19 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.bandit.num_arms = arms;
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.bandit.num_arms); }},
-    {"epsilon", "epsilon-greedy exploration rate (paper: 0.1)",
+    {"epsilon", "epsilon-greedy exploration rate in [0, 1] (paper: 0.1)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.bandit.epsilon = parse_f64("epsilon", v);
+       c.policy.bandit.epsilon = parse_rate("epsilon", v);
      },
      [](const CampaignConfig& c) { return format_exact(c.policy.bandit.epsilon); }},
-    {"eta", "EXP3 learning rate (paper: 0.1)",
+    {"eta", "EXP3 learning rate in [0, 1] (paper: 0.1)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.bandit.eta = parse_f64("eta", v);
+       c.policy.bandit.eta = parse_rate("eta", v);
      },
      [](const CampaignConfig& c) { return format_exact(c.policy.bandit.eta); }},
-    {"alpha", "reward mix R = a|covL| + (1-a)|covG| (paper: 0.25)",
+    {"alpha", "reward mix R = a|covL| + (1-a)|covG|, a in [0, 1] (paper: 0.25)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.alpha = parse_f64("alpha", v);
+       c.policy.alpha = parse_rate("alpha", v);
      },
      [](const CampaignConfig& c) { return format_exact(c.policy.alpha); }},
     {"gamma", "depletion reset threshold; 0 disables (paper: 3)",
@@ -297,9 +307,9 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.adaptive_operators = parse_flag("adaptive-ops", v);
      },
      [](const CampaignConfig& c) { return std::string(c.policy.adaptive_operators ? "true" : "false"); }},
-    {"adaptive-op-epsilon", "exploration rate of the operator bandit",
+    {"adaptive-op-epsilon", "operator-bandit exploration rate in [0, 1]",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.adaptive_op_epsilon = parse_f64("adaptive-op-epsilon", v);
+       c.policy.adaptive_op_epsilon = parse_rate("adaptive-op-epsilon", v);
      },
      [](const CampaignConfig& c) { return format_exact(c.policy.adaptive_op_epsilon); }},
     {"adaptive-length", "Sec. V: MAB seed-length selection",
@@ -481,9 +491,19 @@ std::unique_ptr<fuzz::Fuzzer> make_fuzzer(const std::string& name,
 }  // namespace
 
 Campaign::Campaign(const CampaignConfig& config) : config_(config) {
-  MABFUZZ_DEBUG() << "campaign: " << config_.fuzzer << " on "
-                  << soc::core_name(config_.core) << ", run " << config_.run_index
-                  << ", " << config_.max_tests << " tests";
+  // A checkpoint holds at most kMaxSnapshots snapshots, so a run that
+  // would take more could never be resumed: refuse it before it starts.
+  const std::uint64_t every = config_.effective_snapshot_every();
+  const std::uint64_t snapshots =
+      config_.max_tests / every + (config_.max_tests % every != 0 ? 1 : 0);
+  if (snapshots > kMaxSnapshots) {
+    throw std::invalid_argument(
+        "campaign keys 'tests' and 'snapshot-every': " +
+        std::to_string(config_.max_tests) + " tests at one snapshot every " +
+        std::to_string(every) + " take " + std::to_string(snapshots) +
+        " snapshots, above the bound " + std::to_string(kMaxSnapshots) +
+        " a checkpoint can hold");
+  }
 
   fuzz::BackendConfig backend_config;
   backend_config.core = config_.core;
@@ -619,24 +639,6 @@ fuzz::StepResult Campaign::step() {
       }
     }
   }
-
-  // Documented callback order: arm, new coverage, mismatch, then the
-  // unconditional step notification.
-  if (result.arm) {
-    for (CampaignObserver* observer : observers_) {
-      observer->on_arm_selected(*this, *result.arm);
-    }
-  }
-  if (result.new_global_points > 0) {
-    for (CampaignObserver* observer : observers_) {
-      observer->on_new_coverage(*this, result);
-    }
-  }
-  if (result.mismatch) {
-    for (CampaignObserver* observer : observers_) {
-      observer->on_mismatch(*this, result);
-    }
-  }
   for (CampaignObserver* observer : observers_) {
     observer->on_step(*this, result);
   }
@@ -681,9 +683,6 @@ std::optional<RunResult> Campaign::run_slice(const StopCondition& stop,
   result.tests_executed = steps_;
   result.covered = covered();
   result.elapsed_seconds = elapsed_seconds();
-  for (CampaignObserver* observer : observers_) {
-    observer->on_stop(*this, result);
-  }
   return result;
 }
 

@@ -13,12 +13,8 @@
 //    harness/curves, and an observer interface replacing the hand-rolled
 //    step loops that used to poke fuzzer internals.
 //
-// Observer callback order within one step is part of the contract:
-//   on_arm_selected  (iff the policy selected an arm)
-//   on_new_coverage  (iff the test covered globally-new points)
-//   on_mismatch      (iff differential testing diverged)
-//   on_step          (always, last)
-// and on_batch fires after every snapshot_every steps plus once at stop.
+// Observers get on_step once per executed test and on_batch after each
+// snapshot (every snapshot_every steps, plus once at stop).
 
 #include <array>
 #include <chrono>
@@ -55,7 +51,7 @@ struct CampaignConfig {
   std::uint64_t rng_seed = 1;
   std::uint64_t run_index = 0;
   /// Coverage-snapshot cadence for run_until(); 0 = auto (max_tests / 100,
-  /// at least 1).
+  /// at least 1). At most kMaxSnapshots snapshots per campaign.
   std::uint64_t snapshot_every = 0;
   /// Cross-campaign corpus persistence (fuzz/corpus.hpp). `corpus_in`
   /// loads a mabfuzz-corpus-v2 store before the run (validated against
@@ -110,6 +106,11 @@ struct CampaignConfig {
     return max_tests / 100 == 0 ? 1 : max_tests / 100;
   }
 };
+
+/// Most coverage snapshots one campaign may take: the checkpoint parser
+/// refuses more, and Campaign construction refuses a config whose
+/// ceil(tests / effective_snapshot_every()) exceeds it.
+inline constexpr std::uint64_t kMaxSnapshots = std::uint64_t{1} << 20;
 
 /// Fail-fast guard for end-of-run output paths (corpus-out, sharded matrix
 /// merge targets): throws std::invalid_argument naming `what` when the
@@ -173,19 +174,16 @@ class CampaignObserver {
  public:
   virtual ~CampaignObserver() = default;
 
-  virtual void on_arm_selected(const Campaign&, std::size_t /*arm*/) {}
-  virtual void on_new_coverage(const Campaign&, const fuzz::StepResult&) {}
-  virtual void on_mismatch(const Campaign&, const fuzz::StepResult&) {}
   virtual void on_step(const Campaign&, const fuzz::StepResult&) {}
   virtual void on_batch(const Campaign&, const BatchSnapshot&) {}
-  virtual void on_stop(const Campaign&, const RunResult&) {}
 };
 
 /// One constructed, observable fuzzing campaign. Construction resolves the
 /// policy name through fuzz::FuzzerRegistry, then mab::BanditRegistry
 /// (MABFuzz over that bandit), throwing with the list of known names on a
 /// miss, and derives every RNG stream from (rng_seed, run_index), so equal
-/// configs replay bit-identically.
+/// configs replay bit-identically. A config that would take more than
+/// kMaxSnapshots snapshots is refused with std::invalid_argument.
 class Campaign {
  public:
   explicit Campaign(const CampaignConfig& config);
@@ -193,7 +191,7 @@ class Campaign {
   Campaign(const Campaign&) = delete;
   Campaign& operator=(const Campaign&) = delete;
 
-  /// Executes exactly one test and fires the per-step observer callbacks.
+  /// Executes exactly one test and notifies every observer's on_step.
   fuzz::StepResult step();
 
   /// Batched stepping until `stop` is satisfied, snapshotting coverage
@@ -206,7 +204,7 @@ class Campaign {
 
   /// One scheduling quantum: executes at most `quantum` further tests.
   /// When `stop` fires first, the run is finalized exactly like
-  /// run_until (trailing snapshot + on_stop) and the engaged result is
+  /// run_until (trailing snapshot) and the engaged result is
   /// returned; when the quantum is exhausted first, no finalization
   /// happens and std::nullopt is returned — call again to continue. The
   /// campaign-service scheduler interleaves jobs through this, so sliced

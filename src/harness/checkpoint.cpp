@@ -70,9 +70,9 @@ void append_payload(const Checkpoint& checkpoint, std::string& out) {
   common::put_u64(out, checkpoint.coverage_words.size());
   common::put_words(out,
                     std::span<const std::uint64_t>(checkpoint.coverage_words));
-  out.push_back(checkpoint.has_corpus ? '\1' : '\0');
-  if (checkpoint.has_corpus) {
-    common::put_blob(out, checkpoint.corpus_image);
+  out.push_back(checkpoint.corpus_image ? '\1' : '\0');
+  if (checkpoint.corpus_image) {
+    common::put_blob(out, *checkpoint.corpus_image);
   }
   common::put_u64(out, checkpoint.fingerprint);
   common::put_blob(out, checkpoint.state);
@@ -100,12 +100,11 @@ std::string_view parse_payload(std::string_view payload, Checkpoint& out) {
     in.fail("bug count " + std::to_string(num_bugs) + " does not match this "
             "build's " + std::to_string(soc::kNumBugs) + " (version skew?)");
   }
-  out.first_detection.reserve(num_bugs);
-  for (std::uint32_t i = 0; i < num_bugs; ++i) {
-    out.first_detection.push_back(in.u64("first detection"));
+  for (std::uint64_t& test : out.first_detection) {
+    test = in.u64("first detection");
   }
   const std::uint64_t num_snapshots = in.u64("snapshot count");
-  if (num_snapshots > kMaxCount) {
+  if (num_snapshots > kMaxSnapshots) {
     in.fail("snapshot count exceeds the sanity bound");
   }
   out.snapshots.reserve(static_cast<std::size_t>(num_snapshots));
@@ -125,8 +124,7 @@ std::string_view parse_payload(std::string_view payload, Checkpoint& out) {
   if (flag > 1) {
     in.fail("corpus flag must be 0 or 1");
   }
-  out.has_corpus = flag == 1;
-  if (out.has_corpus) {
+  if (flag == 1) {
     out.corpus_image = in.blob("corpus image", fuzz::Corpus::kMaxImageBytes);
   }
   out.fingerprint = in.u64("fingerprint");
@@ -144,18 +142,13 @@ Checkpoint Checkpoint::capture(const Campaign& campaign) {
   out.config_pairs = campaign.config().to_pairs();
   out.steps = campaign.tests_executed();
   out.mismatches = campaign.mismatches();
-  out.first_detection.assign(soc::kNumBugs, 0);
-  for (const soc::BugInfo& info : soc::all_bugs()) {
-    out.first_detection[static_cast<std::size_t>(info.id)] =
-        campaign.first_detection_test(info.id);
-  }
+  out.first_detection = campaign.first_detection_;
   out.snapshots = campaign.snapshots();
   campaign.fuzzer().append_state(out.fuzzer_state);
   const coverage::Map& global = campaign.fuzzer().accumulated().global();
   out.coverage_universe = global.universe();
   out.coverage_words.assign(global.words().begin(), global.words().end());
   if (campaign.corpus() != nullptr) {
-    out.has_corpus = true;
     out.corpus_image = campaign.corpus()->image();
   }
   if (campaign.fingerprint_.has_value()) {
@@ -178,7 +171,8 @@ std::string Checkpoint::image() const {
   // it. Reserving the bulk fields plus slack keeps appends from reallocating.
   std::string file(kMagic);
   file.reserve(4096 + 24 * snapshots.size() + fuzzer_state.size() +
-               8 * coverage_words.size() + corpus_image.size() + state.size());
+               8 * coverage_words.size() +
+               (corpus_image ? corpus_image->size() : 0) + state.size());
   common::put_u32(file, kVersion);
   common::put_u64(file, 0);
   const std::size_t begin = file.size();
@@ -251,23 +245,20 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
   // one per thread, so a later resume on the thread writes into pages
   // that are already mapped instead of faulting in fresh ones.
   thread_local std::string bytes;
-  bytes.reserve(checkpoint.state.size() + checkpoint.corpus_image.size());
+  const std::optional<std::string>& corpus_image = checkpoint.corpus_image;
+  bytes.reserve(checkpoint.state.size() +
+                (corpus_image ? corpus_image->size() : 0));
   if (probe_fingerprint(*campaign, bytes) != checkpoint.fingerprint) {
     throw diverged("probe test");
   }
 
   // 2. Restore over the probed campaign. The shared corpus is replaced in
   // place: the fuzzer holds the same pointer.
-  if (checkpoint.has_corpus != (campaign->corpus_ != nullptr)) {
+  if (checkpoint.corpus_image.has_value() != (campaign->corpus_ != nullptr)) {
     throw diverged("corpus presence");
   }
-  if (checkpoint.first_detection.size() != soc::kNumBugs) {
-    throw std::runtime_error("checkpoint resume: first-detection list has " +
-                             std::to_string(checkpoint.first_detection.size()) +
-                             " entries, not one per bug");
-  }
-  if (checkpoint.has_corpus) {
-    fuzz::Corpus corpus = fuzz::Corpus::from_image(checkpoint.corpus_image);
+  if (checkpoint.corpus_image) {
+    fuzz::Corpus corpus = fuzz::Corpus::from_image(*checkpoint.corpus_image);
     if (corpus.core() != campaign->corpus_->core() ||
         corpus.universe() != campaign->corpus_->universe()) {
       throw std::runtime_error(
@@ -285,9 +276,7 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
   }
   campaign->steps_ = checkpoint.steps;
   campaign->mismatches_ = checkpoint.mismatches;
-  std::copy(checkpoint.first_detection.begin(),
-            checkpoint.first_detection.end(),
-            campaign->first_detection_.begin());
+  campaign->first_detection_ = checkpoint.first_detection;
   campaign->snapshots_ = checkpoint.snapshots;
   campaign->fingerprint_ = checkpoint.fingerprint;
 
@@ -316,8 +305,8 @@ std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
                   checkpoint.coverage_words.end())) {
     throw diverged("coverage map");
   }
-  if (checkpoint.has_corpus &&
-      campaign->corpus_->image() != checkpoint.corpus_image) {
+  if (checkpoint.corpus_image &&
+      campaign->corpus_->image() != *checkpoint.corpus_image) {
     throw diverged("corpus store");
   }
   return campaign;

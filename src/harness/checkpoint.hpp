@@ -31,12 +31,15 @@
 // as a half-parsed campaign. Writes go to "<path>.tmp" then rename(2),
 // so a crash mid-write leaves the previous checkpoint intact.
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/campaign.hpp"
+#include "soc/bugs.hpp"
 
 namespace mabfuzz::harness {
 
@@ -60,7 +63,7 @@ struct Checkpoint {
   std::uint64_t steps = 0;
   std::uint64_t mismatches = 0;
   /// 1-based first-detection test per bug id; 0 = undetected.
-  std::vector<std::uint64_t> first_detection;
+  std::array<std::uint64_t, soc::kNumBugs> first_detection{};
   std::vector<BatchSnapshot> snapshots;
 
   // --- witnesses (the restored campaign must reproduce these exactly) ---
@@ -71,10 +74,9 @@ struct Checkpoint {
   std::vector<std::uint64_t> coverage_words;
 
   /// Serialized corpus-v2 image of the shared corpus (restored in place,
-  /// then re-serialized as a witness); disengaged via has_corpus=false
-  /// when the campaign runs without a shared store.
-  bool has_corpus = false;
-  std::string corpus_image;
+  /// then re-serialized as a witness); disengaged when the campaign runs
+  /// without a shared store.
+  std::optional<std::string> corpus_image;
 
   // --- restore (new in v3) ---
   /// common::hash64 of the save_state bytes plus shared-corpus image a

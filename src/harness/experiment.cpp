@@ -69,7 +69,7 @@ std::vector<TrialSpec> TrialMatrix::expand() const {
         // speedup pairing never mislabel a cell.
         spec.fuzzer = cell_config.fuzzer;
         spec.variant = variant.label;
-        spec.run_index = first_run + r;
+        spec.run_index = r;
         spec.config = cell_config;
         spec.config.run_index = spec.run_index;
         if (!cell_config.corpus_out.empty()) {
@@ -193,9 +193,9 @@ TrialResult Experiment::run_trial(const TrialSpec& spec) const {
   const auto fail = [&](const char* what) {
     result.failed = true;
     result.error = what;
-    MABFUZZ_WARN() << "trial " << spec.index << " (" << spec.fuzzer
-                   << (spec.variant.empty() ? "" : "/" + spec.variant)
-                   << ", run " << spec.run_index << ") failed: " << what;
+    common::warn("trial " + std::to_string(spec.index) + " (" + spec.fuzzer +
+                 (spec.variant.empty() ? "" : "/" + spec.variant) + ", run " +
+                 std::to_string(spec.run_index) + ") failed: " + what);
   };
   // The one place a trial's failure is caught: whatever the trial throws,
   // std::exception or not, fails that trial alone.
@@ -407,8 +407,8 @@ void Experiment::merge_corpus_shards(const ExperimentResult& result) const {
       shard_paths.push_back(spec.config.corpus_out);
     }
     if (!merged.has_value()) {
-      MABFUZZ_WARN() << "corpus merge target '" << target
-                     << "': every contributing trial failed; nothing to write";
+      common::warn("corpus merge target '" + target +
+                   "': every contributing trial failed; nothing to write");
       continue;
     }
     merged->save(target);
@@ -513,7 +513,7 @@ void write_curve(common::JsonWriter& json, const CoverageCurve& curve) {
 
 void write_experiment_json(std::ostream& os, const ExperimentResult& result,
                            const ArtifactOptions& options) {
-  common::JsonWriter json(os, options.pretty_json);
+  common::JsonWriter json(os);
   json.begin_object();
   json.key("schema").value("mabfuzz-experiment-v1");
   json.key("trial_count").value(static_cast<std::uint64_t>(result.trials.size()));

@@ -72,9 +72,8 @@ struct TrialMatrix {
   std::vector<std::string> fuzzers;
   /// Config-override axis; empty runs one unmodified variant.
   std::vector<TrialVariant> variants;
-  /// Seed range: run_index in [first_run, first_run + trials).
+  /// Seed range: run_index in [0, trials).
   std::uint64_t trials = 1;
-  std::uint64_t first_run = 0;
 
   /// Expands to the full trial list. Throws std::invalid_argument on a
   /// malformed variant override (unknown key / unparsable value).
@@ -232,7 +231,6 @@ struct ArtifactOptions {
   /// Include wall-clock fields. Disable for byte-identical artifacts
   /// (the determinism tests and any content-addressed result store).
   bool include_timing = true;
-  bool pretty_json = true;
 };
 
 /// Prints one line per failed trial ("trial 3 (ucb/g5, run 1): what()")

@@ -144,13 +144,11 @@ void render_fig4(std::ostream& os, const std::vector<Fig4Row>& rows) {
   table.render(os);
 }
 
-void ProgressObserver::on_mismatch(const Campaign& campaign,
-                                   const fuzz::StepResult& step) {
-  if (divergence_announced_) {
+void ProgressObserver::on_step(const Campaign&, const fuzz::StepResult& step) {
+  if (!step.mismatch || divergence_announced_) {
     return;
   }
   divergence_announced_ = true;
-  (void)campaign;
   os_ << "  first golden-model divergence at test #" << step.test_index << "\n";
 }
 

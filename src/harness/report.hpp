@@ -56,7 +56,7 @@ class ProgressObserver : public CampaignObserver {
  public:
   explicit ProgressObserver(std::ostream& os) : os_(os) {}
 
-  void on_mismatch(const Campaign& campaign, const fuzz::StepResult& step) override;
+  void on_step(const Campaign& campaign, const fuzz::StepResult& step) override;
   void on_batch(const Campaign& campaign, const BatchSnapshot& snapshot) override;
 
  private:

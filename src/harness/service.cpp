@@ -45,17 +45,16 @@ std::string event_line(std::string_view event, std::string_view job,
 }  // namespace
 
 /// Per-job campaign observer: counts arm pulls for the done event and
-/// streams new-coverage / mismatch events. Runs on the lane that owns the
-/// job's slice, so the Job fields it touches are single-writer; event
-/// emission serializes through the service's events mutex.
+/// streams new-coverage / mismatch events, in that order within a step.
+/// Runs on the lane that owns the job's slice, so the Job fields it touches
+/// are single-writer; event emission serializes through the service's
+/// events mutex.
 class CampaignService::JobObserver final : public CampaignObserver {
  public:
   JobObserver(CampaignService& service, Job& job)
       : service_(service), job_(job) {}
 
-  void on_arm_selected(const Campaign&, std::size_t arm) override;
-  void on_new_coverage(const Campaign&, const fuzz::StepResult&) override;
-  void on_mismatch(const Campaign&, const fuzz::StepResult&) override;
+  void on_step(const Campaign& campaign, const fuzz::StepResult& step) override;
 
  private:
   CampaignService& service_;
@@ -81,36 +80,34 @@ struct CampaignService::Job {
   std::string error;
 };
 
-void CampaignService::JobObserver::on_arm_selected(const Campaign&,
-                                                   std::size_t arm) {
-  if (arm >= job_.arm_pulls.size()) {
-    job_.arm_pulls.resize(arm + 1, 0);
+void CampaignService::JobObserver::on_step(const Campaign& campaign,
+                                           const fuzz::StepResult& step) {
+  if (step.arm) {
+    if (*step.arm >= job_.arm_pulls.size()) {
+      job_.arm_pulls.resize(*step.arm + 1, 0);
+    }
+    ++job_.arm_pulls[*step.arm];
   }
-  ++job_.arm_pulls[arm];
-}
-
-void CampaignService::JobObserver::on_new_coverage(
-    const Campaign& campaign, const fuzz::StepResult& step) {
-  service_.emit_event(event_line(
-      "new_coverage", job_.spec.name, [&](common::JsonWriter& json) {
-        json.key("test").value(step.test_index);
-        json.key("new_points").value(std::uint64_t{step.new_global_points});
-        json.key("covered").value(std::uint64_t{campaign.covered()});
-      }));
-}
-
-void CampaignService::JobObserver::on_mismatch(const Campaign&,
-                                               const fuzz::StepResult& step) {
-  service_.emit_event(event_line(
-      "mismatch", job_.spec.name, [&](common::JsonWriter& json) {
-        json.key("test").value(step.test_index);
-        json.key("bugs").begin_array();
-        // Firing order is commit order within the test — deterministic.
-        for (const soc::BugFiring& firing : step.firings) {
-          json.value(soc::bug_info(firing.id).name);
-        }
-        json.end_array();
-      }));
+  if (step.new_global_points > 0) {
+    service_.emit_event(event_line(
+        "new_coverage", job_.spec.name, [&](common::JsonWriter& json) {
+          json.key("test").value(step.test_index);
+          json.key("new_points").value(std::uint64_t{step.new_global_points});
+          json.key("covered").value(std::uint64_t{campaign.covered()});
+        }));
+  }
+  if (step.mismatch) {
+    service_.emit_event(event_line(
+        "mismatch", job_.spec.name, [&](common::JsonWriter& json) {
+          json.key("test").value(step.test_index);
+          json.key("bugs").begin_array();
+          // Firing order is commit order within the test — deterministic.
+          for (const soc::BugFiring& firing : step.firings) {
+            json.value(soc::bug_info(firing.id).name);
+          }
+          json.end_array();
+        }));
+  }
 }
 
 CampaignService::CampaignService(ServiceConfig config, std::ostream* events)
@@ -436,8 +433,7 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
   result.trials.push_back(std::move(trial));
   aggregate_experiment(result);
 
-  const ArtifactOptions options{/*include_timing=*/false,
-                                /*pretty_json=*/true};
+  const ArtifactOptions options{/*include_timing=*/false};
   std::ostringstream json;
   write_experiment_json(json, result, options);
   common::write_file_atomic(job.spec.artifact_out + ".json", json.str());

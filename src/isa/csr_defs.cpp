@@ -16,33 +16,6 @@ constexpr std::array<CsrAddr, 19> kImplementedCsrs = {
 
 std::span<const CsrAddr> implemented_csrs() noexcept { return kImplementedCsrs; }
 
-bool csr_implemented(CsrAddr addr) noexcept {
-  switch (addr) {
-    case csr::kMstatus:
-    case csr::kMisa:
-    case csr::kMie:
-    case csr::kMtvec:
-    case csr::kMcounteren:
-    case csr::kMscratch:
-    case csr::kMepc:
-    case csr::kMcause:
-    case csr::kMtval:
-    case csr::kMip:
-    case csr::kMcycle:
-    case csr::kMinstret:
-    case csr::kMvendorid:
-    case csr::kMarchid:
-    case csr::kMimpid:
-    case csr::kMhartid:
-    case csr::kCycle:
-    case csr::kTime:
-    case csr::kInstret:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool csr_read_only(CsrAddr addr) noexcept {
   // Per the privileged spec, CSR[11:10] == 0b11 marks a read-only range.
   return ((addr >> 10) & 0b11) == 0b11;

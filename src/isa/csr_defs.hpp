@@ -37,11 +37,8 @@ inline constexpr CsrAddr kTime = 0xC01;
 inline constexpr CsrAddr kInstret = 0xC02;
 }  // namespace csr
 
-/// True when the address is architected in the modelled cores.
-[[nodiscard]] bool csr_implemented(CsrAddr addr) noexcept;
-
-/// All implemented CSR addresses, in a stable order (for per-CSR
-/// instrumentation and tests).
+/// All CSR addresses architected in the modelled cores, in a stable order
+/// (for per-CSR instrumentation and tests).
 [[nodiscard]] std::span<const CsrAddr> implemented_csrs() noexcept;
 
 /// True when writes are architecturally ignored / illegal (0xFxx, 0xCxx).

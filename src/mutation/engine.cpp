@@ -2,11 +2,37 @@
 
 namespace mabfuzz::mutation {
 
-Engine::Engine(const EngineConfig& config, common::Xoshiro256StarStar rng,
+namespace {
+
+/// Operators applied per mutant (1..max, uniformly chosen).
+constexpr unsigned kMaxOpsPerMutant = 2;
+
+/// Static operator weights (TheHuzz profiles these offline; these mirror
+/// its bias toward fine-grained bit/arith operators).
+constexpr std::array<double, kNumOps> kOperatorWeights = {
+    3.0,  // bitflip1
+    2.0,  // bitflip2
+    2.0,  // bitflip4
+    1.5,  // byteflip
+    1.5,  // arith8
+    1.0,  // arith16
+    1.0,  // arith32
+    1.5,  // random_byte
+    1.0,  // random_word
+    2.0,  // opcode_swap
+    2.5,  // operand_shuffle
+    0.5,  // instr_delete
+    1.0,  // instr_clone
+    0.5,  // instr_swap
+};
+
+}  // namespace
+
+Engine::Engine(common::Xoshiro256StarStar rng,
                std::shared_ptr<OperatorPolicy> policy)
-    : config_(config), rng_(rng), policy_(std::move(policy)) {
+    : rng_(rng), policy_(std::move(policy)) {
   if (!policy_) {
-    policy_ = std::make_shared<StaticPolicy>(config_.weights);
+    policy_ = std::make_shared<StaticPolicy>(kOperatorWeights);
   }
 }
 
@@ -17,7 +43,7 @@ std::vector<isa::Word> Engine::mutate(const std::vector<isa::Word>& parent,
     return mutant;
   }
   const unsigned burst =
-      1 + static_cast<unsigned>(rng_.next_index(config_.max_ops_per_mutant));
+      1 + static_cast<unsigned>(rng_.next_index(kMaxOpsPerMutant));
   unsigned applied = 0;
   unsigned attempts = 0;
   while (applied < burst && attempts < burst * 8) {

@@ -18,36 +18,14 @@
 
 namespace mabfuzz::mutation {
 
-struct EngineConfig {
-  /// Operators applied per mutant (1..max, uniformly chosen).
-  unsigned max_ops_per_mutant = 2;
-  /// Static operator weights (TheHuzz profiles these offline; the defaults
-  /// mirror its bias toward fine-grained bit/arith operators).
-  std::array<double, kNumOps> weights = {
-      3.0,  // bitflip1
-      2.0,  // bitflip2
-      2.0,  // bitflip4
-      1.5,  // byteflip
-      1.5,  // arith8
-      1.0,  // arith16
-      1.0,  // arith32
-      1.5,  // random_byte
-      1.0,  // random_word
-      2.0,  // opcode_swap
-      2.5,  // operand_shuffle
-      0.5,  // instr_delete
-      1.0,  // instr_clone
-      0.5,  // instr_swap
-  };
-};
-
 class Engine {
  public:
-  /// With no policy, operators follow the config's static weights
-  /// (TheHuzz's behaviour). A shared policy enables adaptive selection —
-  /// shared so a scheduler can feed coverage rewards back into it.
-  Engine(const EngineConfig& config, common::Xoshiro256StarStar rng,
-         std::shared_ptr<OperatorPolicy> policy = nullptr);
+  /// With no policy, operators follow TheHuzz's static weights (a
+  /// StaticPolicy over engine.cpp's profiled table). A shared policy enables
+  /// adaptive selection — shared so a scheduler can feed coverage rewards
+  /// back into it.
+  explicit Engine(common::Xoshiro256StarStar rng,
+                  std::shared_ptr<OperatorPolicy> policy = nullptr);
 
   /// Produces one mutant of `parent` (at least one operator is applied;
   /// inapplicable draws are retried a bounded number of times). When
@@ -69,7 +47,6 @@ class Engine {
   void restore_state(common::ByteReader& in);
 
  private:
-  EngineConfig config_;
   common::Xoshiro256StarStar rng_;
   std::shared_ptr<OperatorPolicy> policy_;
   std::array<std::uint64_t, kNumOps> op_counts_{};

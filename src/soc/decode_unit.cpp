@@ -83,13 +83,6 @@ bool DecodeUnit::v2_candidate(isa::Word word) noexcept {
   return strict.status == isa::DecodeStatus::kUnknownFunct7;
 }
 
-unsigned DecodeUnit::lane_of(unsigned lane) const noexcept {
-  if (params_.lanes <= 1) {
-    return 0;
-  }
-  return lane < params_.lanes ? lane : lane % params_.lanes;  // defensive
-}
-
 std::size_t DecodeUnit::toggle_bucket(isa::Word word) const noexcept {
   // Operand-field toggle mass: which decode-datapath bit pattern this
   // encoding exercises (funct fields + low immediate bits).
@@ -170,7 +163,6 @@ DecodeUnit::Plan DecodeUnit::make_plan(isa::Word word,
 
 DecodeUnit::Outcome DecodeUnit::decode(isa::Word word, unsigned lane,
                                        coverage::Context& ctx) {
-  lane = lane_of(lane);
   const Outcome outcome = resolve(word, isa::decode(word));
 
   if (const coverage::PointId fpu = fpu_point(word); fpu != kNoPoint) {
@@ -195,7 +187,7 @@ const DecodeUnit::Outcome& DecodeUnit::decode(isa::Word word,
                                               const isa::DecodeResult& strict,
                                               unsigned lane,
                                               coverage::Context& ctx) {
-  const auto l = static_cast<coverage::PointId>(lane_of(lane));
+  const auto l = static_cast<coverage::PointId>(lane);
   Plan& plan = plans_[static_cast<std::size_t>(
       (static_cast<std::uint32_t>(word) * 2654435769u) >> kPlanShift)];
   if (plan.word != word) {

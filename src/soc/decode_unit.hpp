@@ -50,7 +50,7 @@ class DecodeUnit {
   /// re-plan, never a wrong outcome.
   static constexpr std::size_t kPlanSlots = 1024;
 
-  /// Decodes `word` in lane `lane` (callers pass commit_index % lanes).
+  /// Decodes `word` in lane `lane`, which must be below `lanes`.
   /// Uncached: the reference the plan cache must match bit for bit.
   Outcome decode(isa::Word word, unsigned lane, coverage::Context& ctx);
 
@@ -89,7 +89,6 @@ class DecodeUnit {
   /// The outcome of decoding `word`, with the V1/V2 gates applied.
   [[nodiscard]] Outcome resolve(isa::Word word, const isa::DecodeResult& strict) const;
   [[nodiscard]] Plan make_plan(isa::Word word, const isa::DecodeResult& strict) const;
-  [[nodiscard]] unsigned lane_of(unsigned lane) const noexcept;
   [[nodiscard]] std::size_t toggle_bucket(isa::Word word) const noexcept;
   [[nodiscard]] coverage::PointId fpu_point(isa::Word word) const noexcept;
 

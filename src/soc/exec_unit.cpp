@@ -91,11 +91,6 @@ void ExecUnit::hit_result_points(const isa::Instruction& instr, std::uint64_t a,
 ExecUnit::Result ExecUnit::execute(const isa::Instruction& instr, std::uint64_t pc,
                                    std::uint64_t a, std::uint64_t b, unsigned lane,
                                    coverage::Context& ctx) {
-  if (params_.lanes <= 1) {
-    lane = 0;
-  } else if (lane >= params_.lanes) {
-    lane %= params_.lanes;  // defensive; callers already pass lane < lanes
-  }
   const auto imm = static_cast<std::uint64_t>(instr.imm);
   Result res;
 

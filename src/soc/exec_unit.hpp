@@ -29,7 +29,8 @@ class ExecUnit {
   };
 
   /// Executes an ALU / shift / compare / mul-div / LUI / AUIPC / JAL(R)-link
-  /// / branch-compare instruction. `a`/`b` are the source operand values.
+  /// / branch-compare instruction. `a`/`b` are the source operand values;
+  /// `lane` must be below `lanes`.
   Result execute(const isa::Instruction& instr, std::uint64_t pc,
                  std::uint64_t a, std::uint64_t b, unsigned lane,
                  coverage::Context& ctx);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "isa/decoder.hpp"
 #include "isa/encoder.hpp"
@@ -22,10 +24,36 @@ constexpr unsigned kNumInstrClasses = 11;
 // Fetch cycles on an I$ hit and on a miss.
 constexpr unsigned kFetchHitCycles = 1;
 constexpr unsigned kFetchMissCycles = 3;
+// One fetch-region coverage point per 4 KiB of DRAM.
+constexpr unsigned kFetchRegionShift = 12;
+
+/// Every core has a power-of-two lane count and DRAM size, so the lane and
+/// fetch-region choices are masks; anything else is refused up front. The
+/// decode and execute units index their coverage by that lane unchecked.
+PipelineParams validated(PipelineParams params) {
+  if (!std::has_single_bit(params.lanes)) {
+    throw std::invalid_argument("PipelineParams::lanes = " +
+                                std::to_string(params.lanes) +
+                                " must be a power of two");
+  }
+  if (params.decode.lanes != params.lanes ||
+      params.exec.lanes != params.lanes) {
+    throw std::invalid_argument(
+        "PipelineParams: decode.lanes and exec.lanes must equal lanes = " +
+        std::to_string(params.lanes));
+  }
+  if (!std::has_single_bit(params.dram_size) ||
+      params.dram_size < (std::uint64_t{1} << kFetchRegionShift)) {
+    throw std::invalid_argument("PipelineParams::dram_size = " +
+                                std::to_string(params.dram_size) +
+                                " must be a power of two of at least 4096");
+  }
+  return params;
+}
 }  // namespace
 
 Pipeline::Pipeline(PipelineParams params)
-    : params_(std::move(params)),
+    : params_(validated(std::move(params))),
       memory_(isa::kDramBase, params_.dram_size),
       icache_(params_.icache, ctx_),
       dcache_(params_.dcache, ctx_, params_.dram_size),
@@ -41,17 +69,11 @@ Pipeline::Pipeline(PipelineParams params)
       sled_addi_(isa::decode(isa::assembled_trap_handler()[1]).instr),
       sled_csrrw_(isa::decode(isa::assembled_trap_handler()[2]).instr) {
   auto& reg = ctx_.registry();
-  fetch_regions_ = static_cast<unsigned>(params_.dram_size >> 12);
-  if (fetch_regions_ == 0) {
-    fetch_regions_ = 1;
-  }
-  fetch_region_pow2_ = std::has_single_bit(fetch_regions_);
-  fetch_region_mask_ = fetch_regions_ - 1;
-  // Decided once here: without -mpopcnt, std::has_single_bit is a libgcc
-  // call, far too slow for the per-commit lane choice.
-  lanes_pow2_ = params_.lanes <= 1 || std::has_single_bit(params_.lanes);
-  lane_mask_ = params_.lanes <= 1 ? 0 : params_.lanes - 1;
-  cov_fetch_region_ = reg.add_array("pipeline/fetch_region", fetch_regions_);
+  const auto fetch_regions =
+      static_cast<unsigned>(params_.dram_size >> kFetchRegionShift);
+  fetch_region_mask_ = fetch_regions - 1;
+  lane_mask_ = params_.lanes - 1;
+  cov_fetch_region_ = reg.add_array("pipeline/fetch_region", fetch_regions);
   cov_fetch_handler_ = reg.add("pipeline/fetch_in_handler");
   cov_fetch_selfmod_ = reg.add("pipeline/fetch_from_dirty_line");
   cov_fetch_misaligned_ = reg.add("pipeline/fetch_misaligned");
@@ -101,11 +123,9 @@ bool Pipeline::fetch_word(std::uint64_t addr, coverage::Context& ctx, Word& word
     return false;
   }
   if (addr >= isa::kDramBase) {
-    const std::uint64_t region = (addr - isa::kDramBase) >> 12;
+    const std::uint64_t region = (addr - isa::kDramBase) >> kFetchRegionShift;
     ctx.hit(cov_fetch_region_,
-            static_cast<std::size_t>(fetch_region_pow2_
-                                         ? region & fetch_region_mask_
-                                         : region % fetch_regions_));
+            static_cast<std::size_t>(region & fetch_region_mask_));
   }
   if (addr >= isa::kHandlerBase && addr < isa::kProgramBase) {
     ctx.hit(cov_fetch_handler_);

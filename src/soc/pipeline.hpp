@@ -60,6 +60,9 @@ struct RunOutput {
 
 class Pipeline {
  public:
+  /// Throws std::invalid_argument unless `lanes` is a power of two that
+  /// the decode and execute units share, and `dram_size` a power of two of
+  /// at least 4 KiB.
   explicit Pipeline(PipelineParams params);
 
   Pipeline(const Pipeline&) = delete;
@@ -155,8 +158,7 @@ class Pipeline {
 
   /// The lane of the commit at trace index `index`.
   [[nodiscard]] unsigned lane_of(std::size_t index) const noexcept {
-    return lanes_pow2_ ? static_cast<unsigned>(index & lane_mask_)
-                       : static_cast<unsigned>(index % params_.lanes);
+    return static_cast<unsigned>(index & lane_mask_);
   }
 
   /// Bug V3 helper: does the 3-deep prefetch queue beyond `pc` hold a word
@@ -226,9 +228,7 @@ class Pipeline {
   bool have_prev_mnemonic_ = false;
   isa::Mnemonic prev_mnemonic_{};
 
-  // Lane assignment, fixed at construction: commit index & lane_mask_ when
-  // the width is a power of two (always, in practice), % lanes otherwise.
-  bool lanes_pow2_ = true;
+  // Lane assignment: commit index & (lanes - 1).
   unsigned lane_mask_ = 0;
 
   // The per-word decode outcome on the uncached reference path.
@@ -248,9 +248,7 @@ class Pipeline {
   coverage::PointId cov_wild_jump_ = 0;      // control flow left program image
   coverage::PointId cov_seq_pair_ = 0;       // mnemonic x mnemonic sequences
 
-  unsigned fetch_regions_ = 0;
-  unsigned fetch_region_mask_ = 0;  // fetch_regions_ - 1 when a power of two
-  bool fetch_region_pow2_ = false;
+  unsigned fetch_region_mask_ = 0;  // 4 KiB DRAM regions - 1
 
   isa::LoopProbe probe_;
   LoopStart loop_start_;

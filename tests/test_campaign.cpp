@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -277,6 +279,50 @@ TEST(CampaignConfigTest, RejectsMalformedValues) {
   }
   config.set("corpus-cap", "1048576");
   EXPECT_EQ(config.policy.corpus_cap, fuzz::Corpus::kMaxEntries);
+  // Rates must be finite and in [0, 1]; the error names the key.
+  for (const char* key : {"epsilon", "eta", "alpha", "adaptive-op-epsilon"}) {
+    for (const char* value :
+         {"nan", "inf", "-inf", "1e308", "-1e300", "-0.5", "1.0001"}) {
+      try {
+        config.set(key, value);
+        ADD_FAILURE() << key << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    config.set(key, "0");
+    config.set(key, "1");
+  }
+  EXPECT_DOUBLE_EQ(config.policy.alpha, 1.0);
+}
+
+TEST(CampaignConfigTest, RefusesMoreSnapshotsThanACheckpointHolds) {
+  // ceil(tests / snapshot-every) snapshots: exactly the bound constructs.
+  CampaignConfig config = tiny("random");
+  config.snapshot_every = 1;
+  config.max_tests = kMaxSnapshots;
+  { Campaign at_bound(config); }
+  config.snapshot_every = 2;
+  config.max_tests = 2 * kMaxSnapshots;
+  { Campaign at_bound(config); }
+  // One more is refused before anything runs, naming both keys.
+  for (const auto& [tests, every] :
+       {std::pair{kMaxSnapshots + 1, std::uint64_t{1}},
+        std::pair{2 * kMaxSnapshots + 1, std::uint64_t{2}}}) {
+    config.max_tests = tests;
+    config.snapshot_every = every;
+    try {
+      Campaign campaign(config);
+      ADD_FAILURE() << tests << " tests at snapshot-every=" << every
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("'tests'"), std::string::npos) << message;
+      EXPECT_NE(message.find("'snapshot-every'"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(CampaignConfigTest, CapValuesBuildAndRun) {
@@ -458,65 +504,33 @@ TEST(StopConditions, BugDetectionTakesPrecedenceOverMaxTests) {
 // --- observers ------------------------------------------------------------------
 
 struct RecordingObserver final : CampaignObserver {
-  struct Event {
-    std::string kind;
-    std::uint64_t test_index;
-  };
-  std::vector<Event> events;
-  std::uint64_t batches = 0;
-  std::uint64_t stops = 0;
+  std::vector<std::uint64_t> steps;  // test_index of each on_step
+  std::vector<std::uint64_t> batches;  // tests_executed of each on_batch
 
-  void on_arm_selected(const Campaign& campaign, std::size_t) override {
-    // steps_ is already incremented when per-step callbacks fire.
-    events.push_back({"arm", campaign.tests_executed()});
+  void on_step(const Campaign& campaign,
+               const fuzz::StepResult& step) override {
+    // steps_ is already incremented when on_step fires.
+    EXPECT_EQ(campaign.tests_executed(), step.test_index);
+    steps.push_back(step.test_index);
   }
-  void on_new_coverage(const Campaign&, const fuzz::StepResult& step) override {
-    events.push_back({"coverage", step.test_index});
+  void on_batch(const Campaign&, const BatchSnapshot& snapshot) override {
+    batches.push_back(snapshot.tests_executed);
   }
-  void on_mismatch(const Campaign&, const fuzz::StepResult& step) override {
-    events.push_back({"mismatch", step.test_index});
-  }
-  void on_step(const Campaign&, const fuzz::StepResult& step) override {
-    events.push_back({"step", step.test_index});
-  }
-  void on_batch(const Campaign&, const BatchSnapshot&) override { ++batches; }
-  void on_stop(const Campaign&, const RunResult&) override { ++stops; }
 };
 
-TEST(Observers, CallbackOrderWithinAStep) {
-  CampaignConfig config = tiny("ucb", 40);
+TEST(Observers, OneStepPerTestAndOneBatchPerSnapshot) {
+  CampaignConfig config = tiny("ucb", 45);
   config.snapshot_every = 10;
   Campaign campaign(config);
   RecordingObserver recorder;
   campaign.add_observer(recorder);
   campaign.run();
 
-  // Per step: optional "arm", optional "coverage", optional "mismatch",
-  // then exactly one "step" — in that order, sharing the test index.
-  std::uint64_t steps_seen = 0;
-  std::size_t i = 0;
-  while (i < recorder.events.size()) {
-    const std::uint64_t test = recorder.events[i].test_index;
-    std::vector<std::string> kinds;
-    while (i < recorder.events.size() && recorder.events[i].test_index == test) {
-      kinds.push_back(recorder.events[i].kind);
-      ++i;
-    }
-    ASSERT_FALSE(kinds.empty());
-    EXPECT_EQ(kinds.back(), "step") << "at test " << test;
-    std::vector<std::string> expected_order;
-    for (const char* kind : {"arm", "coverage", "mismatch", "step"}) {
-      if (std::find(kinds.begin(), kinds.end(), kind) != kinds.end()) {
-        expected_order.emplace_back(kind);
-      }
-    }
-    EXPECT_EQ(kinds, expected_order) << "at test " << test;
-    EXPECT_EQ(kinds.front(), "arm") << "ucb selects an arm every step";
-    ++steps_seen;
-  }
-  EXPECT_EQ(steps_seen, 40u);
-  EXPECT_EQ(recorder.batches, 4u);  // 10, 20, 30, 40
-  EXPECT_EQ(recorder.stops, 1u);
+  std::vector<std::uint64_t> expected_steps(45);
+  std::iota(expected_steps.begin(), expected_steps.end(), 1);
+  EXPECT_EQ(recorder.steps, expected_steps);
+  // Every 10 tests, plus the unaligned final sample at stop.
+  EXPECT_EQ(recorder.batches, (std::vector<std::uint64_t>{10, 20, 30, 40, 45}));
 }
 
 TEST(Observers, SnapshotsFeedCurves) {

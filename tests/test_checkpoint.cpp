@@ -79,7 +79,6 @@ TEST(CheckpointFormatTest, SaveLoadRoundTripPreservesEveryField) {
   EXPECT_EQ(after.fuzzer_state, before.fuzzer_state);
   EXPECT_EQ(after.coverage_universe, before.coverage_universe);
   EXPECT_EQ(after.coverage_words, before.coverage_words);
-  EXPECT_EQ(after.has_corpus, before.has_corpus);
   EXPECT_EQ(after.corpus_image, before.corpus_image);
   EXPECT_NE(before.fingerprint, 0u);
   EXPECT_EQ(after.fingerprint, before.fingerprint);
@@ -95,8 +94,11 @@ TEST(CheckpointFormatTest, CaptureRecordsMidRunState) {
   EXPECT_EQ(checkpoint.snapshots.size(), 2u);  // snapshot-every=25
   EXPECT_FALSE(checkpoint.fuzzer_state.empty());
   EXPECT_EQ(checkpoint.coverage_universe, campaign.coverage_universe());
-  EXPECT_FALSE(checkpoint.has_corpus);  // no corpus configured
-  EXPECT_EQ(checkpoint.first_detection.size(), soc::kNumBugs);
+  EXPECT_FALSE(checkpoint.corpus_image.has_value());  // no corpus configured
+  for (const soc::BugInfo& info : soc::all_bugs()) {
+    EXPECT_EQ(checkpoint.first_detection[static_cast<std::size_t>(info.id)],
+              campaign.first_detection_test(info.id));
+  }
 }
 
 TEST(CheckpointFormatTest, EmbedsCorpusImageWhenConfigured) {
@@ -105,10 +107,10 @@ TEST(CheckpointFormatTest, EmbedsCorpusImageWhenConfigured) {
   Campaign campaign(config);
   advance(campaign, 40);
   const Checkpoint checkpoint = Checkpoint::capture(campaign);
-  ASSERT_TRUE(checkpoint.has_corpus);
+  ASSERT_TRUE(checkpoint.corpus_image.has_value());
   // The image is a loadable corpus-v2 store equal to the live one.
   const fuzz::Corpus decoded =
-      fuzz::Corpus::from_image(checkpoint.corpus_image);
+      fuzz::Corpus::from_image(*checkpoint.corpus_image);
   EXPECT_EQ(decoded, *campaign.corpus());
 }
 

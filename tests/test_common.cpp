@@ -375,10 +375,10 @@ TEST(Cli, SplitKeepsGetlineSemantics) {
 TEST(Cli, ParsesKeyValueForms) {
   const char* argv[] = {"prog", "--tests", "500", "--alpha=0.25", "--verbose"};
   const CliArgs args(5, argv);
-  EXPECT_EQ(args.get_int("tests", 0), 500);
-  EXPECT_DOUBLE_EQ(args.get_double("alpha", 0), 0.25);
+  EXPECT_EQ(args.get_uint("tests", 0), 500u);
+  EXPECT_EQ(args.get_string("alpha", ""), "0.25");
   EXPECT_TRUE(args.get_bool("verbose", false));
-  EXPECT_EQ(args.get_int("missing", 7), 7);
+  EXPECT_EQ(args.get_uint("missing", 7), 7u);
 }
 
 TEST(Cli, PositionalArguments) {
@@ -392,7 +392,7 @@ TEST(Cli, PositionalArguments) {
 TEST(Cli, MalformedNumberThrows) {
   const char* argv[] = {"prog", "--n", "abc"};
   const CliArgs args(3, argv);
-  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_uint("n", 0), std::invalid_argument);
 }
 
 TEST(Cli, BooleanSpellings) {

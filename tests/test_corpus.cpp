@@ -504,6 +504,17 @@ TEST(CorpusCampaign, TheHuzzFeedsTheSharedCorpus) {
   std::remove((path + ".json").c_str());
 }
 
+TEST(CorpusCampaign, RandomOffersEveryTestToTheSharedCorpus) {
+  auto config = reuse_config();
+  config.fuzzer = "random";
+  config.corpus_out = testing::TempDir() + "random_corpus_out.bin";
+  harness::Campaign campaign(config);
+  campaign.run();
+  const Corpus& corpus = *campaign.corpus();
+  EXPECT_EQ(corpus.admitted() + corpus.rejected(), config.max_tests);
+  EXPECT_GT(corpus.admitted(), 0u);
+}
+
 TEST(CorpusCampaign, CorpusInRejectsCoreMismatch) {
   const std::string path = testing::TempDir() + "core_mismatch_corpus.bin";
   executed_corpus().save(path);  // recorded on rocket

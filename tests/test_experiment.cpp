@@ -36,14 +36,13 @@ TEST(TrialMatrixExpand, FuzzerMajorOrderAndRunRange) {
   TrialMatrix matrix = small_matrix();
   matrix.fuzzers = {"thehuzz", "ucb"};
   matrix.trials = 3;
-  matrix.first_run = 10;
   const std::vector<TrialSpec> specs = matrix.expand();
   ASSERT_EQ(specs.size(), 6u);
   EXPECT_EQ(specs[0].fuzzer, "thehuzz");
-  EXPECT_EQ(specs[0].run_index, 10u);
-  EXPECT_EQ(specs[2].run_index, 12u);
+  EXPECT_EQ(specs[0].run_index, 0u);
+  EXPECT_EQ(specs[2].run_index, 2u);
   EXPECT_EQ(specs[3].fuzzer, "ucb");
-  EXPECT_EQ(specs[3].run_index, 10u);
+  EXPECT_EQ(specs[3].run_index, 0u);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(specs[i].index, i);
     EXPECT_EQ(specs[i].config.fuzzer, specs[i].fuzzer);

@@ -52,8 +52,7 @@ TEST(MabOperatorPolicy, DrivesEngineChoices) {
     const mutation::Op op = policy->choose(rng);
     policy->feedback(op, op == mutation::Op::kInstrSwap ? 1.0 : 0.0);
   }
-  mutation::Engine engine(mutation::EngineConfig{},
-                          common::Xoshiro256StarStar(7), policy);
+  mutation::Engine engine(common::Xoshiro256StarStar(7), policy);
   std::vector<isa::Word> parent = {0x13, 0x13, 0x93, 0x113};
   for (int i = 0; i < 100; ++i) {
     (void)engine.mutate(parent);
@@ -225,8 +224,7 @@ TEST(OperatorProvenance, ExplicitSeedLengthHonoured) {
   fuzz::Backend backend(config);
   EXPECT_EQ(backend.make_seed(8).words.size(), 8u);
   EXPECT_EQ(backend.make_seed(40).words.size(), 40u);
-  EXPECT_EQ(backend.make_seed(0).words.size(),
-            config.seedgen.instructions_per_seed);
+  EXPECT_EQ(backend.make_seed(0).words.size(), fuzz::kSeedLength);
 }
 
 }  // namespace

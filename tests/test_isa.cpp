@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "isa/builder.hpp"
@@ -269,12 +271,12 @@ TEST(Decoder, StatusNamesAreDistinct) {
 
 // --- CSR defs -----------------------------------------------------------------------
 
-TEST(CsrDefs, ImplementedListMatchesPredicate) {
-  for (const CsrAddr addr : implemented_csrs()) {
-    EXPECT_TRUE(csr_implemented(addr));
+TEST(CsrDefs, ImplementedListIsNamed) {
+  const auto list = implemented_csrs();
+  for (const CsrAddr addr : list) {
     EXPECT_TRUE(csr_name(addr).has_value());
   }
-  EXPECT_FALSE(csr_implemented(0x7C0));
+  EXPECT_EQ(std::find(list.begin(), list.end(), CsrAddr{0x7C0}), list.end());
   EXPECT_FALSE(csr_name(0x7C0).has_value());
 }
 

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "isa/builder.hpp"
 #include "isa/decoder.hpp"
 #include "isa/encoder.hpp"
 #include "mutation/engine.hpp"
 #include "mutation/operators.hpp"
+#include "mutation/policy.hpp"
 
 namespace mabfuzz::mutation {
 namespace {
@@ -163,7 +167,7 @@ TEST(Operators, InstrSwapPermutesProgram) {
 // --- engine --------------------------------------------------------------------------
 
 TEST(Engine, MutantDiffersFromParent) {
-  Engine engine(EngineConfig{}, Xoshiro256StarStar(23));
+  Engine engine(Xoshiro256StarStar(23));
   const std::vector<Word> parent = sample_program();
   int different = 0;
   for (int i = 0; i < 100; ++i) {
@@ -176,15 +180,15 @@ TEST(Engine, MutantDiffersFromParent) {
 
 TEST(Engine, DeterministicForSameSeed) {
   const std::vector<Word> parent = sample_program();
-  Engine a(EngineConfig{}, Xoshiro256StarStar(31));
-  Engine b(EngineConfig{}, Xoshiro256StarStar(31));
+  Engine a(Xoshiro256StarStar(31));
+  Engine b(Xoshiro256StarStar(31));
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(a.mutate(parent), b.mutate(parent));
   }
 }
 
 TEST(Engine, OpCountsAccumulate) {
-  Engine engine(EngineConfig{}, Xoshiro256StarStar(37));
+  Engine engine(Xoshiro256StarStar(37));
   const std::vector<Word> parent = sample_program();
   for (int i = 0; i < 300; ++i) {
     (void)engine.mutate(parent);
@@ -197,10 +201,10 @@ TEST(Engine, OpCountsAccumulate) {
 }
 
 TEST(Engine, RespectsOperatorWeights) {
-  EngineConfig config;
-  config.weights.fill(0.0);
-  config.weights[static_cast<std::size_t>(Op::kBitFlip1)] = 1.0;
-  Engine engine(config, Xoshiro256StarStar(41));
+  std::array<double, kNumOps> weights{};
+  weights[static_cast<std::size_t>(Op::kBitFlip1)] = 1.0;
+  Engine engine(Xoshiro256StarStar(41),
+                std::make_shared<StaticPolicy>(weights));
   const std::vector<Word> parent = sample_program();
   for (int i = 0; i < 100; ++i) {
     (void)engine.mutate(parent);
@@ -214,7 +218,7 @@ TEST(Engine, RespectsOperatorWeights) {
 }
 
 TEST(Engine, EmptyParentStaysEmpty) {
-  Engine engine(EngineConfig{}, Xoshiro256StarStar(43));
+  Engine engine(Xoshiro256StarStar(43));
   EXPECT_TRUE(engine.mutate({}).empty());
 }
 

@@ -526,6 +526,9 @@ TEST(ServeProtocolTest, SubmitErrorsAreReplies) {
        "'length-choices': 65 lengths exceed the cap 64"},
       {"submit job=a length-choices=0,20", "'length-choices': length 0"},
       {"submit job=a length-choices=20,20", "'length-choices': length 20"},
+      {"submit job=a eta=nan", "'eta': nan is not a rate in [0, 1]"},
+      {"submit job=a alpha=-1e300", "'alpha': -1e300 is not a rate"},
+      {"submit job=a tests=1048577 snapshot-every=1", "'snapshot-every'"},
   };
   for (const auto& [line, named] : refused) {
     const std::string reply = reply_to(service, line);
