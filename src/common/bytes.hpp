@@ -227,7 +227,7 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// The checkpoint-v4 trailer and fingerprint hash (docs/ARTIFACTS.md): 8
+/// The checkpoint trailer and fingerprint hash (docs/ARTIFACTS.md): 8
 /// little-endian bytes per step into four lanes, every step a bijection of
 /// its lane, so a change within one aligned 8-byte word always shows.
 [[nodiscard]] std::uint64_t hash64(std::string_view bytes);

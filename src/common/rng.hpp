@@ -72,9 +72,9 @@ class Xoshiro256StarStar {
   /// normalised) weights. Returns weights.size() if all weights are zero.
   std::size_t next_weighted(std::span<const double> weights) noexcept;
 
-  /// The raw 256-bit generator state — the checkpoint subsystem's stream
-  /// position witness (harness/checkpoint.hpp): equal states mean the
-  /// streams will produce identical futures.
+  /// The raw 256-bit generator state, as checkpoints save it
+  /// (common::put_rng): equal states mean the streams will produce
+  /// identical futures.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
     return state_;
   }

@@ -57,7 +57,8 @@ class MabScheduler final : public fuzz::Fuzzer {
   void save_state(std::string& out) const override;
   void restore_state(common::ByteReader& in) override;
 
-  /// Checkpoint state witness: steps, resets, and the bandit's full state.
+  /// Decision-state witness for the campaign benchmark's replica: steps,
+  /// resets, and the bandit's full state.
   void append_state(std::string& out) const override;
 
  private:

@@ -57,10 +57,10 @@ class Fuzzer {
   virtual void restore_state(common::ByteReader& in) = 0;
 
   /// Appends a compact witness of the decision state (steps, resets,
-  /// the bandit's save_state) to `out`. Checkpoints store it, and a
-  /// resume requires the restored policy to reproduce it byte for byte;
-  /// the campaign benchmark's replicas compare it too, so its bytes are
-  /// fixed. Policies without a bandit keep the empty default.
+  /// the bandit's save_state) to `out`. Only the campaign benchmark's
+  /// replicas read it now, comparing it against the library's policy, so
+  /// its bytes are fixed. Policies without a bandit keep the empty
+  /// default.
   virtual void append_state(std::string& out) const { (void)out; }
 };
 

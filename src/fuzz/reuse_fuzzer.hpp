@@ -73,12 +73,12 @@ class ReuseFuzzer final : public Fuzzer {
   /// Per arm the parent, whether it ran and the monitor; the reserve
   /// cursor (construction rebuilds the reserve list), the coverage map,
   /// steps, resets and the bandit; and the store's corpus-v2 image when it
-  /// is private (a shared store travels with the checkpoint itself).
+  /// is private (a shared store travels in Campaign::save_state).
   void save_state(std::string& out) const override;
   void restore_state(common::ByteReader& in) override;
 
-  /// Checkpoint state witness: steps, resets, reserve cursor, and the
-  /// seed-selection bandit's full state.
+  /// Decision-state witness for the campaign benchmark's replica: steps,
+  /// resets, reserve cursor, and the seed-selection bandit's full state.
   void append_state(std::string& out) const override;
 
  private:

@@ -572,8 +572,82 @@ Campaign::Campaign(const CampaignConfig& config) : config_(config) {
 }
 
 void Campaign::save_state(std::string& out) const {
+  common::put_u64(out, steps_);
+  common::put_u64(out, mismatches_);
+  common::put_u32(out, static_cast<std::uint32_t>(first_detection_.size()));
+  for (const std::uint64_t test : first_detection_) {
+    common::put_u64(out, test);
+  }
+  common::put_u64(out, snapshots_.size());
+  for (const BatchSnapshot& snapshot : snapshots_) {
+    common::put_u64(out, snapshot.tests_executed);
+    common::put_u64(out, snapshot.covered);
+    common::put_u64(out, snapshot.universe);
+  }
+  out.push_back(corpus_ ? '\1' : '\0');
+  // The corpus image, the largest field, is inserted in front of the
+  // engine's state once that is written, so the buffer grows once to fit;
+  // appended first, it would make the engine's appends reallocate the
+  // buffer at twice its size.
+  std::string image;
+  if (corpus_) {
+    image = corpus_->image();
+    common::put_u64(out, image.size());
+  }
+  const std::size_t engine_at = out.size();
   backend_->save_state(out);
   fuzzer_->save_state(out);
+  out.insert(engine_at, image);
+}
+
+void Campaign::restore_state(common::ByteReader& in) {
+  steps_ = in.u64("step count");
+  mismatches_ = in.u64("mismatch count");
+  const std::uint32_t num_bugs = in.u32("bug count");
+  if (num_bugs != soc::kNumBugs) {
+    in.fail("bug count " + std::to_string(num_bugs) + " does not match this "
+            "build's " + std::to_string(soc::kNumBugs) + " (version skew?)");
+  }
+  for (std::uint64_t& test : first_detection_) {
+    test = in.u64("first detection");
+  }
+  snapshots_.resize(
+      static_cast<std::size_t>(in.count("snapshot count", kMaxSnapshots)));
+  for (BatchSnapshot& snapshot : snapshots_) {
+    snapshot.tests_executed = in.u64("snapshot tests");
+    snapshot.covered = static_cast<std::size_t>(in.u64("snapshot covered"));
+    snapshot.universe = static_cast<std::size_t>(in.u64("snapshot universe"));
+  }
+  const std::uint8_t flag = in.u8("corpus flag");
+  if (flag > 1) {
+    in.fail("corpus flag " + std::to_string(flag) + " must be 0 or 1");
+  }
+  if ((flag == 1) != (corpus_ != nullptr)) {
+    in.fail(flag == 1 ? "corpus flag 1 but the campaign has no shared corpus"
+                      : "corpus flag 0 but the campaign has a shared corpus");
+  }
+  if (corpus_) {
+    // Decoded from a view of the state: the image is not copied first.
+    fuzz::Corpus corpus = fuzz::Corpus::from_image(
+        in.blob_view("corpus image", fuzz::Corpus::kMaxImageBytes));
+    if (corpus.core() != corpus_->core() ||
+        corpus.universe() != corpus_->universe()) {
+      in.fail("corpus image recorded on '" + corpus.core() +
+              "' with universe " + std::to_string(corpus.universe()) +
+              ", not this campaign's DUT");
+    }
+    *corpus_ = std::move(corpus);
+  }
+  backend_->restore_state(in);
+  if (steps_ != backend_->tests_executed()) {
+    in.fail("step count " + std::to_string(steps_) +
+            " does not match the backend's " +
+            std::to_string(backend_->tests_executed()));
+  }
+  fuzzer_->restore_state(in);
+  if (!in.exhausted()) {
+    in.fail("trailing bytes after the fuzzer state");
+  }
 }
 
 bool Campaign::save_corpus() const {
@@ -659,12 +733,14 @@ std::optional<RunResult> Campaign::run_slice(const StopCondition& stop,
   const auto detected = [&] {
     return stop.target_bug && bug_detected(*stop.target_bug);
   };
+  // The config's budget caps every run: construction checked only its
+  // snapshot count against kMaxSnapshots.
+  const std::uint64_t cap = std::min(stop.test_cap, config_.max_tests);
   // Checked between steps (including before the first), so an already
   // satisfied condition executes zero tests. The snapshot cadence keys on
   // the campaign-global step count, not a per-call counter, so slicing
   // does not perturb the snapshot sequence.
-  for (std::uint64_t executed = 0; !detected() && steps_ < stop.test_cap;
-       ++executed) {
+  for (std::uint64_t executed = 0; !detected() && steps_ < cap; ++executed) {
     if (executed == quantum) {
       return std::nullopt;
     }

@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/cli.hpp"
 #include "fuzz/backend.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -107,7 +108,7 @@ struct CampaignConfig {
   }
 };
 
-/// Most coverage snapshots one campaign may take: the checkpoint parser
+/// Most coverage snapshots one campaign may take: Campaign::restore_state
 /// refuses more, and Campaign construction refuses a config whose
 /// ceil(tests / effective_snapshot_every()) exceeds it.
 inline constexpr std::uint64_t kMaxSnapshots = std::uint64_t{1} << 20;
@@ -130,11 +131,12 @@ enum class StopReason : std::uint8_t {
 
 [[nodiscard]] std::string_view stop_reason_name(StopReason reason) noexcept;
 
-/// When a run stops: once the campaign has executed `test_cap` tests, or
-/// at `target_bug`'s first detection (mismatch + firing in one test) if it
-/// comes first. Checked between steps, so an already satisfied condition
-/// executes zero tests; a detection on the capped test itself reports
-/// kBugDetected.
+/// When a run stops: once the campaign has executed `test_cap` tests (or
+/// its config's max_tests, if lower: no run goes past the budget its
+/// snapshot bound was checked against), or at `target_bug`'s first
+/// detection (mismatch + firing in one test) if it comes first. Checked
+/// between steps, so an already satisfied condition executes zero tests;
+/// a detection on the capped test itself reports kBugDetected.
 struct StopCondition {
   std::uint64_t test_cap = 0;
   std::optional<soc::BugId> target_bug;
@@ -202,7 +204,8 @@ class Campaign {
   /// uninterrupted call.
   RunResult run_until(const StopCondition& stop);
 
-  /// One scheduling quantum: executes at most `quantum` further tests.
+  /// One scheduling quantum: executes at most `quantum` further tests,
+  /// never past min(stop.test_cap, config().max_tests) tests in all.
   /// When `stop` fires first, the run is finalized exactly like
   /// run_until (trailing snapshot) and the engaged result is
   /// returned; when the quantum is exhausted first, no finalization
@@ -217,11 +220,23 @@ class Campaign {
 
   void add_observer(CampaignObserver& observer);
 
-  /// Appends the engine's complete mutable state — the backend's, then
-  /// the fuzzer's save_state — to `out`: a checkpoint's state section.
-  /// The campaign's own counters, snapshots and shared corpus travel in
-  /// the checkpoint's other fields (harness/checkpoint.hpp).
+  /// Appends the campaign's complete mutable state to `out`: its step and
+  /// mismatch counts, each bug's first detection, its snapshots, the
+  /// shared corpus's image when there is one, then the backend's and the
+  /// fuzzer's save_state (layout in docs/ARTIFACTS.md). A checkpoint's
+  /// state section.
   void save_state(std::string& out) const;
+
+  /// The exact inverse of save_state(), applied to a campaign constructed
+  /// from the same config; the shared corpus is replaced in place, since
+  /// the fuzzer holds the same pointer. Every count is bounded before
+  /// anything is allocated. Throws std::runtime_error naming the field on
+  /// a bug count other than soc::kNumBugs, more than kMaxSnapshots
+  /// snapshots, a corpus flag above 1 or at odds with the config, a corpus
+  /// image over its bound or from another DUT, a step count other than
+  /// the backend's, or bytes after the fuzzer's state; the campaign is
+  /// then left half restored and must be discarded.
+  void restore_state(common::ByteReader& in);
 
   [[nodiscard]] fuzz::Fuzzer& fuzzer() noexcept { return *fuzzer_; }
   [[nodiscard]] const fuzz::Fuzzer& fuzzer() const noexcept { return *fuzzer_; }
@@ -267,7 +282,7 @@ class Campaign {
   [[nodiscard]] std::size_t detected_bug_count() const noexcept;
 
  private:
-  // Checkpoint capture and resume read and overwrite the private state.
+  // Checkpoint capture and resume read and set the cached fingerprint.
   friend struct Checkpoint;
   friend std::unique_ptr<Campaign> resume_campaign(const Checkpoint&);
 

@@ -1,7 +1,5 @@
 #include "harness/checkpoint.hpp"
 
-#include <algorithm>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -17,28 +15,28 @@ constexpr std::string_view kMagic("MABFUZZK", 8);
 
 /// Sanity bounds mirroring fuzz/corpus.cpp: every allocation a corrupt
 /// file could steer is capped before it happens. Strings (config pairs,
-/// the witness blob) are tiny; the corpus image and the state section are
-/// the legitimately large fields and get corpus-scale headroom (TheHuzz
-/// at its pool and database caps holds about 1.8 MB of tests).
+/// service metadata) are tiny. The state is the legitimately large field:
+/// the engine gets corpus-scale headroom (TheHuzz at its pool and
+/// database caps holds about 1.8 MB of tests), and the campaign's own
+/// fields count at their bounds — two counters, the first detections,
+/// kMaxSnapshots coverage samples and a full corpus image.
 constexpr std::uint64_t kMaxString = 1u << 20;
 constexpr std::uint64_t kMaxCount = 1u << 20;
-constexpr std::uint64_t kMaxState = 1u << 26;
-constexpr std::uint64_t kMaxPayload = fuzz::Corpus::kMaxImageBytes +
-                                      kMaxState + kMaxString +
-                                      (kMaxCount * 32);
+constexpr std::uint64_t kMaxEngineState = 1u << 26;
+constexpr std::uint64_t kMaxState =
+    kMaxEngineState + 8 + 8 + 4 + 8 * soc::kNumBugs + 8 +
+    24 * kMaxSnapshots + 1 + 8 + fuzz::Corpus::kMaxImageBytes;
+constexpr std::uint64_t kMaxPayload = kMaxString + kMaxState;
 
-/// Runs `campaign`'s first test and hashes the state it reaches: its
-/// save_state bytes plus its shared-corpus image, built in `bytes` (cleared
-/// first, so a caller can reuse one buffer). Equal configs on equal code
-/// reach equal states, so a changed config, corpus-in file or first-test
+/// Runs `campaign`'s first test and hashes the save_state bytes it
+/// reaches, shared-corpus image included, built in `bytes` (cleared first,
+/// so a caller can reuse one buffer). Equal configs on equal code reach
+/// equal states, so a changed config, corpus-in file or first-test
 /// behaviour changes the hash.
 std::uint64_t probe_fingerprint(Campaign& campaign, std::string& bytes) {
   (void)campaign.step();
   bytes.clear();
   campaign.save_state(bytes);
-  if (campaign.corpus() != nullptr) {
-    bytes += campaign.corpus()->image();
-  }
   return common::hash64(bytes);
 }
 
@@ -51,28 +49,6 @@ void append_payload(const Checkpoint& checkpoint, std::string& out) {
                   static_cast<std::uint32_t>(checkpoint.config_pairs.size()));
   for (const std::string& pair : checkpoint.config_pairs) {
     common::put_str(out, pair);
-  }
-  common::put_u64(out, checkpoint.steps);
-  common::put_u64(out, checkpoint.mismatches);
-  common::put_u32(
-      out, static_cast<std::uint32_t>(checkpoint.first_detection.size()));
-  for (const std::uint64_t test : checkpoint.first_detection) {
-    common::put_u64(out, test);
-  }
-  common::put_u64(out, checkpoint.snapshots.size());
-  for (const BatchSnapshot& snapshot : checkpoint.snapshots) {
-    common::put_u64(out, snapshot.tests_executed);
-    common::put_u64(out, snapshot.covered);
-    common::put_u64(out, snapshot.universe);
-  }
-  common::put_blob(out, checkpoint.fuzzer_state);
-  common::put_u64(out, checkpoint.coverage_universe);
-  common::put_u64(out, checkpoint.coverage_words.size());
-  common::put_words(out,
-                    std::span<const std::uint64_t>(checkpoint.coverage_words));
-  out.push_back(checkpoint.corpus_image ? '\1' : '\0');
-  if (checkpoint.corpus_image) {
-    common::put_blob(out, *checkpoint.corpus_image);
   }
   common::put_u64(out, checkpoint.fingerprint);
   common::put_blob(out, checkpoint.state);
@@ -93,40 +69,6 @@ std::string_view parse_payload(std::string_view payload, Checkpoint& out) {
   for (std::uint32_t i = 0; i < num_pairs; ++i) {
     out.config_pairs.push_back(in.str("config pair", kMaxString));
   }
-  out.steps = in.u64("step count");
-  out.mismatches = in.u64("mismatch count");
-  const std::uint32_t num_bugs = in.u32("bug count");
-  if (num_bugs != soc::kNumBugs) {
-    in.fail("bug count " + std::to_string(num_bugs) + " does not match this "
-            "build's " + std::to_string(soc::kNumBugs) + " (version skew?)");
-  }
-  for (std::uint64_t& test : out.first_detection) {
-    test = in.u64("first detection");
-  }
-  const std::uint64_t num_snapshots = in.u64("snapshot count");
-  if (num_snapshots > kMaxSnapshots) {
-    in.fail("snapshot count exceeds the sanity bound");
-  }
-  out.snapshots.reserve(static_cast<std::size_t>(num_snapshots));
-  for (std::uint64_t i = 0; i < num_snapshots; ++i) {
-    BatchSnapshot snapshot;
-    snapshot.tests_executed = in.u64("snapshot tests");
-    snapshot.covered = static_cast<std::size_t>(in.u64("snapshot covered"));
-    snapshot.universe = static_cast<std::size_t>(in.u64("snapshot universe"));
-    out.snapshots.push_back(snapshot);
-  }
-  out.fuzzer_state = in.blob("fuzzer state", kMaxString);
-  out.coverage_universe = in.u64("coverage universe");
-  out.coverage_words.resize(
-      static_cast<std::size_t>(in.count("coverage word count", kMaxCount)));
-  in.words("coverage words", std::span<std::uint64_t>(out.coverage_words));
-  const unsigned char flag = in.u8("corpus flag");
-  if (flag > 1) {
-    in.fail("corpus flag must be 0 or 1");
-  }
-  if (flag == 1) {
-    out.corpus_image = in.blob("corpus image", fuzz::Corpus::kMaxImageBytes);
-  }
   out.fingerprint = in.u64("fingerprint");
   const std::string_view state = in.blob_view("state", kMaxState);
   if (!in.exhausted()) {
@@ -140,17 +82,6 @@ std::string_view parse_payload(std::string_view payload, Checkpoint& out) {
 Checkpoint Checkpoint::capture(const Campaign& campaign) {
   Checkpoint out;
   out.config_pairs = campaign.config().to_pairs();
-  out.steps = campaign.tests_executed();
-  out.mismatches = campaign.mismatches();
-  out.first_detection = campaign.first_detection_;
-  out.snapshots = campaign.snapshots();
-  campaign.fuzzer().append_state(out.fuzzer_state);
-  const coverage::Map& global = campaign.fuzzer().accumulated().global();
-  out.coverage_universe = global.universe();
-  out.coverage_words.assign(global.words().begin(), global.words().end());
-  if (campaign.corpus() != nullptr) {
-    out.corpus_image = campaign.corpus()->image();
-  }
   if (campaign.fingerprint_.has_value()) {
     out.fingerprint = *campaign.fingerprint_;
   } else {
@@ -168,11 +99,9 @@ Checkpoint Checkpoint::capture(const Campaign& campaign) {
 
 std::string Checkpoint::image() const {
   // The payload goes straight into the file, behind a length patched after
-  // it. Reserving the bulk fields plus slack keeps appends from reallocating.
+  // it. Reserving the state plus slack keeps appends from reallocating.
   std::string file(kMagic);
-  file.reserve(4096 + 24 * snapshots.size() + fuzzer_state.size() +
-               8 * coverage_words.size() +
-               (corpus_image ? corpus_image->size() : 0) + state.size());
+  file.reserve(4096 + state.size());
   common::put_u32(file, kVersion);
   common::put_u64(file, 0);
   const std::size_t begin = file.size();
@@ -232,82 +161,34 @@ Checkpoint Checkpoint::load(const std::string& path) {
 std::unique_ptr<Campaign> resume_campaign(const Checkpoint& checkpoint) {
   auto campaign = std::make_unique<Campaign>(
       CampaignConfig::from_pairs(checkpoint.config_pairs));
-  auto diverged = [](std::string_view witness) -> std::runtime_error {
-    return std::runtime_error(
-        "checkpoint resume: " + std::string(witness) +
-        " diverged from the checkpoint — the config, corpus-in file or "
-        "code version changed since the checkpoint was taken");
-  };
 
   // 1. Probe: this config on this code must reach, after one test, the
   // state the capture-time probe reached. Its image and the round trip's
-  // share one buffer, sized for the larger. The buffer outlives the call,
-  // one per thread, so a later resume on the thread writes into pages
-  // that are already mapped instead of faulting in fresh ones.
+  // share one buffer. The buffer outlives the call, one per thread, so a
+  // later resume on the thread writes into pages that are already mapped
+  // instead of faulting in fresh ones.
   thread_local std::string bytes;
-  const std::optional<std::string>& corpus_image = checkpoint.corpus_image;
-  bytes.reserve(checkpoint.state.size() +
-                (corpus_image ? corpus_image->size() : 0));
+  bytes.reserve(checkpoint.state.size());
   if (probe_fingerprint(*campaign, bytes) != checkpoint.fingerprint) {
-    throw diverged("probe test");
+    throw std::runtime_error(
+        "checkpoint resume: probe test diverged from the checkpoint — the "
+        "config, corpus-in file or code version changed since the "
+        "checkpoint was taken");
   }
 
-  // 2. Restore over the probed campaign. The shared corpus is replaced in
-  // place: the fuzzer holds the same pointer.
-  if (checkpoint.corpus_image.has_value() != (campaign->corpus_ != nullptr)) {
-    throw diverged("corpus presence");
-  }
-  if (checkpoint.corpus_image) {
-    fuzz::Corpus corpus = fuzz::Corpus::from_image(*checkpoint.corpus_image);
-    if (corpus.core() != campaign->corpus_->core() ||
-        corpus.universe() != campaign->corpus_->universe()) {
-      throw std::runtime_error(
-          "checkpoint resume: the corpus image was recorded on '" +
-          corpus.core() + "' with universe " +
-          std::to_string(corpus.universe()) + ", not this campaign's DUT");
-    }
-    *campaign->corpus_ = std::move(corpus);
-  }
+  // 2. Restore over the probed campaign.
   common::ByteReader state(checkpoint.state, "checkpoint resume: state");
-  campaign->backend_->restore_state(state);
-  campaign->fuzzer_->restore_state(state);
-  if (!state.exhausted()) {
-    state.fail("trailing bytes after the fuzzer state");
-  }
-  campaign->steps_ = checkpoint.steps;
-  campaign->mismatches_ = checkpoint.mismatches;
-  campaign->first_detection_ = checkpoint.first_detection;
-  campaign->snapshots_ = checkpoint.snapshots;
+  campaign->restore_state(state);
   campaign->fingerprint_ = checkpoint.fingerprint;
 
   // 3. Round trip: the restored campaign must serialize back to the
-  // captured bytes and reproduce every witness derived from its state.
-  // (Counters and snapshots were restored from their own fields above.)
+  // captured bytes, which checks every value the restore read.
   bytes.clear();
   campaign->save_state(bytes);
   if (bytes != checkpoint.state) {
     throw std::runtime_error(
         "checkpoint resume: the restored state does not serialize back to "
         "the checkpoint's state bytes");
-  }
-  if (campaign->backend_->tests_executed() != checkpoint.steps) {
-    throw diverged("step count");
-  }
-  std::string fuzzer_state;
-  campaign->fuzzer_->append_state(fuzzer_state);
-  if (fuzzer_state != checkpoint.fuzzer_state) {
-    throw diverged("fuzzer state");
-  }
-  const coverage::Map& global = campaign->fuzzer_->accumulated().global();
-  if (global.universe() != checkpoint.coverage_universe ||
-      !std::equal(global.words().begin(), global.words().end(),
-                  checkpoint.coverage_words.begin(),
-                  checkpoint.coverage_words.end())) {
-    throw diverged("coverage map");
-  }
-  if (checkpoint.corpus_image &&
-      campaign->corpus_->image() != *checkpoint.corpus_image) {
-    throw diverged("corpus store");
   }
   return campaign;
 }

@@ -257,13 +257,13 @@ std::string CampaignService::resume_from_checkpoint(const std::string& path) {
   job->spec.name = checkpoint.job_name;
   job->spec.artifact_out = checkpoint.artifact_out;
   // State restore: one probe test checked against the checkpoint's
-  // fingerprint, then the captured state and its round-trip checks.
+  // fingerprint, then the captured state and its round trip.
   job->campaign = resume_campaign(checkpoint);
   job->spec.config = job->campaign->config();
   job->observer = std::make_unique<JobObserver>(*this, *job);
   job->campaign->add_observer(*job->observer);
-  job->last_checkpoint_step = checkpoint.steps;
   job->tests_executed = job->campaign->tests_executed();
+  job->last_checkpoint_step = job->tests_executed;
   job->covered = job->campaign->covered();
   job->mismatches = job->campaign->mismatches();
   std::string event = event_line(
@@ -271,7 +271,7 @@ std::string CampaignService::resume_from_checkpoint(const std::string& path) {
         json.key("tenant").value(job->spec.tenant);
         json.key("fuzzer").value(job->spec.config.fuzzer);
         json.key("tests").value(job->spec.config.max_tests);
-        json.key("resumed_at").value(checkpoint.steps);
+        json.key("resumed_at").value(job->tests_executed);
         json.key("checkpoint").value(path);
       });
   std::string name = job->spec.name;
@@ -412,10 +412,10 @@ void CampaignService::write_checkpoint(Job& job) {
   checkpoint.artifact_out = job.spec.artifact_out;
   const std::string path = checkpoint_path(job);
   checkpoint.save(path);
-  job.last_checkpoint_step = checkpoint.steps;
+  job.last_checkpoint_step = job.campaign->tests_executed();
   emit_event(event_line(
       "checkpoint", job.spec.name, [&](common::JsonWriter& json) {
-        json.key("test").value(checkpoint.steps);
+        json.key("test").value(job.last_checkpoint_step);
         json.key("path").value(path);
       }));
 }

@@ -15,8 +15,8 @@
 // tmp+rename, like the job's artifacts and corpus store), stop() writes
 // a final checkpoint for every unfinished job, and
 // resume_from_checkpoint() re-admits a job from its snapshot (state
-// restore after one fingerprinted probe test, then round-trip and
-// witness verification; harness/checkpoint.hpp).
+// restore after one fingerprinted probe test, then a byte-exact round
+// trip; harness/checkpoint.hpp).
 //
 // Observability: every lifecycle transition and every interesting step
 // (new coverage, mismatch, checkpoint) streams as one line of compact

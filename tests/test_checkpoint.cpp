@@ -1,7 +1,8 @@
-// Checkpoint-v4 tests: struct round-trip through the binary format,
+// Checkpoint-v5 tests: struct round-trip through the binary format,
 // corruption rejection (truncation at every byte boundary, bit flips,
 // bad magic/version — always a descriptive throw, never partial state;
-// test_input_mutation covers mutants that pass the checksum), restore
+// test_input_mutation covers mutants that pass the checksum), each
+// Campaign::restore_state refusal on hand-built state bytes, restore
 // equivalence (a resumed campaign of every built-in policy finishes with
 // exactly the state of an uninterrupted one, and a resume runs one probe
 // test, not the history), divergence detection when the config or the
@@ -16,8 +17,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/scheduler.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/reuse_fuzzer.hpp"
@@ -72,14 +75,6 @@ TEST(CheckpointFormatTest, SaveLoadRoundTripPreservesEveryField) {
   EXPECT_EQ(after.tenant, before.tenant);
   EXPECT_EQ(after.artifact_out, before.artifact_out);
   EXPECT_EQ(after.config_pairs, before.config_pairs);
-  EXPECT_EQ(after.steps, before.steps);
-  EXPECT_EQ(after.mismatches, before.mismatches);
-  EXPECT_EQ(after.first_detection, before.first_detection);
-  EXPECT_EQ(after.snapshots, before.snapshots);
-  EXPECT_EQ(after.fuzzer_state, before.fuzzer_state);
-  EXPECT_EQ(after.coverage_universe, before.coverage_universe);
-  EXPECT_EQ(after.coverage_words, before.coverage_words);
-  EXPECT_EQ(after.corpus_image, before.corpus_image);
   EXPECT_NE(before.fingerprint, 0u);
   EXPECT_EQ(after.fingerprint, before.fingerprint);
   EXPECT_FALSE(before.state.empty());
@@ -90,15 +85,26 @@ TEST(CheckpointFormatTest, CaptureRecordsMidRunState) {
   Campaign campaign(tiny("exp3"));
   advance(campaign, 50);
   const Checkpoint checkpoint = Checkpoint::capture(campaign);
-  EXPECT_EQ(checkpoint.steps, 50u);
-  EXPECT_EQ(checkpoint.snapshots.size(), 2u);  // snapshot-every=25
-  EXPECT_FALSE(checkpoint.fuzzer_state.empty());
-  EXPECT_EQ(checkpoint.coverage_universe, campaign.coverage_universe());
-  EXPECT_FALSE(checkpoint.corpus_image.has_value());  // no corpus configured
-  for (const soc::BugInfo& info : soc::all_bugs()) {
-    EXPECT_EQ(checkpoint.first_detection[static_cast<std::size_t>(info.id)],
-              campaign.first_detection_test(info.id));
+  std::string state;
+  campaign.save_state(state);
+  EXPECT_EQ(checkpoint.state, state);
+
+  // The state leads with the campaign's own fields.
+  common::ByteReader in(checkpoint.state, "state");
+  EXPECT_EQ(in.u64("step count"), 50u);
+  EXPECT_EQ(in.u64("mismatch count"), campaign.mismatches());
+  ASSERT_EQ(in.u32("bug count"), soc::kNumBugs);
+  for (std::size_t bug = 0; bug < soc::kNumBugs; ++bug) {
+    EXPECT_EQ(in.u64("first detection"),
+              campaign.first_detection_test(static_cast<soc::BugId>(bug)));
   }
+  ASSERT_EQ(in.u64("snapshot count"), 2u);  // snapshot-every=25
+  for (const BatchSnapshot& snapshot : campaign.snapshots()) {
+    EXPECT_EQ(in.u64("snapshot tests"), snapshot.tests_executed);
+    EXPECT_EQ(in.u64("snapshot covered"), snapshot.covered);
+    EXPECT_EQ(in.u64("snapshot universe"), snapshot.universe);
+  }
+  EXPECT_EQ(in.u8("corpus flag"), 0u);  // no corpus configured
 }
 
 TEST(CheckpointFormatTest, EmbedsCorpusImageWhenConfigured) {
@@ -107,10 +113,14 @@ TEST(CheckpointFormatTest, EmbedsCorpusImageWhenConfigured) {
   Campaign campaign(config);
   advance(campaign, 40);
   const Checkpoint checkpoint = Checkpoint::capture(campaign);
-  ASSERT_TRUE(checkpoint.corpus_image.has_value());
+  common::ByteReader in(checkpoint.state, "state");
+  // Past the counters, the bug count, the detections and one snapshot
+  // (40 tests at snapshot-every=25).
+  (void)in.bytes("campaign fields", 8 + 8 + 4 + 8 * soc::kNumBugs + 8 + 24);
+  ASSERT_EQ(in.u8("corpus flag"), 1u);
   // The image is a loadable corpus-v2 store equal to the live one.
-  const fuzz::Corpus decoded =
-      fuzz::Corpus::from_image(*checkpoint.corpus_image);
+  const fuzz::Corpus decoded = fuzz::Corpus::from_image(
+      in.blob_view("corpus image", fuzz::Corpus::kMaxImageBytes));
   EXPECT_EQ(decoded, *campaign.corpus());
 }
 
@@ -194,13 +204,14 @@ TEST(CheckpointCorruptionTest, ErrorsAreDescriptive) {
   }
 
   // An older file is refused up front by its version, not half-resumed:
-  // version 1 (its config section names keys this build no longer knows)
-  // and version 3, the last one before the word-wise checksum.
+  // version 1 (its config section names keys this build no longer knows),
+  // version 3, the last one before the word-wise checksum, and version 4,
+  // the last one with the campaign's fields outside its state.
   const std::string old_version = testing::TempDir() + "version.ckpt";
   Checkpoint::capture(campaign).save(old_version);
   const std::string current = read_file(old_version);
   ASSERT_GT(current.size(), 12u);
-  for (const char version : {'\1', '\3'}) {
+  for (const char version : {'\1', '\3', '\4'}) {
     bytes = current;
     bytes[8] = version;  // u32 version, little-endian, after the 8-byte magic
     bytes[9] = bytes[10] = bytes[11] = 0;
@@ -211,7 +222,7 @@ TEST(CheckpointCorruptionTest, ErrorsAreDescriptive) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(
                     "unsupported version " + std::to_string(version) +
-                    " (this build reads version 4)"),
+                    " (this build reads version 5)"),
                 std::string::npos)
           << e.what();
     }
@@ -271,8 +282,8 @@ TEST(CheckpointResumeTest, ConfigDriftIsDetectedAsDivergence) {
   advance(campaign, 40);
   Checkpoint checkpoint = Checkpoint::capture(campaign);
 
-  // Tamper with the replay cursor: a different seed replays a different
-  // campaign, so every witness check must fire.
+  // Tamper with the seed: a different seed runs a different first test,
+  // so the probe must report the divergence.
   for (std::string& pair : checkpoint.config_pairs) {
     if (pair.rfind("seed=", 0) == 0) {
       pair = "seed=999";
@@ -332,8 +343,8 @@ TEST(CheckpointResumeTest, DriftedWarmStartCorpusIsDetected) {
   const std::string path = testing::TempDir() + "warm.ckpt";
   Checkpoint::capture(campaign).save(path);
 
-  // The corpus-in file drifts between checkpoint and resume: replay now
-  // starts from different seeds, which the witness verification catches.
+  // The corpus-in file drifts between checkpoint and resume: the campaign
+  // now starts from different seeds, which the probe catches.
   {
     CampaignConfig seeder = tiny("exp3", 60);
     seeder.rng_seed = 77;
@@ -484,6 +495,185 @@ TEST(CheckpointResumeTest, ResumeRunsOneTestNotTheHistory) {
   (void)fresh.step();
   EXPECT_LE(resumed->backend().decode_cache().lookups(),
             fresh.backend().decode_cache().lookups());
+}
+
+TEST(CheckpointResumeTest, StopCapAboveTheBudgetStopsAtTheBudget) {
+  // The construction-time snapshot bound checks only `tests`, so a run
+  // must not go past it whatever cap its caller passes: this one would
+  // otherwise take kMaxSnapshots + 1 snapshots and write a checkpoint its
+  // own loader refuses.
+  CampaignConfig config = tiny("random", 10);
+  config.snapshot_every = 1;
+  Campaign campaign(config);
+  const RunResult run =
+      campaign.run_until(StopCondition::max_tests(kMaxSnapshots + 1));
+  EXPECT_EQ(run.reason, StopReason::kMaxTests);
+  EXPECT_EQ(run.tests_executed, 10u);
+  EXPECT_EQ(campaign.snapshots().size(), 10u);
+
+  const std::string path = testing::TempDir() + "budget.ckpt";
+  Checkpoint::capture(campaign).save(path);
+  const std::unique_ptr<Campaign> resumed =
+      resume_campaign(Checkpoint::load(path));
+  EXPECT_EQ(resumed->tests_executed(), 10u);
+  EXPECT_EQ(resumed->snapshots(), campaign.snapshots());
+}
+
+// --- Campaign::restore_state refusals -------------------------------------------
+
+/// Campaign::save_state's layout built field by field, so a test can set
+/// one field out of bounds: the campaign's own fields (no mismatches, no
+/// detections, no snapshot records), then `engine`, the backend's and the
+/// fuzzer's state.
+struct HandBuiltState {
+  std::uint64_t steps = 0;
+  std::uint32_t bug_count = soc::kNumBugs;
+  std::uint64_t snapshot_count = 0;
+  std::uint8_t corpus_flag = 0;
+  std::optional<std::string> corpus_image;
+  std::string engine;
+
+  [[nodiscard]] std::string bytes() const {
+    std::string out;
+    common::put_u64(out, steps);
+    common::put_u64(out, 0);  // mismatch count
+    common::put_u32(out, bug_count);
+    for (std::uint32_t i = 0; i < bug_count; ++i) {
+      common::put_u64(out, 0);  // undetected
+    }
+    common::put_u64(out, snapshot_count);
+    out.push_back(static_cast<char>(corpus_flag));
+    if (corpus_image) {
+      common::put_blob(out, *corpus_image);
+    }
+    return out + engine;
+  }
+};
+
+/// The state of `campaign` before its first test, hand-built.
+HandBuiltState fresh_state(Campaign& campaign) {
+  HandBuiltState state;
+  campaign.backend().save_state(state.engine);
+  campaign.fuzzer().save_state(state.engine);
+  if (campaign.corpus() != nullptr) {
+    state.corpus_flag = 1;
+    state.corpus_image = campaign.corpus()->image();
+  }
+  return state;
+}
+
+CampaignConfig with_corpus(CampaignConfig config) {
+  config.corpus_out = testing::TempDir() + "restore-state.corpus";
+  return config;
+}
+
+/// restore_state of `bytes` into `campaign` must throw a
+/// std::runtime_error whose message contains `refusal`.
+void expect_refused(Campaign& campaign, const std::string& bytes,
+                    std::string_view refusal) {
+  common::ByteReader in(bytes, "restore");
+  try {
+    campaign.restore_state(in);
+    FAIL() << "expected std::runtime_error containing '" << refusal << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string_view(e.what()).find(refusal), std::string_view::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignRestoreStateTest, HandBuiltFreshStateRoundTrips) {
+  // The layout the refusal tests below build on restores as it stands.
+  for (const CampaignConfig& config :
+       {tiny("random"), with_corpus(tiny("random"))}) {
+    Campaign campaign(config);
+    const std::string bytes = fresh_state(campaign).bytes();
+    (void)campaign.step();
+    common::ByteReader in(bytes, "restore");
+    campaign.restore_state(in);
+    EXPECT_EQ(campaign.tests_executed(), 0u);
+    std::string saved;
+    campaign.save_state(saved);
+    EXPECT_EQ(saved, bytes);
+  }
+}
+
+TEST(CampaignRestoreStateTest, RefusesABugCountOfSix) {
+  Campaign campaign(tiny("random"));
+  HandBuiltState state = fresh_state(campaign);
+  state.bug_count = 6;
+  expect_refused(campaign, state.bytes(), "bug count 6");
+}
+
+TEST(CampaignRestoreStateTest, RefusesTooManySnapshotsBeforeAllocating) {
+  // No snapshot records follow: the count alone must be refused, before
+  // 2^20 + 1 of them are allocated and read.
+  Campaign campaign(tiny("random"));
+  HandBuiltState state = fresh_state(campaign);
+  state.snapshot_count = kMaxSnapshots + 1;
+  expect_refused(campaign, state.bytes(),
+                 "snapshot count 1048577 exceeds its bound 1048576");
+}
+
+TEST(CampaignRestoreStateTest, RefusesACorpusFlagOfTwo) {
+  Campaign campaign(tiny("random"));
+  HandBuiltState state = fresh_state(campaign);
+  state.corpus_flag = 2;
+  expect_refused(campaign, state.bytes(), "corpus flag 2 must be 0 or 1");
+}
+
+TEST(CampaignRestoreStateTest, RefusesACorpusImageWithoutASharedCorpus) {
+  Campaign campaign(tiny("random"));
+  Campaign other(with_corpus(tiny("random")));
+  HandBuiltState state = fresh_state(campaign);
+  state.corpus_flag = 1;
+  state.corpus_image = other.corpus()->image();
+  expect_refused(campaign, state.bytes(),
+                 "corpus flag 1 but the campaign has no shared corpus");
+}
+
+TEST(CampaignRestoreStateTest, RefusesAMissingCorpusImage) {
+  Campaign campaign(with_corpus(tiny("random")));
+  HandBuiltState state = fresh_state(campaign);
+  state.corpus_flag = 0;
+  state.corpus_image.reset();
+  expect_refused(campaign, state.bytes(),
+                 "corpus flag 0 but the campaign has a shared corpus");
+}
+
+TEST(CampaignRestoreStateTest, RefusesAnOversizedCorpusImage) {
+  // Only the length follows the flag: it is refused before it is read.
+  Campaign campaign(with_corpus(tiny("random")));
+  HandBuiltState state = fresh_state(campaign);
+  state.corpus_image.reset();
+  state.engine.clear();
+  std::string bytes = state.bytes();
+  common::put_u64(bytes, fuzz::Corpus::kMaxImageBytes + 1);
+  expect_refused(campaign, bytes, "corpus image length 67108865 exceeds");
+}
+
+TEST(CampaignRestoreStateTest, RefusesABoomStoreOnARocketCampaign) {
+  Campaign campaign(with_corpus(tiny("random")));
+  CampaignConfig boom = with_corpus(tiny("random"));
+  boom.core = soc::CoreKind::kBoom;
+  Campaign other(boom);
+  HandBuiltState state = fresh_state(campaign);
+  state.corpus_image = other.corpus()->image();
+  expect_refused(campaign, state.bytes(), "corpus image recorded on 'boom'");
+}
+
+TEST(CampaignRestoreStateTest, RefusesAStepCountOtherThanTheBackends) {
+  Campaign campaign(tiny("random"));
+  HandBuiltState state = fresh_state(campaign);
+  state.steps = 1;
+  expect_refused(campaign, state.bytes(),
+                 "step count 1 does not match the backend's 0");
+}
+
+TEST(CampaignRestoreStateTest, RefusesTrailingBytes) {
+  Campaign campaign(tiny("random"));
+  HandBuiltState state = fresh_state(campaign);
+  state.engine.push_back('\0');
+  expect_refused(campaign, state.bytes(), "trailing bytes");
 }
 
 }  // namespace

@@ -453,7 +453,7 @@ TEST(FastMod, DefaultAndZeroDivisorReduceToZero) {
 }
 
 // ---------------------------------------------------------------------------
-// hash64 — the checkpoint-v4 trailer and probe fingerprint. The recorded
+// hash64 — the checkpoint trailer and probe fingerprint. The recorded
 // values match a reimplementation from docs/ARTIFACTS.md; a change to any
 // of them is a checkpoint format change.
 

@@ -1,5 +1,5 @@
 // Seeded mutation tests of every input that reaches the process from
-// outside: serve command lines, corpus-v2 images and checkpoint-v4 files.
+// outside: serve command lines, corpus-v2 images and checkpoint-v5 files.
 // Campaign config pairs ride in two of those carriers (submit lines and
 // the checkpoint's pair section); RandomKeySoupNeverCrashesTheParser in
 // test_campaign covers the bare parser. One mutator makes every mutant,
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -276,7 +277,7 @@ TEST(InputMutationTest, CorpusImagesAreRefusedOrSound) {
     CampaignConfig config = tiny(fuzzer, 200, core);
     config.corpus_out = dir + fuzzer + ".corpus";
     Campaign campaign(config);
-    advance(campaign, 200);
+    (void)campaign.run();
     ASSERT_GT(campaign.corpus()->size(), 1u);
     images.push_back(campaign.corpus()->image());
   }
@@ -316,7 +317,7 @@ TEST(InputMutationTest, CorpusImagesAreRefusedOrSound) {
   std::filesystem::remove_all(dir);
 }
 
-// --- checkpoint-v4 files --------------------------------------------------------
+// --- checkpoint-v5 files --------------------------------------------------------
 
 TEST(InputMutationTest, CheckpointFilesAreRefusedOrResume) {
   // The mutants carry a recomputed checksum, so they reach the payload
@@ -348,11 +349,8 @@ TEST(InputMutationTest, CheckpointFilesAreRefusedOrResume) {
       common::put_u64(bytes, common::hash64(mutated));
       write_bytes(path, bytes);
       std::unique_ptr<Campaign> resumed;
-      std::uint64_t steps = 0;
       try {
-        const Checkpoint loaded = Checkpoint::load(path);
-        steps = loaded.steps;
-        resumed = resume_campaign(loaded);
+        resumed = resume_campaign(Checkpoint::load(path));
       } catch (const std::runtime_error&) {
         ++refused;
         continue;
@@ -360,8 +358,14 @@ TEST(InputMutationTest, CheckpointFilesAreRefusedOrResume) {
         ++refused;
         continue;
       }
-      advance(*resumed, 20);
-      EXPECT_EQ(resumed->tests_executed(), steps + 20) << "mutant " << i;
+      ASSERT_EQ(resumed->tests_executed(), 120u) << "mutant " << i;
+      // 20 more tests stop at 140, or at a budget a mutated `tests` pair
+      // lowered (none at all below the 120 already run).
+      (void)resumed->run_slice(StopCondition::max_tests(UINT64_MAX), 20);
+      EXPECT_EQ(resumed->tests_executed(),
+                std::clamp<std::uint64_t>(resumed->config().max_tests, 120,
+                                          140))
+          << "mutant " << i;
     }
     // Both outcomes occur: flips inside test words or RNG words resume.
     EXPECT_GT(refused, 0u);

@@ -12,6 +12,13 @@ operator would — and the way no unit test can: with a real SIGKILL.
   3. Recovery: start a fresh server, `resume-checkpoint` every job from
      the files the dead server left behind, drain, shutdown.
 
+Between 2 and 3, a copy of one victim checkpoint with its u32 version
+field set to 4 (the last format before the campaign's counters, snapshots
+and corpus moved into its state) goes to a server of its own: its
+`resume-checkpoint` must get exactly one `error:` reply containing
+`unsupported version 4 (this build reads version 5)`, leave no status
+entry and emit no event.
+
 The four jobs cover the policies whose state a resume restores: the
 MABFuzz scheduler (ucb), TheHuzz, the reuse fuzzer with a shared corpus
 (corpus-out), and epsilon-greedy with the adaptive operator and
@@ -67,6 +74,10 @@ LINE_TOO_LONG = f"error: command line longer than {MAX_LINE} bytes"
 # reply must name.
 REFUSED = {"smoke-bad": "arms", "smoke-no-dir": "artifact-out",
            "smoke-cap": "corpus-cap"}
+# The one reply a checkpoint of the previous format version must get.
+OLD_VERSION = 4
+OLD_VERSION_ERROR = (f"unsupported version {OLD_VERSION} "
+                     "(this build reads version 5)")
 
 
 def fail(message):
@@ -203,6 +214,41 @@ def check_stdin_line_cap(cli):
         fail(f"stdin flood: exit {result.returncode}, replies {replies!r}")
 
 
+def check_old_version_refused(cli, checkpoint, workdir, deadline):
+    """A copy of `checkpoint` stamped with the previous format version is
+    refused at load: one error reply naming the version, then an empty
+    status (so no second reply line and no admitted job) and no event."""
+    old_dir = workdir / "old-version"
+    old_dir.mkdir(exist_ok=True)
+    copy = old_dir / checkpoint.name
+    image = bytearray(checkpoint.read_bytes())
+    # u32 version, little-endian, after the 8-byte magic
+    image[8:12] = OLD_VERSION.to_bytes(4, "little")
+    copy.write_bytes(image)
+    server, events_file = start_server(cli, old_dir / "events.jsonl",
+                                       old_dir / "ctl.sock")
+    client = ServeClient(old_dir / "ctl.sock", deadline)
+    # The server is shut down before any verdict, so a failed check leaves
+    # no daemon behind.
+    reply = client.command(f"resume-checkpoint {copy}")
+    status = client.command("status")
+    client.expect_ok("shutdown")
+    client.close()
+    if server.wait(timeout=DEADLINE) != 0:
+        fail(f"version-{OLD_VERSION} server exited {server.returncode}")
+    events_file.close()
+    if not reply.startswith("error:") or OLD_VERSION_ERROR not in reply:
+        fail(f"version-{OLD_VERSION} checkpoint got {reply!r}, expected an "
+             f"error containing {OLD_VERSION_ERROR!r}")
+    if status != "ok":
+        fail(f"refused version-{OLD_VERSION} checkpoint left a status "
+             f"entry: {status!r}")
+    events = parse_events(old_dir / "events.jsonl", f"version {OLD_VERSION}")
+    if events:
+        fail(f"refused version-{OLD_VERSION} checkpoint emitted events: "
+             f"{events}")
+
+
 def read_artifacts(directory):
     files = [name + ext for name in JOBS for ext in (".json", ".csv")]
     out = {}
@@ -305,6 +351,9 @@ def main():
             fail(f"no checkpoint file for {name} after SIGKILL")
     print(f"service_smoke: victim SIGKILLed with all {len(JOBS)} jobs "
           "checkpointed")
+    check_old_version_refused(cli, checkpoints["smoke-ucb"], workdir,
+                              deadline)
+    print(f"service_smoke: version-{OLD_VERSION} checkpoint refused")
 
     # --- 3. recovery: resume every checkpoint in a fresh server --------------
     server, events_file = start_server(cli, kill_dir / "recovery.jsonl",
